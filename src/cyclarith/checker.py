@@ -272,16 +272,17 @@ def soundness_sample(proof: Union[CyclicProof, ProofNode],
 
     A false sequent under some assignment of the grid means the proof
     claims something refutable, which a sound derivation never does when
-    its assumptions hold.
+    its assumptions hold.  One compile table serves the whole walk.
     """
     root = proof.root if isinstance(proof, CyclicProof) else proof
     hits: List[Tuple[str, str, str]] = []
     checked = 0
+    table = {}
     for node in walk(root):
         fvs = sorted(node.sequent.fv)
         for env in all_assignments(fvs, value_bound):
             checked += 1
-            if sequent_truth(node.sequent, env, cutoff) is TV.FALSE:
+            if sequent_truth(node.sequent, env, cutoff, table) is TV.FALSE:
                 shown = ",".join(f"{v.name}={env[v]}" for v in fvs)
                 hits.append((node.id, shown, node.sequent.sx))
     return SoundnessReport(not hits, checked, tuple(hits))

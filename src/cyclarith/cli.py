@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -336,12 +335,7 @@ def cmd_examples(args) -> int:
             lines.append(f"{aname} assumptions {entry.system} {entry.level}")
         return lines
 
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        manifest = [line for e in entries for line in write(e)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            manifest = [line for lines in pool.map(write, entries) for line in lines]
+    manifest = [line for e in entries for line in write(e)]
     (outdir / "MANIFEST").write_text("".join(line + "\n" for line in manifest),
                                      encoding="utf-8")
     print(f"wrote {len(manifest)} files to {outdir}")
@@ -421,7 +415,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="write the builder corpus")
     p.add_argument("outdir")
     p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
     p.set_defaults(fn=cmd_examples)
 
     return top
@@ -441,6 +434,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except RecursionError:
+        print("error: input nested too deep", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -6,13 +6,33 @@ existential is TRUE once a witness at or below the cutoff shows up and never
 FALSE; a universal is FALSE once a counterexample shows up and never TRUE.
 Bounded quantifiers and atoms are exact, so anything classified Delta0 gets
 a decisive answer.  Connectives follow strong Kleene tables.
+
+A formula is evaluated in two steps: it is compiled once into nested
+closures (closure code generation, Feeley & Lapalme 1987), which are then
+run on the assignment.  Compilation
+
+- folds every closed term, numerals included, into an int constant; terms
+  are evaluated with an explicit stack and successor chains with a loop, so
+  term depth costs no recursion;
+- turns each connective into a strong-Kleene closure that short-circuits;
+- memoises each quantifier node (Michie 1968).  Its value is a pure
+  function of the cutoff and of the values of its free variables, so it is
+  cached under the key `tuple(env.get(v, 0) for v in sorted(phi.fv))`.
+
+Compiled closures, memos included, live in a compile table: a dict from
+(formula, cutoff) to closure.  A caller that evaluates many formulas or
+grid points passes one table to every `eval_formula` / `sequent_truth` call
+of its loop, so that shared subformulas are compiled and memoised once; a
+call without a table makes its own.  Nothing else is cached, so no memo
+outlives the table of the call that created it.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, Iterable, Iterator, Sequence
+import operator
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence
 
 from .syntax import (Add, All, AllLe, And, Eq, Ex, ExLe, Formula, Le, Mul,
                      Neq, NLe, Or, Succ, Term, V, Var, Zero)
@@ -30,123 +50,171 @@ class TV(enum.Enum):
         return self.value
 
 
-def t_not(a: TV) -> TV:
-    if a is TV.TRUE:
-        return TV.FALSE
-    if a is TV.FALSE:
-        return TV.TRUE
-    return TV.UNKNOWN
+TRUE, FALSE, UNKNOWN = TV.TRUE, TV.FALSE, TV.UNKNOWN
 
-
-def t_and(a: TV, b: TV) -> TV:
-    if a is TV.FALSE or b is TV.FALSE:
-        return TV.FALSE
-    if a is TV.TRUE and b is TV.TRUE:
-        return TV.TRUE
-    return TV.UNKNOWN
-
-
-def t_or(a: TV, b: TV) -> TV:
-    if a is TV.TRUE or b is TV.TRUE:
-        return TV.TRUE
-    if a is TV.FALSE and b is TV.FALSE:
-        return TV.FALSE
-    return TV.UNKNOWN
+# Compiled code reads a private assignment keyed by variable name.
+Env = Dict[str, int]
+Code = Callable[[Env], TV]
+Table = Dict[tuple, Code]
 
 
 def eval_term(t: Term, env: Dict[Var, int]) -> int:
-    match t:
-        case Zero():
-            return 0
-        case V(v):
-            return env.get(v, 0)
-        case Succ(a):
-            return eval_term(a, env) + 1
-        case Add(a, b):
-            return eval_term(a, env) + eval_term(b, env)
-        case Mul(a, b):
-            return eval_term(a, env) * eval_term(b, env)
+    """Value of t; unmapped variables read as 0.  Iterative in term depth."""
+    values = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:          # (operator, successors above it)
+            op, k = t
+            right = values.pop()
+            values.append(op(values.pop(), right) + k)
+            continue
+        k = 0
+        while isinstance(t, Succ):
+            t, k = t.arg, k + 1
+        if isinstance(t, Zero):
+            values.append(k)
+        elif isinstance(t, V):
+            values.append(env.get(t.var, 0) + k)
+        elif isinstance(t, (Add, Mul)):
+            todo += [(operator.add if isinstance(t, Add) else operator.mul, k),
+                     t.right, t.left]
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return values[0]
+
+
+def _term_code(t: Term) -> Callable[[Env], int]:
+    """Closure computing t; a closed term is folded to its value."""
+    if not t.fv:
+        value = eval_term(t, {})
+        return lambda e: value
+    k = 0
+    while isinstance(t, Succ):
+        t, k = t.arg, k + 1
+    if isinstance(t, V):
+        name = t.var.name
+        return lambda e: e.get(name, 0) + k
+    left, right = _term_code(t.left), _term_code(t.right)
+    if isinstance(t, Add):
+        return lambda e: left(e) + right(e) + k
+    if isinstance(t, Mul):
+        return lambda e: left(e) * right(e) + k
     raise TypeError(f"not a term: {t!r}")
 
 
-def eval_formula(phi: Formula, env: Dict[Var, int], cutoff: int) -> TV:
-    match phi:
-        case Eq(l, r):
-            return TV.TRUE if eval_term(l, env) == eval_term(r, env) else TV.FALSE
-        case Neq(l, r):
-            return TV.TRUE if eval_term(l, env) != eval_term(r, env) else TV.FALSE
-        case Le(l, r):
-            return TV.TRUE if eval_term(l, env) <= eval_term(r, env) else TV.FALSE
-        case NLe(l, r):
-            return TV.TRUE if eval_term(l, env) > eval_term(r, env) else TV.FALSE
-        case And(l, r):
-            a = eval_formula(l, env, cutoff)
-            if a is TV.FALSE:
-                return TV.FALSE
-            return t_and(a, eval_formula(r, env, cutoff))
-        case Or(l, r):
-            a = eval_formula(l, env, cutoff)
-            if a is TV.TRUE:
-                return TV.TRUE
-            return t_or(a, eval_formula(r, env, cutoff))
-        case AllLe(x, t, b):
-            out = TV.TRUE
-            saved = env.get(x)
-            for w in range(eval_term(t, env) + 1):
-                env[x] = w
-                out = t_and(out, eval_formula(b, env, cutoff))
-                if out is TV.FALSE:
-                    break
-            _restore(env, x, saved)
-            return out
-        case ExLe(x, t, b):
-            out = TV.FALSE
-            saved = env.get(x)
-            for w in range(eval_term(t, env) + 1):
-                env[x] = w
-                out = t_or(out, eval_formula(b, env, cutoff))
-                if out is TV.TRUE:
-                    break
-            _restore(env, x, saved)
-            return out
-        case All(x, b):
-            saved = env.get(x)
-            out = TV.UNKNOWN
-            for w in range(cutoff + 1):
-                env[x] = w
-                if eval_formula(b, env, cutoff) is TV.FALSE:
-                    out = TV.FALSE
-                    break
-            _restore(env, x, saved)
-            return out
-        case Ex(x, b):
-            saved = env.get(x)
-            out = TV.UNKNOWN
-            for w in range(cutoff + 1):
-                env[x] = w
-                if eval_formula(b, env, cutoff) is TV.TRUE:
-                    out = TV.TRUE
-                    break
-            _restore(env, x, saved)
-            return out
-    raise TypeError(f"not a formula: {phi!r}")
+_COMPARE = {Eq: operator.eq, Neq: operator.ne, Le: operator.le, NLe: operator.gt}
 
 
-def _restore(env, x, saved):
-    if saved is None:
-        env.pop(x, None)
+def _compile(phi: Formula, cutoff: int, table: Table) -> Code:
+    """The closure for phi at this cutoff, compiled into the table once."""
+    code = table.get((phi, cutoff))
+    if code is not None:
+        return code
+    kind = type(phi)
+    if kind in _COMPARE:
+        test = _COMPARE[kind]
+        left, right = _term_code(phi.left), _term_code(phi.right)
+        code = lambda e: TRUE if test(left(e), right(e)) else FALSE
+        if not phi.fv:
+            value = code({})
+            code = lambda e: value
+    elif kind is And:
+        code = _and(_compile(phi.left, cutoff, table),
+                    _compile(phi.right, cutoff, table))
+    elif kind is Or:
+        code = _or(_compile(phi.left, cutoff, table),
+                   _compile(phi.right, cutoff, table))
+    elif kind in (All, Ex, AllLe, ExLe):
+        body = _compile(phi.body, cutoff, table)
+        if kind in (All, Ex):
+            limit, start = (lambda e: cutoff), UNKNOWN
+        else:
+            limit, start = _term_code(phi.bound), (TRUE if kind is AllLe else FALSE)
+        stop = FALSE if kind in (All, AllLe) else TRUE
+        code = _memo(_scan(phi.var.name, limit, body, stop, start), phi)
     else:
-        env[x] = saved
+        raise TypeError(f"not a formula: {phi!r}")
+    table[(phi, cutoff)] = code
+    return code
+
+
+def _and(left: Code, right: Code) -> Code:
+    def code(e):
+        a = left(e)
+        if a is FALSE:
+            return FALSE
+        b = right(e)
+        if b is FALSE:
+            return FALSE
+        return TRUE if a is TRUE and b is TRUE else UNKNOWN
+    return code
+
+
+def _or(left: Code, right: Code) -> Code:
+    def code(e):
+        a = left(e)
+        if a is TRUE:
+            return TRUE
+        b = right(e)
+        if b is TRUE:
+            return TRUE
+        return FALSE if a is FALSE and b is FALSE else UNKNOWN
+    return code
+
+
+def _scan(name: str, limit: Callable[[Env], int], body: Code, stop: TV,
+          start: TV) -> Code:
+    """Quantifier over name = 0..limit: `stop` decides it at once; otherwise
+    the result is `start`, or UNKNOWN once the body was UNKNOWN somewhere."""
+    def code(e):
+        saved = e.get(name, 0)
+        out = start
+        for w in range(limit(e) + 1):
+            e[name] = w
+            value = body(e)
+            if value is stop:
+                out = stop
+                break
+            if value is UNKNOWN:
+                out = UNKNOWN
+        e[name] = saved
+        return out
+    return code
+
+
+def _memo(run: Code, phi: Formula) -> Code:
+    names = [v.name for v in sorted(phi.fv)]
+    cache: Dict[tuple, TV] = {}
+
+    def code(e):
+        key = tuple([e.get(n, 0) for n in names])
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = run(e)
+        return value
+    return code
+
+
+def eval_formula(phi: Formula, env: Dict[Var, int], cutoff: int,
+                 table: Optional[Table] = None) -> TV:
+    """Three-valued value of phi; pass one table to share compiled code."""
+    code = _compile(phi, cutoff, {} if table is None else table)
+    return code({v.name: value for v, value in env.items()})
 
 
 def sequent_truth(formulas: Iterable[Formula], env: Dict[Var, int],
-                  cutoff: int) -> TV:
+                  cutoff: int, table: Optional[Table] = None) -> TV:
     """Disjunctive reading; the empty sequent is FALSE."""
-    out = TV.FALSE
+    if table is None:
+        table = {}
+    out = FALSE
     for phi in formulas:
-        out = t_or(out, eval_formula(phi, env, cutoff))
-        if out is TV.TRUE:
-            return out
+        value = eval_formula(phi, env, cutoff, table)
+        if value is TRUE:
+            return TRUE
+        if value is UNKNOWN:
+            out = UNKNOWN
     return out
 
 

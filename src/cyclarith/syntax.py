@@ -347,13 +347,6 @@ class FreshVars:
                 start = max(start, int(m.group(1)) + 1)
         self._next = start
 
-    def avoid(self, names: Iterable[str]):
-        for name in names:
-            self._used.add(name)
-            m = _RESERVED_RE.match(name)
-            if m:
-                self._next = max(self._next, int(m.group(1)) + 1)
-
     def take(self) -> Var:
         name = f"{RESERVED_PREFIX}{self._next}"
         self._next += 1

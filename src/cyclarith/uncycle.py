@@ -103,9 +103,6 @@ class InductionCertificate:
     edge_tags: Tuple[Tuple[str, str, str], ...]
     notes: Tuple[str, ...] = ()
 
-    def zeta_at(self, t) -> Formula:
-        return substitute(self.zeta, self.fresh_z, t)
-
 
 # --- the directed graph over the proof tree --------------------------------------
 
@@ -205,12 +202,6 @@ def compute_ranks(proof: CyclicProof, m_nodes, c_nodes) -> Dict[str, int]:
     for u in m:
         rk(u)
     return {u: memo[u] for u in m}
-
-
-def rank(proof: CyclicProof, m_nodes, c_nodes, node_id: str) -> int:
-    if node_id not in set(m_nodes):
-        raise ValueError(f"{node_id} is not in M")
-    return compute_ranks(proof, m_nodes, c_nodes)[node_id]
 
 
 # --- extraction -------------------------------------------------------------------
@@ -429,14 +420,19 @@ class CertificateCheck:
 def check_certificate_bounded(cert: InductionCertificate,
                               value_bound: int = DEFAULT_VALUE_BOUND,
                               cutoff: int = DEFAULT_CUTOFF) -> CertificateCheck:
-    """Grid-evaluate every obligation; False anywhere flags an extractor bug."""
+    """Grid-evaluate every obligation; False anywhere flags an extractor bug.
+
+    All obligations share one compile table, so theta, zeta and their
+    subformulas are compiled and memoised once per certificate.
+    """
     checked: List[Obligation] = []
     hits: List[Tuple[str, str, str]] = []
+    table = {}
     for ob in cert.obligations:
         fvs = sorted(ob.formula.fv)
         verdicts = set()
         for env in all_assignments(fvs, value_bound):
-            tv = eval_formula(ob.formula, env, cutoff)
+            tv = eval_formula(ob.formula, env, cutoff, table)
             verdicts.add(tv)
             if tv is TV.FALSE:
                 shown = ",".join(f"{v.name}={env[v]}" for v in fvs)

@@ -42,13 +42,6 @@ def test_examples_deterministic(tmp_path, corpus_dir):
         assert (d2 / name).read_text() == (corpus_dir / name).read_text(), name
 
 
-def test_examples_jobs_match(tmp_path, corpus_dir):
-    d2 = tmp_path / "par"
-    assert main(["examples", str(d2), "--seed", "3", "--jobs", "4"]) == 0
-    for name in os.listdir(corpus_dir):
-        assert (d2 / name).read_text() == (corpus_dir / name).read_text(), name
-
-
 def test_check_valid(capsys, corpus_dir):
     rc, out, _ = _run(capsys, ["check", str(corpus_dir / "ind_schema_pi1.cyc"),
                                "--system", "sn", "--level", "0"])
@@ -172,6 +165,13 @@ def test_eval(capsys):
 def test_eval_bad_assignment(capsys):
     rc, _, _ = _run(capsys, ["eval", "(eq 0 0)", "--assign", "x=-1"])
     assert rc == 2
+
+
+def test_eval_nested_too_deep(capsys):
+    rc, out, err = _run(capsys, ["eval", "(" * 25000 + ")" * 25000])
+    assert rc == 2
+    assert out == ""
+    assert err.strip() == "error: input nested too deep"
 
 
 def test_prove_ground(capsys, tmp_path):

@@ -1,31 +1,40 @@
 import random
+import sys
 
 from cyclarith import (
     Add,
     All,
     AllLe,
     And,
+    CyclicProof,
     Eq,
     Ex,
     ExLe,
     Le,
+    Mode,
     Mul,
     NLe,
     Neq,
     Or,
     Succ,
+    System,
     TV,
     V,
     Var,
     Zero,
     all_assignments,
+    check_certificate_bounded,
     eval_formula,
     eval_term,
+    extract_all,
     numeral,
+    parse_proof,
     sequent_truth,
 )
+from cyclarith.cli import build_corpus
 
-from conftest import random_quantifier_free, random_term
+import reference_semantics as ref
+from conftest import random_formula, random_quantifier_free, random_term
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -108,6 +117,13 @@ def test_unbounded_quantifiers_cutoff():
     assert eval_formula(Ex(x, Eq(V(x), numeral(12))), {}, 8) is TV.UNKNOWN
     # raising the cutoff finds the witness
     assert eval_formula(Ex(x, Eq(V(x), numeral(12))), {}, 13) is TV.TRUE
+    # no memo carries a verdict over to another cutoff, in a shared table either
+    phi = Ex(x, Eq(V(x), numeral(12)))
+    assert eval_formula(phi, {}, 8) is TV.UNKNOWN
+    table = {}
+    assert eval_formula(phi, {}, 8, table) is TV.UNKNOWN
+    assert eval_formula(phi, {}, 13, table) is TV.TRUE
+    assert sequent_truth([phi], {}, 8, table) is TV.UNKNOWN
 
 
 def test_bounded_quantifiers_are_exact():
@@ -152,3 +168,91 @@ def test_all_assignments():
     assert len(rows) == 9
     assert {(r[x], r[y]) for r in rows} == {(a, b) for a in range(3) for b in range(3)}
     assert list(all_assignments([], 4)) == [{}]
+
+
+# --- differential tests against the reference interpreter ------------------------
+
+FORMULA_KINDS = {Eq, Neq, Le, NLe, And, Or, All, Ex, AllLe, ExLe}
+
+
+def _nodes(phi):
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        yield f
+        for attr in ("left", "right", "body"):
+            sub = getattr(f, attr, None)
+            if type(sub) in FORMULA_KINDS:
+                stack.append(sub)
+
+
+def _shadows(phi, bound=frozenset()):
+    if type(phi) in (All, Ex, AllLe, ExLe):
+        return phi.var in bound or _shadows(phi.body, bound | {phi.var})
+    if type(phi) in (And, Or):
+        return _shadows(phi.left, bound) or _shadows(phi.right, bound)
+    return False
+
+
+def test_compiled_matches_reference_on_random_formulas():
+    rng = random.Random(4242)
+    table = {}
+    seen, shadowed, unmapped = set(), 0, 0
+    for i in range(400):
+        phi = random_formula(rng, 3, [x, y, z])
+        seen |= {type(f) for f in _nodes(phi)}
+        shadowed += _shadows(phi)
+        for _ in range(3):
+            env = {v: rng.randrange(4) for v in (x, y, z) if rng.random() < 0.6}
+            unmapped += bool(phi.fv - env.keys())
+            cutoff = rng.randrange(7)
+            before = dict(env)
+            want = ref.eval_formula(phi, dict(env), cutoff)
+            assert eval_formula(phi, env, cutoff) is want, (phi.sx, env, cutoff)
+            # a table shared across formulas, assignments and cutoffs
+            assert eval_formula(phi, env, cutoff, table) is want, (phi.sx, env, cutoff)
+            assert env == before
+        if i % 4 == 0:
+            seq = [phi, random_formula(rng, 2, [x, y, z])]
+            env = {x: rng.randrange(4)}
+            cutoff = rng.randrange(7)
+            assert sequent_truth(seq, env, cutoff) is ref.sequent_truth(seq, dict(env), cutoff)
+    assert seen == FORMULA_KINDS
+    assert shadowed > 20 and unmapped > 100
+
+
+def test_compiled_matches_reference_on_corpus_obligations():
+    # every obligation x grid point of `examples --seed 3`, ind_schema_pi3 included
+    certs = 0
+    for entry in build_corpus(3):
+        if entry.kind != "cyclic":
+            continue
+        mode = Mode(System(entry.system), entry.level, frozenset(entry.assume))
+        for _, cert in extract_all(CyclicProof(parse_proof(entry.text)), mode):
+            certs += 1
+            table = {}
+            want = []
+            for ob in cert.obligations:
+                fvs = sorted(ob.formula.fv)
+                verdicts = set()
+                for env in all_assignments(fvs, 3):
+                    tv = ref.eval_formula(ob.formula, dict(env), 8)
+                    assert eval_formula(ob.formula, env, 8, table) is tv, (entry.name, ob.kind)
+                    verdicts.add(tv)
+                want.append("false" if TV.FALSE in verdicts else
+                            "bounded-true" if verdicts == {TV.TRUE} else "bounded-unknown")
+            got = check_certificate_bounded(cert, 3, 8).certificate.obligations
+            assert [ob.status for ob in got] == want, entry.name
+    assert certs >= 15
+
+
+def test_deep_terms_evaluate_without_recursion():
+    deep = numeral(3000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert eval_term(Add(deep, V(x)), {x: 2}) == 3002
+        assert eval_formula(Eq(Succ(deep), Add(V(x), deep)), {x: 1}, 8) is TV.TRUE
+        assert eval_formula(Neq(Mul(deep, V(x)), deep), {}, 8) is TV.TRUE
+    finally:
+        sys.setrecursionlimit(limit)
