@@ -23,7 +23,7 @@ from typing import List
 from . import sexpr
 from .calculus import (AllRule, AndRule, ArgMismatch, CaseRule, CutRule,
                        ProofNode, Rule, RULE_ARITY, sequent_from_sexpr,
-                       vars_to_sexpr_str)
+                       vars_to_sexpr_str, walk)
 from .syntax import (CaptureError, Formula, PI, ParseError, SIGMA, V,
                      ident_var, is_in, negate, substitute)
 
@@ -139,12 +139,4 @@ def erase(root: ProofNode) -> ProofNode:
 
 
 def is_annotated(root: ProofNode) -> bool:
-    return all(n.vars is not None for n in _walk(root))
-
-
-def _walk(root):
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        yield n
-        stack.extend(n.children)
+    return all(n.vars is not None for n in walk(root))

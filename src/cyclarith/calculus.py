@@ -1,7 +1,10 @@
 """One-sided sequent calculus for arithmetic without induction.
 
-Sequents are finite multisets of formulas read disjunctively; rendering is
-canonically sorted so equality and hashing are order-independent.  Each rule
+Sequents are finite multisets of formulas read disjunctively.  A sequent
+keeps its formulas sorted by their canonical rendering, so equal multisets
+have the same tuple of (hash-consed, see syntax) formula nodes: equality,
+hashing and membership compare nodes by identity, and the rendering, built
+on first use, is canonical.  Each rule
 application carries exactly the arguments needed to recompute its premises,
 so checking is deterministic: premises_of either returns the unique premise
 list or raises ArgMismatch.
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import sexpr
@@ -51,15 +55,22 @@ class ArgMismatch(Exception):
     """Rule arguments do not fit the conclusion sequent."""
 
 
-class Sequent:
-    """Finite multiset of formulas; stored sorted by rendering."""
+_by_sx = attrgetter("sx")
 
-    __slots__ = ("formulas", "sx", "fv")
+
+class Sequent:
+    """Finite multiset of formulas, stored sorted by rendering.
+
+    Equality and hashing go by the tuple of (interned) formula nodes; the
+    rendering `sx` is built on first use.
+    """
+
+    __slots__ = ("formulas", "fv", "_sx")
 
     def __init__(self, formulas: Iterable[Formula] = ()):
-        fs = tuple(sorted(formulas, key=lambda f: f.sx))
+        fs = tuple(sorted(formulas, key=_by_sx))
         object.__setattr__(self, "formulas", fs)
-        object.__setattr__(self, "sx", "(seq" + "".join(" " + f.sx for f in fs) + ")")
+        object.__setattr__(self, "_sx", None)
         fv = frozenset()
         for f in fs:
             fv |= f.fv
@@ -68,6 +79,14 @@ class Sequent:
     def __setattr__(self, name, value):
         raise AttributeError("Sequent is immutable")
 
+    @property
+    def sx(self) -> str:
+        s = self._sx
+        if s is None:
+            s = "(seq" + "".join([" " + f.sx for f in self.formulas]) + ")"
+            object.__setattr__(self, "_sx", s)
+        return s
+
     def __iter__(self) -> Iterator[Formula]:
         return iter(self.formulas)
 
@@ -75,19 +94,19 @@ class Sequent:
         return len(self.formulas)
 
     def __contains__(self, f: Formula):
-        return any(g == f for g in self.formulas)
+        return f in self.formulas
 
     def __eq__(self, other):
-        return isinstance(other, Sequent) and other.sx == self.sx
+        return isinstance(other, Sequent) and other.formulas == self.formulas
 
     def __hash__(self):
-        return hash(self.sx)
+        return hash(self.formulas)
 
     def __repr__(self):
         return self.sx
 
     def count(self, f: Formula) -> int:
-        return sum(1 for g in self.formulas if g == f)
+        return self.formulas.count(f)
 
     def add(self, *fs: Formula) -> "Sequent":
         return Sequent(self.formulas + fs)
@@ -102,16 +121,16 @@ class Sequent:
 
     def minus(self, fs: Iterable[Formula]) -> "Sequent":
         """Multiset difference; every copy in fs must be present."""
-        need = Counter(f.sx for f in fs)
+        need = Counter(fs)
         out = []
         for g in self.formulas:
-            if need.get(g.sx, 0) > 0:
-                need[g.sx] -= 1
+            if need.get(g, 0) > 0:
+                need[g] -= 1
             else:
                 out.append(g)
-        missing = [s for s, k in need.items() if k > 0]
+        missing = [f for f, k in need.items() if k > 0]
         if missing:
-            raise ArgMismatch(f"{missing[0]} is not in {self.sx} often enough")
+            raise ArgMismatch(f"{missing[0].sx} is not in {self.sx} often enough")
         return Sequent(out)
 
     def map(self, fn) -> "Sequent":
@@ -311,12 +330,9 @@ RULE_ARITY = {
 
 def is_axiom(seq: Sequent) -> Optional[str]:
     """ax_a for a matching t0=t1 / t0!=t1 pair, ax_s for s(t)!=0, else None."""
-    eqs = set()
+    eqs = {(f.left, f.right) for f in seq if isinstance(f, Eq)}
     for f in seq:
-        if isinstance(f, Eq):
-            eqs.add((f.left.sx, f.right.sx))
-    for f in seq:
-        if isinstance(f, Neq) and (f.left.sx, f.right.sx) in eqs:
+        if isinstance(f, Neq) and (f.left, f.right) in eqs:
             return "ax_a"
     for f in seq:
         if isinstance(f, Neq) and isinstance(f.left, Succ) \
@@ -468,7 +484,7 @@ class TreeIssue:
 
 def check_tree(root: ProofNode, assumptions: Iterable[Formula] = ()) -> List[TreeIssue]:
     """Empty list when every step checks and every leaf is closed."""
-    allowed = {f.sx for f in assumptions}
+    allowed = set(assumptions)
     issues = []
     for node in walk(root):
         r = node.rule
@@ -485,7 +501,7 @@ def check_tree(root: ProofNode, assumptions: Iterable[Formula] = ()) -> List[Tre
                     node.id, f"assumption leaf must be exactly {{{r.formula.sx}}}"))
             elif r.formula.fv:
                 issues.append(TreeIssue(node.id, "assumption must be a sentence"))
-            elif r.formula.sx not in allowed:
+            elif r.formula not in allowed:
                 issues.append(TreeIssue(node.id, f"{r.formula.sx} is not an assumption"))
         elif isinstance(r, (OpenLeaf, BackLeaf)):
             issues.append(TreeIssue(node.id, f"({r.name}) leaf is not allowed in a closed tree"))
@@ -520,14 +536,14 @@ def rule_from_sexpr(value) -> Rule:
         if name == "or" and len(args) == 1:
             return OrRule(formula_from_sexpr(args[0]))
         if name == "all" and len(args) == 2:
-            return AllRule(formula_from_sexpr(args[0]), _var(args[1]))
+            return AllRule(formula_from_sexpr(args[0]), ident_var(args[1]))
         if name == "ex" and len(args) == 2:
             return ExRule(formula_from_sexpr(args[0]), term_from_sexpr(args[1]))
         if name == "ref" and len(args) == 1:
             return RefRule(term_from_sexpr(args[0]))
         if name == "rep" and len(args) == 5:
             return RepRule(term_from_sexpr(args[0]), term_from_sexpr(args[1]),
-                           _var(args[2]), term_from_sexpr(args[3]),
+                           ident_var(args[2]), term_from_sexpr(args[3]),
                            term_from_sexpr(args[4]))
         if name == "add0" and len(args) == 1:
             return Add0Rule(term_from_sexpr(args[0]))
@@ -540,7 +556,7 @@ def rule_from_sexpr(value) -> Rule:
         if name == "pred" and len(args) == 2:
             return PredRule(term_from_sexpr(args[0]), term_from_sexpr(args[1]))
         if name == "case" and len(args) == 1:
-            return CaseRule(_var(args[0]))
+            return CaseRule(ident_var(args[0]))
         if name == "weak" and len(args) == 1:
             return WeakRule(sequent_from_sexpr(args[0]))
         if name == "cut" and len(args) == 1:
@@ -550,12 +566,6 @@ def rule_from_sexpr(value) -> Rule:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     raise ParseError(f"bad rule {sexpr.render(value)}")
-
-
-def _var(atom) -> Var:
-    if not isinstance(atom, str) or isinstance(atom, list):
-        raise ParseError(f"expected a variable, got {sexpr.render(atom)}")
-    return ident_var(atom)
 
 
 def rule_to_sexpr_str(r: Rule) -> str:
@@ -595,7 +605,7 @@ def _node_from_sexpr(value) -> ProofNode:
                 or not seq_form[2] or seq_form[2][0] != "vars":
             raise ParseError(f"bad annotated sequent {sexpr.render(seq_form)}")
         seq = sequent_from_sexpr(seq_form[1])
-        vs = frozenset(_var(a) for a in seq_form[2][1:])
+        vs = frozenset(ident_var(a) for a in seq_form[2][1:])
     else:
         seq = sequent_from_sexpr(seq_form)
     if len(value) < 5:

@@ -180,7 +180,7 @@ def _check_leaf(proof: CyclicProof, node: ProofNode, mode: Mode, bad) -> None:
         elif r.formula.fv:
             bad(Violation(node.id, "AssumeLeaf",
                           "assumed formula must be a sentence"))
-        elif not any(r.formula == f for f in mode.assumptions):
+        elif r.formula not in mode.assumptions:
             bad(Violation(node.id, "AssumeLeaf",
                           f"not among the declared assumptions: {r.formula.sx}"))
     elif isinstance(r, OpenLeaf):

@@ -3,9 +3,17 @@
 Values are nested Python lists whose leaves are atom strings.  Double-quoted
 strings are supported for free-text payloads (violation messages); they parse
 to a `QuotedString` so that atoms and strings round-trip unambiguously.
+
+The reader splits the text into tokens with one regular expression and
+builds the lists in a single loop with an explicit stack, so its time is
+linear in the input and nesting depth costs no recursion.  `;` starts a
+comment that runs to the end of the line.
 """
 
 from __future__ import annotations
+
+import re
+from operator import length_hint
 
 
 class SexprError(Exception):
@@ -18,74 +26,72 @@ class QuotedString(str):
     """Atom that renders with double quotes."""
 
 
-_DELIMS = "()\" \t\r\n"
+# One alternative per token kind; every character of the input either starts a
+# token or is whitespace (" \t\r\n"), which no alternative matches.  A lone
+# '"' is a string that never closes.
+_TOKEN = re.compile(r'[()]|"[^"\\]*(?:\\.[^"\\]*)*"|"|;[^\n]*|[^()" \t\r\n;][^()" \t\r\n]*',
+                    re.S)
+_ESCAPE = re.compile(r"\\(.)", re.S)
 
 
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text):
-        if text[i] in " \t\r\n":
-            i += 1
-        elif text[i] == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
+def _error(message: str, text: str, tokens: list, rest) -> SexprError:
+    """The error at the token just taken from `rest`, an iterator over
+    `tokens`; the offset is found by scanning again, on the error path only."""
+    k = len(tokens) - length_hint(rest) - 1
+    for i, m in enumerate(_TOKEN.finditer(text)):
+        if i == k:
+            return SexprError(message, m.start())
+    return SexprError(message, len(text))
+
+
+def _read(text: str, once: bool):
+    """The values of text, in one pass over its tokens with an explicit
+    stack; with once, the single value and nothing but comments after it."""
+    tokens = _TOKEN.findall(text)
+    rest = iter(tokens)
+    values: list = []
+    stack: list = []       # the lists enclosing `items`
+    items = values         # the list that receives the next value
+    for tok in rest:
+        if tok == "(":
+            stack.append(items)
+            items = []
+            continue
+        if tok == ")":
+            if not stack:
+                raise _error("unmatched ')'", text, tokens, rest)
+            done = items
+            items = stack.pop()
+            items.append(done)
+        elif tok[0] in ';"':
+            if tok[0] == ";":
+                continue
+            if len(tok) == 1:
+                raise _error("unterminated string", text, tokens, rest)
+            body = tok[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(r"\1", body)
+            items.append(QuotedString(body))
         else:
-            break
-    return i
-
-
-def _read(text: str, i: int):
-    i = _skip_ws(text, i)
-    if i >= len(text):
-        raise SexprError("unexpected end of input", i)
-    ch = text[i]
-    if ch == "(":
-        items = []
-        i += 1
-        while True:
-            i = _skip_ws(text, i)
-            if i >= len(text):
-                raise SexprError("unclosed '('", i)
-            if text[i] == ")":
-                return items, i + 1
-            item, i = _read(text, i)
-            items.append(item)
-    if ch == ")":
-        raise SexprError("unmatched ')'", i)
-    if ch == '"':
-        j = i + 1
-        out = []
-        while j < len(text) and text[j] != '"':
-            if text[j] == "\\" and j + 1 < len(text):
-                out.append(text[j + 1])
-                j += 2
-            else:
-                out.append(text[j])
-                j += 1
-        if j >= len(text):
-            raise SexprError("unterminated string", i)
-        return QuotedString("".join(out)), j + 1
-    j = i
-    while j < len(text) and text[j] not in _DELIMS:
-        j += 1
-    return text[i:j], j
+            items.append(tok)
+        if once and not stack:
+            for tok in rest:
+                if tok[0] != ";":
+                    raise _error("trailing input after s-expression", text, tokens, rest)
+            return values[0]
+    if stack:
+        raise SexprError("unclosed '('", len(text))
+    if once:
+        raise SexprError("unexpected end of input", len(text))
+    return values
 
 
 def parse(text: str):
-    value, i = _read(text, 0)
-    i = _skip_ws(text, i)
-    if i != len(text):
-        raise SexprError("trailing input after s-expression", i)
-    return value
+    return _read(text, True)
 
 
 def parse_many(text: str):
-    values = []
-    i = _skip_ws(text, 0)
-    while i < len(text):
-        value, i = _read(text, i)
-        values.append(value)
-        i = _skip_ws(text, i)
-    return values
+    return _read(text, False)
 
 
 def render(value) -> str:

@@ -6,16 +6,24 @@ atom `(le t u)` and its dual `(nle t u)`, and the bounded quantifiers
 `(all<= x t f)` / `(ex<= x t f)`, are sugar: `desugar` expands them into the
 quantifier/equation core.
 
-Every node caches its canonical s-expression string at construction; it
-doubles as the hash key and as the sort key for sequent normalization.
+Terms and formulas are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): a constructor returns the one live node with its class
+and children, looked up in an intern table, so structurally equal nodes are
+the same object and `==`/`hash` are identity.  The table holds its nodes
+weakly; a node nothing else refers to is freed, and with it whatever was
+memoised on it (its classification).  Free and all variables (`fv`, `av`)
+are computed at construction.  The canonical s-expression `sx` is rendered
+on first use, without recursion, and cached on the node it was asked of
+only, so a deep term costs memory linear in its size.  `sx` is the sort key
+for sequent normalization.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Union
+from typing import Dict, Iterable, Union
 
 from . import sexpr
 
@@ -41,192 +49,281 @@ class Var:
         return self.name
 
 
+# --- the intern table -------------------------------------------------------
+
+_set = object.__setattr__   # nodes refuse plain assignment once built
+
+
+class _Ref(weakref.ref):
+    """Weak reference that knows its table key (a plain slot, unlike the
+    slower weakref.KeyedRef)."""
+
+    __slots__ = ("key",)
+
+
+# (class, children...) -> weak reference to the node; a variable is keyed by
+# its name.  Children are live nodes held by the key, so equal keys mean
+# identical children.
+_TABLE: Dict[tuple, _Ref] = {}
+
+
+def _drop(ref: _Ref) -> None:
+    """Weakref callback: forget a node that died, unless already replaced."""
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
+
+
+def _make(cls, key: tuple, fv: frozenset, av: frozenset):
+    """A new node, entered in the table; the caller sets its children."""
+    node = object.__new__(cls)
+    _set(node, "fv", fv)
+    _set(node, "av", av)
+    _set(node, "_sx", None)
+    ref = _Ref(node, _drop)
+    ref.key = key
+    _TABLE[key] = ref
+    return node
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, sharing an operand's set when the other adds nothing, so that
+    most nodes of a deep term allocate no variable set of their own."""
+    if not b or a is b:
+        return a
+    return a | b if a else b
+
+
 class _Syn:
-    """Base for terms and formulas: identity is the canonical rendering."""
+    """Base for terms and formulas: interned, immutable, rendered lazily."""
 
-    __slots__ = ()
-    sx: str
+    __slots__ = ("fv", "av", "_sx", "__weakref__")
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other.sx == self.sx
+    @property
+    def sx(self) -> str:
+        s = self._sx
+        if s is None:
+            s = _render(self)
+            _set(self, "_sx", s)
+        return s
 
-    def __hash__(self):
-        return hash(self.sx)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self):
         return self.sx
 
 
-def _seal(obj, sx: str, fv: frozenset, av: frozenset):
-    object.__setattr__(obj, "sx", sx)
-    object.__setattr__(obj, "fv", fv)
-    object.__setattr__(obj, "av", av)
+def _render(node: _Syn) -> str:
+    """Canonical s-expression of node; an explicit stack, no recursion."""
+    out = []
+    todo: list = [node]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is str:
+            out.append(item)
+        elif item._sx is not None:
+            out.append(item._sx)
+        else:
+            item._unfold(out, todo)
+    return "".join(out)
 
 
 _EMPTY = frozenset()
 
 
 class Term(_Syn):
-    __slots__ = ("sx", "fv", "av")
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Zero(Term):
-    def __post_init__(self):
-        _seal(self, "0", _EMPTY, _EMPTY)
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __new__(cls):
+        key = (cls,)
+        ref = _TABLE.get(key)
+        node = ref and ref()
+        if node is None:
+            node = _make(cls, key, _EMPTY, _EMPTY)
+            _set(node, "_sx", "0")
+        return node
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class V(Term):
-    var: Var
+    __slots__ = ("var",)
+    __match_args__ = ("var",)
 
-    def __post_init__(self):
-        vs = frozenset((self.var,))
-        _seal(self, self.var.name, vs, vs)
+    def __new__(cls, var: Var):
+        key = (cls, var.name)
+        ref = _TABLE.get(key)
+        node = ref and ref()
+        if node is None:
+            vs = frozenset((var,))
+            node = _make(cls, key, vs, vs)
+            _set(node, "var", var)
+            _set(node, "_sx", var.name)
+        return node
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Succ(Term):
-    arg: Term
+    __slots__ = ("arg",)
+    __match_args__ = ("arg",)
 
-    def __post_init__(self):
-        _seal(self, f"(s {self.arg.sx})", self.arg.fv, self.arg.av)
+    def __new__(cls, arg: Term):
+        key = (cls, arg)
+        ref = _TABLE.get(key)
+        node = ref and ref()
+        if node is None:
+            node = _make(cls, key, arg.fv, arg.av)
+            _set(node, "arg", arg)
+        return node
+
+    def _unfold(self, out, todo):
+        # a successor chain opens and closes in one step
+        t, k = self, 0
+        while t.__class__ is Succ and t._sx is None:
+            t, k = t.arg, k + 1
+        out.append("(s " * k)
+        todo.append(")" * k)
+        todo.append(t)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Add(Term):
-    left: Term
-    right: Term
+class _Binary(_Syn):
+    """Two children, left and right; rendered `(head left right)`."""
 
-    def __post_init__(self):
-        _seal(self, f"(add {self.left.sx} {self.right.sx})",
-              self.left.fv | self.right.fv, self.left.av | self.right.av)
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+    _head = "?"
+
+    def __new__(cls, left, right):
+        key = (cls, left, right)
+        ref = _TABLE.get(key)
+        node = ref and ref()
+        if node is None:
+            node = _make(cls, key, _union(left.fv, right.fv), _union(left.av, right.av))
+            _set(node, "left", left)
+            _set(node, "right", right)
+        return node
+
+    def _unfold(self, out, todo):
+        out.append(self._head)
+        todo += (")", self.right, " ", self.left)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Mul(Term):
-    left: Term
-    right: Term
+class Add(_Binary, Term):
+    __slots__ = ("left", "right")
+    _head = "(add "
 
-    def __post_init__(self):
-        _seal(self, f"(mul {self.left.sx} {self.right.sx})",
-              self.left.fv | self.right.fv, self.left.av | self.right.av)
+
+class Mul(_Binary, Term):
+    __slots__ = ("left", "right")
+    _head = "(mul "
 
 
 class Formula(_Syn):
-    __slots__ = ("sx", "fv", "av")
+    __slots__ = ("_memo",)   # classification results, filled on demand
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Eq(Formula):
-    left: Term
-    right: Term
-
-    def __post_init__(self):
-        _seal(self, f"(eq {self.left.sx} {self.right.sx})",
-              self.left.fv | self.right.fv, self.left.av | self.right.av)
+class Eq(_Binary, Formula):
+    __slots__ = ("left", "right")
+    _head = "(eq "
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Neq(Formula):
-    left: Term
-    right: Term
-
-    def __post_init__(self):
-        _seal(self, f"(neq {self.left.sx} {self.right.sx})",
-              self.left.fv | self.right.fv, self.left.av | self.right.av)
+class Neq(_Binary, Formula):
+    __slots__ = ("left", "right")
+    _head = "(neq "
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Le(Formula):
-    left: Term
-    right: Term
-
-    def __post_init__(self):
-        _seal(self, f"(le {self.left.sx} {self.right.sx})",
-              self.left.fv | self.right.fv, self.left.av | self.right.av)
+class Le(_Binary, Formula):
+    __slots__ = ("left", "right")
+    _head = "(le "
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class NLe(Formula):
+class NLe(_Binary, Formula):
     """Dual of Le; keeps negate an involution on the sugared language."""
 
-    left: Term
-    right: Term
-
-    def __post_init__(self):
-        _seal(self, f"(nle {self.left.sx} {self.right.sx})",
-              self.left.fv | self.right.fv, self.left.av | self.right.av)
+    __slots__ = ("left", "right")
+    _head = "(nle "
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-    def __post_init__(self):
-        _seal(self, f"(and {self.left.sx} {self.right.sx})",
-              self.left.fv | self.right.fv, self.left.av | self.right.av)
+class And(_Binary, Formula):
+    __slots__ = ("left", "right")
+    _head = "(and "
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-    def __post_init__(self):
-        _seal(self, f"(or {self.left.sx} {self.right.sx})",
-              self.left.fv | self.right.fv, self.left.av | self.right.av)
+class Or(_Binary, Formula):
+    __slots__ = ("left", "right")
+    _head = "(or "
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class All(Formula):
-    var: Var
-    body: Formula
+class _Quant(Formula):
+    """Unbounded quantifier over var; rendered `(head var body)`."""
 
-    def __post_init__(self):
-        _seal(self, f"(all {self.var.name} {self.body.sx})",
-              self.body.fv - {self.var}, self.body.av | {self.var})
+    __slots__ = ("var", "body")
+    __match_args__ = ("var", "body")
+    _head = "?"
 
+    def __new__(cls, var: Var, body: Formula):
+        key = (cls, var.name, body)
+        ref = _TABLE.get(key)
+        node = ref and ref()
+        if node is None:
+            node = _make(cls, key, body.fv - {var}, body.av | {var})
+            _set(node, "var", var)
+            _set(node, "body", body)
+        return node
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Ex(Formula):
-    var: Var
-    body: Formula
-
-    def __post_init__(self):
-        _seal(self, f"(ex {self.var.name} {self.body.sx})",
-              self.body.fv - {self.var}, self.body.av | {self.var})
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class AllLe(Formula):
-    """Bounded universal: the variable must not occur in the bound term."""
-
-    var: Var
-    bound: Term
-    body: Formula
-
-    def __post_init__(self):
-        if self.var in self.bound.av:
-            raise ValueError(f"bound term of all<= mentions {self.var.name}")
-        _seal(self, f"(all<= {self.var.name} {self.bound.sx} {self.body.sx})",
-              self.bound.fv | (self.body.fv - {self.var}),
-              self.bound.av | self.body.av | {self.var})
+    def _unfold(self, out, todo):
+        out.append(f"{self._head}{self.var.name} ")
+        todo += (")", self.body)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class ExLe(Formula):
-    var: Var
-    bound: Term
-    body: Formula
+class All(_Quant):
+    __slots__ = ()
+    _head = "(all "
 
-    def __post_init__(self):
-        if self.var in self.bound.av:
-            raise ValueError(f"bound term of ex<= mentions {self.var.name}")
-        _seal(self, f"(ex<= {self.var.name} {self.bound.sx} {self.body.sx})",
-              self.bound.fv | (self.body.fv - {self.var}),
-              self.bound.av | self.body.av | {self.var})
+
+class Ex(_Quant):
+    __slots__ = ()
+    _head = "(ex "
+
+
+class _Bounded(Formula):
+    """Bounded quantifier: the variable must not occur in the bound term."""
+
+    __slots__ = ("var", "bound", "body")
+    __match_args__ = ("var", "bound", "body")
+    _head = "?"
+
+    def __new__(cls, var: Var, bound: Term, body: Formula):
+        key = (cls, var.name, bound, body)
+        ref = _TABLE.get(key)
+        node = ref and ref()
+        if node is None:
+            if var in bound.av:
+                raise ValueError(f"bound term of {cls._head[1:-1]} mentions {var.name}")
+            node = _make(cls, key, bound.fv | (body.fv - {var}), bound.av | body.av | {var})
+            _set(node, "var", var)
+            _set(node, "bound", bound)
+            _set(node, "body", body)
+        return node
+
+    def _unfold(self, out, todo):
+        out.append(f"{self._head}{self.var.name} ")
+        todo += (")", self.body, " ", self.bound)
+
+
+class AllLe(_Bounded):
+    __slots__ = ()
+    _head = "(all<= "
+
+
+class ExLe(_Bounded):
+    __slots__ = ()
+    _head = "(ex<= "
 
 
 ZERO = Zero()
@@ -237,9 +334,17 @@ BOT = Neq(ZERO, ZERO)
 def numeral(k: int) -> Term:
     if k < 0:
         raise ValueError("numerals are non-negative")
-    t: Term = ZERO
+    return _succs(ZERO, k)
+
+
+def _succs(t: Term, k: int) -> Term:
+    """t under k successors; the table lookups are inlined, as numerals are
+    most of what is read from a ground proof."""
+    get = _TABLE.get
     for _ in range(k):
-        t = Succ(t)
+        ref = get((Succ, t))
+        up = ref and ref()
+        t = Succ(t) if up is None else up
     return t
 
 
@@ -409,20 +514,35 @@ SIGMA = "sigma"
 PI = "pi"
 
 
-@lru_cache(maxsize=None)
+def _memo(phi: Formula) -> dict:
+    """The classification memo of a formula node; it dies with the node."""
+    try:
+        return phi._memo
+    except AttributeError:
+        memo = {}
+        _set(phi, "_memo", memo)
+        return memo
+
+
 def _is_delta0(phi: Formula) -> bool:
-    match phi:
-        case Eq() | Neq() | Le() | NLe():
-            return True
-        case And(l, r) | Or(l, r):
-            return _is_delta0(l) and _is_delta0(r)
-        case AllLe(_, _, b) | ExLe(_, _, b):
-            return _is_delta0(b)
-        case _:
-            return False
+    if not isinstance(phi, Formula):
+        return False
+    memo = _memo(phi)
+    got = memo.get(DELTA0)
+    if got is None:
+        match phi:
+            case Eq() | Neq() | Le() | NLe():
+                got = True
+            case And(l, r) | Or(l, r):
+                got = _is_delta0(l) and _is_delta0(r)
+            case AllLe(_, _, b) | ExLe(_, _, b):
+                got = _is_delta0(b)
+            case _:
+                got = False
+        memo[DELTA0] = got
+    return got
 
 
-@lru_cache(maxsize=None)
 def is_in(phi: Formula, kind: str, n: int = 0) -> bool:
     """Syntactic membership in Delta0 / Sigma_n / Pi_n.
 
@@ -439,6 +559,16 @@ def is_in(phi: Formula, kind: str, n: int = 0) -> bool:
         raise ValueError("negative level")
     if n == 0:
         return _is_delta0(phi)
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
+    memo = _memo(phi)
+    got = memo.get((kind, n))
+    if got is None:
+        got = memo[kind, n] = _is_in(phi, kind, n)
+    return got
+
+
+def _is_in(phi: Formula, kind: str, n: int) -> bool:
     match phi:
         case Eq() | Neq() | Le() | NLe():
             return True
@@ -504,65 +634,84 @@ def ident_var(atom) -> Var:
 
 
 def term_from_sexpr(value) -> Term:
-    if isinstance(value, str):
-        if value == "0":
-            return ZERO
-        return V(ident_var(value))
-    if not value:
-        raise ParseError("empty term")
-    head = value[0]
-    if head == "s" and len(value) == 2:
-        return Succ(term_from_sexpr(value[1]))
-    if head == "add" and len(value) == 3:
-        return Add(term_from_sexpr(value[1]), term_from_sexpr(value[2]))
-    if head == "mul" and len(value) == 3:
-        return Mul(term_from_sexpr(value[1]), term_from_sexpr(value[2]))
-    raise ParseError(f"bad term {sexpr.render(value)}")
+    return _from_sexpr(value, False)
 
 
 def formula_from_sexpr(value) -> Formula:
-    if isinstance(value, str):
-        if value == "top":
-            return TOP
-        if value == "bot":
-            return BOT
-        raise ParseError(f"bad formula {value!r}")
-    if not value:
-        raise ParseError("empty formula")
-    head = value[0]
-    n = len(value)
-    try:
-        if head == "eq" and n == 3:
-            return Eq(term_from_sexpr(value[1]), term_from_sexpr(value[2]))
-        if head == "neq" and n == 3:
-            return Neq(term_from_sexpr(value[1]), term_from_sexpr(value[2]))
-        if head == "le" and n == 3:
-            return Le(term_from_sexpr(value[1]), term_from_sexpr(value[2]))
-        if head == "nle" and n == 3:
-            return NLe(term_from_sexpr(value[1]), term_from_sexpr(value[2]))
-        if head == "and" and n == 3:
-            return And(formula_from_sexpr(value[1]), formula_from_sexpr(value[2]))
-        if head == "or" and n == 3:
-            return Or(formula_from_sexpr(value[1]), formula_from_sexpr(value[2]))
-        if head == "all" and n == 3:
-            return All(ident_var(value[1]), formula_from_sexpr(value[2]))
-        if head == "ex" and n == 3:
-            return Ex(ident_var(value[1]), formula_from_sexpr(value[2]))
-        if head == "all<=" and n == 4:
-            return AllLe(ident_var(value[1]), term_from_sexpr(value[2]),
-                         formula_from_sexpr(value[3]))
-        if head == "ex<=" and n == 4:
-            return ExLe(ident_var(value[1]), term_from_sexpr(value[2]),
-                        formula_from_sexpr(value[3]))
-        if head == "imp" and n == 3:
-            return impl(formula_from_sexpr(value[1]), formula_from_sexpr(value[2]))
-        if head == "iff" and n == 3:
-            return iff(formula_from_sexpr(value[1]), formula_from_sexpr(value[2]))
-        if head == "not" and n == 2:
-            return negate(formula_from_sexpr(value[1]))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    raise ParseError(f"bad formula {sexpr.render(value)}")
+    return _from_sexpr(value, True)
+
+
+# formula head -> (constructor, length of the list, kinds of its arguments:
+# "v" variable, "t" term, "f" formula)
+_FORMULA_FORMS = {
+    "eq": (Eq, 3, "tt"), "neq": (Neq, 3, "tt"), "le": (Le, 3, "tt"),
+    "nle": (NLe, 3, "tt"), "and": (And, 3, "ff"), "or": (Or, 3, "ff"),
+    "all": (All, 3, "vf"), "ex": (Ex, 3, "vf"),
+    "all<=": (AllLe, 4, "vtf"), "ex<=": (ExLe, 4, "vtf"),
+    "imp": (impl, 3, "ff"), "iff": (iff, 3, "ff"), "not": (negate, 2, "f"),
+}
+
+
+def _from_sexpr(value, formula: bool):
+    """Term or formula of an s-expression value, with an explicit stack.
+
+    Lists are checked in preorder, left to right, so the first error raised
+    is the one a recursive descent would raise; nodes are built in postorder
+    on `out`.  A task is (is_formula, value) to read, or (None, constructor,
+    argument count, successors to wrap the result in) to build.
+    """
+    out: list = []
+    todo: list = [(formula, value)]
+    while todo:
+        task = todo.pop()
+        kind = task[0]
+        if kind is None:
+            _, make, n, k = task
+            args = out[-n:]
+            del out[-n:]
+            try:
+                node = make(*args)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
+            out.append(_succs(node, k))
+            continue
+        v = task[1]
+        if kind:
+            if isinstance(v, str):
+                if v == "top":
+                    out.append(TOP)
+                elif v == "bot":
+                    out.append(BOT)
+                else:
+                    raise ParseError(f"bad formula {v!r}")
+                continue
+            if not v:
+                raise ParseError("empty formula")
+            head = v[0]
+            form = _FORMULA_FORMS.get(head) if isinstance(head, str) else None
+            if form is None or len(v) != form[1]:
+                raise ParseError(f"bad formula {sexpr.render(v)}")
+            make, _, args = form
+            todo.append((None, make, len(args), 0))
+            for i in range(len(args), 0, -1):
+                if args[i - 1] != "v":
+                    todo.append((args[i - 1] == "f", v[i]))
+            if args[0] == "v":
+                out.append(ident_var(v[1]))
+            continue
+        k = 0       # successors around the term, read as one chain
+        while isinstance(v, list) and len(v) == 2 and v[0] == "s":
+            v, k = v[1], k + 1
+        if isinstance(v, str):
+            out.append(_succs(ZERO if v == "0" else V(ident_var(v)), k))
+            continue
+        if not v:
+            raise ParseError("empty term")
+        head = v[0]
+        if len(v) != 3 or not (head == "add" or head == "mul"):
+            raise ParseError(f"bad term {sexpr.render(v)}")
+        todo += ((None, Add if head == "add" else Mul, 2, k), (False, v[2]), (False, v[1]))
+    return out[0]
 
 
 def parse_term(text: str) -> Term:

@@ -199,9 +199,10 @@ def compute_ranks(proof: CyclicProof, m_nodes, c_nodes) -> Dict[str, int]:
         memo[u] = best
         return best
 
-    for u in m:
+    order = sorted(m)   # the cycle an error names must not depend on string hashing
+    for u in order:
         rk(u)
-    return {u: memo[u] for u in m}
+    return {u: memo[u] for u in order}
 
 
 # --- extraction -------------------------------------------------------------------

@@ -110,9 +110,10 @@ def test_criterion_3_local_soundness(rule_instances):
                 set().union(concl.fv, *[p.fv for p in prems]),
                 key=lambda v: v.name,
             )
+            table = {}  # one compile table per rule instance, shared by its grid
             for env in all_assignments(fv, 4):
-                if all(sequent_truth(p.formulas, env, 8) is TV.TRUE for p in prems):
-                    if sequent_truth(concl.formulas, env, 8) is TV.FALSE:
+                if all(sequent_truth(p.formulas, env, 8, table) is TV.TRUE for p in prems):
+                    if sequent_truth(concl.formulas, env, 8, table) is TV.FALSE:
                         violations.append((name, concl.sx, dict(env)))
     _line(3, not violations, f"all-True premises never yield a False conclusion on {{0..4}} ({len(violations)} hits)")
     assert violations == [], violations[:3]

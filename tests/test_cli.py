@@ -209,3 +209,9 @@ def test_corpus_files_all_check(capsys, corpus_dir):
             argv += ["--assume", str(assume)]
         rc, out, err = _run(capsys, argv)
         assert rc == 0, (name, out, err)
+
+
+def test_eval_deep_equation(capsys):
+    num = lambda k: "(s " * k + "0" + ")" * k  # noqa: E731
+    rc, out, err = _run(capsys, ["eval", f"(eq (add {num(15000)} {num(15000)}) {num(30000)})"])
+    assert (rc, out.strip(), err) == (0, "true", "")

@@ -1,8 +1,13 @@
 import random
+import re
+import sys
 
 import pytest
 
+from cyclarith.cli import build_corpus
 from cyclarith.sexpr import QuotedString, SexprError, parse, parse_many, render, render_pretty
+
+import reference_sexpr
 
 
 def test_parse_atom():
@@ -78,3 +83,110 @@ def test_render_pretty_indents():
     assert lines[0].startswith("(proof")
     assert all(line.startswith("  ") for line in lines[1:])
     assert parse(out) == ["proof", ["node", "a"], ["node", "b"]]
+
+
+# --- differential tests against the recursive reader it replaced ----------
+
+
+def _shape(value):
+    """Value with atoms and quoted strings told apart, for exact comparison."""
+    if isinstance(value, list):
+        return [_shape(v) for v in value]
+    return ("q" if isinstance(value, QuotedString) else "a", str(value))
+
+
+def _outcome(read, text):
+    try:
+        return ("value", _shape(read(text)))
+    except SexprError as exc:
+        return ("error", str(exc), exc.pos)
+
+
+def _same_as_reference(text):
+    assert _outcome(parse, text) == _outcome(reference_sexpr.parse, text), text
+    assert _outcome(parse_many, text) == _outcome(reference_sexpr.parse_many, text), text
+
+
+def _corpus_texts():
+    for seed in (1, 2, 3):
+        for entry in build_corpus(seed):
+            yield entry.text + "\n"
+            if entry.assume:
+                yield "".join(f.sx + "\n" for f in entry.assume)
+
+
+def test_reader_matches_reference_on_corpus():
+    texts = list(_corpus_texts())
+    assert len(texts) > 60
+    for text in texts:
+        # the reference reader is slow, so it reads each file once; corpus
+        # files hold no quoted strings, so plain equality is exact here
+        assert '"' not in text
+        want = reference_sexpr.parse_many(text)
+        assert parse_many(text) == want
+        if len(want) == 1:
+            assert parse(text) == want[0]
+
+
+_ALPHABET = ['(', ')', '"', '\\', ';', ' ', '\n', '\t', '\r', 'a', 'b', '0', 'x', "'",
+             '\x0c', 'é']
+
+
+def test_reader_matches_reference_on_random_inputs():
+    rng = random.Random(7)
+    for _ in range(20000):
+        _same_as_reference("".join(rng.choice(_ALPHABET) for _ in range(rng.randrange(16))))
+
+
+_PIECES = ["(", ")", '"', '"x y"', '\\', ";c\n", " ", "\n", "atom", "0"]
+
+
+def test_reader_matches_reference_on_mutated_corpus_files():
+    rng = random.Random(11)
+    texts = [t for t in _corpus_texts() if len(t) < 3000]
+    for _ in range(1000):
+        text = rng.choice(texts)
+        tokens = re.findall(r'[()]|"[^"]*"|[^()"\s]+|\s+', text)
+        for _ in range(rng.randrange(1, 4)):
+            i = rng.randrange(len(tokens))
+            roll = rng.randrange(4)
+            if roll == 0:
+                del tokens[i]
+            elif roll == 1:
+                tokens.insert(i, rng.choice(_PIECES))
+            elif roll == 2:
+                tokens[i] = rng.choice(_PIECES)
+            else:
+                tokens.insert(i, tokens[rng.randrange(len(tokens))])
+        _same_as_reference("".join(tokens))
+
+
+def test_reader_error_offsets():
+    cases = {
+        "": ("unexpected end of input", 0),
+        "  ; only a comment": ("unexpected end of input", 18),
+        "(a (b)": ("unclosed '('", 6),
+        "(a) )": ("trailing input after s-expression", 4),
+        ")": ("unmatched ')'", 0),
+        '(a "b\\"': ("unterminated string", 3),
+    }
+    for text, (message, pos) in cases.items():
+        with pytest.raises(SexprError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at offset {pos})"
+        assert info.value.pos == pos
+    with pytest.raises(SexprError, match="unmatched"):
+        parse_many("(a) )")
+
+
+def test_reader_is_iterative_in_depth():
+    depth = 100000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        value = parse("(" * depth + "x" + ")" * depth)
+        for _ in range(depth):
+            [value] = value
+        assert value == "x"
+    finally:
+        sys.setrecursionlimit(limit)

@@ -1,6 +1,9 @@
+import gc
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclarith import (
     Add,
@@ -38,7 +41,10 @@ from cyclarith import (
     render_term,
     substitute,
 )
-from cyclarith.syntax import FreshVars, all_vars, fresh_for
+from cyclarith import TV, ZERO, eval_formula, syntax
+from cyclarith.sexpr import parse
+from cyclarith.syntax import (FreshVars, all_vars, formula_from_sexpr, fresh_for,
+                              term_from_sexpr)
 
 from conftest import random_formula, random_term
 
@@ -221,3 +227,84 @@ def test_fresh_vars():
     assert fr2.take() == Var("$2")
     # plain names do not advance the counter
     assert FreshVars(["x", "y"]).take() == Var("$0")
+
+
+# --- hash-consing -----------------------------------------------------------
+
+_names = st.sampled_from(["x", "y", "z", "$0", "u'"]).map(Var)
+_terms = st.recursive(
+    st.one_of(st.just(ZERO), _names.map(V)),
+    lambda ts: st.one_of(ts.map(Succ), st.builds(Add, ts, ts), st.builds(Mul, ts, ts)),
+    max_leaves=8)
+_atoms = st.builds(lambda cls, a, b: cls(a, b), st.sampled_from([Eq, Neq, Le, NLe]),
+                   _terms, _terms)
+
+
+def _bigger(fs):
+    bounded = st.tuples(st.sampled_from([AllLe, ExLe]), _names, _terms, fs) \
+        .filter(lambda a: a[1] not in a[2].av).map(lambda a: a[0](*a[1:]))
+    return st.one_of(st.builds(And, fs, fs), st.builds(Or, fs, fs),
+                     st.builds(All, _names, fs), st.builds(Ex, _names, fs), bounded)
+
+
+_formulas = st.recursive(_atoms, _bigger, max_leaves=6)
+_hc = settings(max_examples=150, deadline=None, database=None)
+
+
+@_hc
+@given(_terms, _formulas)
+def test_reading_a_rendering_returns_the_same_node(t, phi):
+    assert term_from_sexpr(parse(t.sx)) is t
+    assert formula_from_sexpr(parse(phi.sx)) is phi
+
+
+@_hc
+@given(_terms, _terms, _formulas, _formulas)
+def test_identity_is_equality_of_renderings(a, b, phi, psi):
+    assert (a is b) == (a.sx == b.sx) == (a == b)
+    assert (phi is psi) == (phi.sx == psi.sx) == (phi == psi)
+
+
+@_hc
+@given(_formulas)
+def test_negate_involution_is_identity(phi):
+    assert negate(negate(phi)) is phi
+
+
+def test_nodes_are_immutable():
+    t = Add(V(x), Zero())
+    with pytest.raises(AttributeError):
+        t.left = Zero()
+    assert Add(V(x), Zero()) is t
+
+
+def test_intern_table_forgets_dropped_classified_formulas():
+    gc.collect()
+    before = len(syntax._TABLE)
+    a, b = Var("probe_a"), Var("probe_b")
+    phi = All(a, Ex(b, Or(Eq(Add(V(a), numeral(7)), V(b)),
+                          AllLe(Var("probe_c"), V(b), Le(V(a), V(b))))))
+    assert classify(phi) == (PI, 2)
+    assert is_in(phi, SIGMA, 3) and is_in(phi.body, SIGMA, 1)
+    assert len(syntax._TABLE) > before
+    del phi
+    gc.collect()
+    assert len(syntax._TABLE) == before
+
+
+def _numeral_text(k):
+    return "(s " * k + "0" + ")" * k
+
+
+def test_deep_equation_reads_evaluates_and_renders_without_recursion():
+    text = f"(eq (add {_numeral_text(15000)} {_numeral_text(15000)}) {_numeral_text(30000)})"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        phi = parse_formula(text)
+        assert eval_formula(phi, {}, 8) is TV.TRUE
+        assert phi.sx == text
+        del phi
+        gc.collect()
+    finally:
+        sys.setrecursionlimit(limit)
