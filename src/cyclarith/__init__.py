@@ -19,13 +19,13 @@ from .calculus import (Add0Rule, AddSRule, AllRule, AndRule, AssumeLeaf,
                        AxiomLeaf, BackLeaf, CaseRule, CutRule, ExRule,
                        Mult0Rule, MultSRule, OpenLeaf, OrRule, PredRule,
                        ProofNode, RefRule, RepRule, Rule, Sequent, StepError,
-                       TreeIssue, WeakRule, check_step, check_tree, is_axiom,
+                       WeakRule, check_step, is_axiom,
                        parse_proof, parse_sequent, premises_of, render_proof,
                        walk)
 from .annotation import (AnnotatedSequent, Mode, System, annotate_tree, erase,
                          is_annotated, parse_aseq, propagate)
-from .checker import (CyclicProof, ValidationReport, Violation, parse_report,
-                      render_report, soundness_sample, validate)
+from .checker import (CyclicProof, ValidationReport, Violation, check_tree,
+                      parse_report, render_report, soundness_sample, validate)
 from .transform import (RavelError, RegularProofGraph, expand_graph, graph_of,
                         parse_graph, prefix_equal, ravel, render_graph,
                         unravel)

@@ -10,8 +10,9 @@ so checking is deterministic: premises_of either returns the unique premise
 list or raises ArgMismatch.
 
 Proof trees are rule-labeled nodes with opaque string ids.  Leaves are
-axioms, assumptions, open stubs, or back-references; the two latter kinds
-are rejected by check_tree and handled by the transform/checker layers.
+axioms, assumptions, open stubs, or back-references.  This module decides
+single steps (check_step) only; whole trees, leaves included, are judged by
+checker.validate, which checks plain finite trees and cyclic proofs alike.
 
 File format:
     (node :id L <sequent> <rule> <child>*)
@@ -446,9 +447,6 @@ class ProofNode:
     children: Tuple["ProofNode", ...] = ()
     vars: Optional[frozenset] = None  # annotation; None when plain
 
-    def with_vars(self, vs: Optional[frozenset]) -> "ProofNode":
-        return ProofNode(self.id, self.sequent, self.rule, self.children, vs)
-
 
 def walk(root: ProofNode) -> Iterator[ProofNode]:
     """Preorder, iterative (ground proofs can be long chains)."""
@@ -474,42 +472,6 @@ def parent_map(root: ProofNode) -> Dict[str, Optional[str]]:
         for child in node.children:
             out[child.id] = node.id
     return out
-
-
-@dataclass(frozen=True)
-class TreeIssue:
-    node_id: str
-    message: str
-
-
-def check_tree(root: ProofNode, assumptions: Iterable[Formula] = ()) -> List[TreeIssue]:
-    """Empty list when every step checks and every leaf is closed."""
-    allowed = set(assumptions)
-    issues = []
-    for node in walk(root):
-        r = node.rule
-        if isinstance(r, AxiomLeaf):
-            if node.children:
-                issues.append(TreeIssue(node.id, "axiom leaf has children"))
-            if is_axiom(node.sequent) is None:
-                issues.append(TreeIssue(node.id, f"not an axiom: {node.sequent.sx}"))
-        elif isinstance(r, AssumeLeaf):
-            if node.children:
-                issues.append(TreeIssue(node.id, "assumption leaf has children"))
-            if len(node.sequent) != 1 or r.formula not in node.sequent:
-                issues.append(TreeIssue(
-                    node.id, f"assumption leaf must be exactly {{{r.formula.sx}}}"))
-            elif r.formula.fv:
-                issues.append(TreeIssue(node.id, "assumption must be a sentence"))
-            elif r.formula not in allowed:
-                issues.append(TreeIssue(node.id, f"{r.formula.sx} is not an assumption"))
-        elif isinstance(r, (OpenLeaf, BackLeaf)):
-            issues.append(TreeIssue(node.id, f"({r.name}) leaf is not allowed in a closed tree"))
-        else:
-            err = check_step(node.sequent, r, [c.sequent for c in node.children])
-            if err is not None:
-                issues.append(TreeIssue(node.id, f"({err.rule}) {err.message}"))
-    return issues
 
 
 # --- parsing and rendering -----------------------------------------------------

@@ -7,15 +7,19 @@ the leaf, the annotation must stay constant and non-empty all the way down
 from target to leaf, and the path must cross the right premise of a (case)
 inference at least once. Reports carry one tagged violation per defect, so
 an invalid proof lists everything wrong with it, not just the first problem.
+
+validate is the package's only validity judgement: plain finite trees
+(plain=True), ravelled graphs and cyclic proofs all go through it, and
+_check_leaf is the only place a leaf is decided.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple, Union
 
 from . import sexpr
-from .annotation import AnnotatedSequent, Mode, propagate
+from .annotation import AnnotatedSequent, Mode, System, propagate
 from .calculus import (ArgMismatch, AssumeLeaf, AxiomLeaf, BackLeaf, CaseRule,
                        LEAF_KINDS, OpenLeaf, ProofNode, check_step, is_axiom,
                        node_map, parent_map, walk)
@@ -87,105 +91,132 @@ class ValidationReport:
         return self.verdict == "valid"
 
 
-def validate(proof: Union[CyclicProof, ProofNode], mode: Mode) -> ValidationReport:
+def validate(proof: Union[CyclicProof, ProofNode], mode: Mode,
+             plain: bool = False) -> ValidationReport:
+    """Judge a proof; with plain=True, as a plain finite tree.
+
+    A plain tree is judged on its steps and leaves only: annotations are
+    ignored, back leaves are rejected like open ones, every violation is
+    tagged Tree and step messages name their rule.
+    """
+    violations: List[Violation] = []
+
+    def bad(node_id: str, tag: str, message: str) -> None:
+        violations.append(Violation(node_id, "Tree" if plain else tag, message))
+
+    if plain:
+        root = proof.root if isinstance(proof, CyclicProof) else proof
+        size = _check_local(root, mode, plain, bad)
+        return _report(violations, ProofStats(size, 0, ()))
+
     if isinstance(proof, ProofNode):
         proof = CyclicProof(proof)
-    violations: List[Violation] = []
-    bad = violations.append
     nodes = proof.nodes
-
     for node in walk(proof.root):
         if node.vars is None:
-            bad(Violation(node.id, "Unannotated", "node carries no annotation"))
-
-    # local steps and annotation propagation
-    for node in walk(proof.root):
-        if node.vars is None:
-            continue
-        r = node.rule
-        if isinstance(r, LEAF_KINDS):
-            _check_leaf(proof, node, mode, bad)
-            continue
-        err = check_step(node.sequent, r, [c.sequent for c in node.children])
-        if err is not None:
-            bad(Violation(node.id, "Step", err.message))
-            continue
-        try:
-            anns = propagate(AnnotatedSequent(node.sequent, node.vars), r, mode)
-        except ArgMismatch as exc:
-            bad(Violation(node.id, "Step", str(exc)))
-            continue
-        for child, want in zip(node.children, anns):
-            if isinstance(child.rule, AssumeLeaf):
-                continue  # assumption leaves may carry anything
-            if child.vars is not None and child.vars != want:
-                bad(Violation(child.id, "Annotation",
-                              f"expected {_vset(want)}, found {_vset(child.vars)}"))
+            bad(node.id, "Unannotated", "node carries no annotation")
+    _check_local(proof.root, mode, plain, bad)
 
     cycle_lengths = []
     for leaf_id, target_id in sorted(proof.backlinks.items()):
         leaf = nodes[leaf_id]
         if target_id not in nodes:
-            bad(Violation(leaf_id, "DanglingTarget",
-                          f"no node with id {target_id}"))
+            bad(leaf_id, "DanglingTarget", f"no node with id {target_id}")
             continue
         if target_id not in proof.ancestors(leaf_id):
-            bad(Violation(leaf_id, "NotAncestor",
-                          f"{target_id} is not a proper ancestor"))
+            bad(leaf_id, "NotAncestor", f"{target_id} is not a proper ancestor")
             continue
         target = nodes[target_id]
         pth = proof.path_down(target_id, leaf_id)
         cycle_lengths.append(len(pth) - 1)
         if leaf.sequent != target.sequent:
-            bad(Violation(leaf_id, "SequentMismatch",
-                          f"leaf {leaf.sequent.sx} vs target {target.sequent.sx}"))
+            bad(leaf_id, "SequentMismatch",
+                f"leaf {leaf.sequent.sx} vs target {target.sequent.sx}")
         if leaf.vars is None or target.vars is None:
             continue  # already reported as Unannotated
         if leaf.vars != target.vars:
-            bad(Violation(leaf_id, "AnnotationMismatch",
-                          f"leaf {_vset(leaf.vars)} vs target {_vset(target.vars)}"))
+            bad(leaf_id, "AnnotationMismatch",
+                f"leaf {_vset(leaf.vars)} vs target {_vset(target.vars)}")
             continue
         wanted = target.vars
         if not wanted:
-            bad(Violation(leaf_id, "EmptyAnnotation",
-                          "annotation on the cycle is empty"))
+            bad(leaf_id, "EmptyAnnotation", "annotation on the cycle is empty")
         else:
             for nid in pth:
                 nvars = nodes[nid].vars
                 if nvars is not None and nvars != wanted:
-                    bad(Violation(leaf_id, "AnnotationMismatch",
-                                  f"annotation changes at {nid}"))
+                    bad(leaf_id, "AnnotationMismatch", f"annotation changes at {nid}")
                     break
         if not _crosses_case_right(nodes, pth):
-            bad(Violation(leaf_id, "NoProgress",
-                          "no (case) right premise on the cycle"))
+            bad(leaf_id, "NoProgress", "no (case) right premise on the cycle")
 
     stats = ProofStats(len(nodes), len(proof.backlinks), tuple(cycle_lengths))
-    verdict = "valid" if not violations else "invalid"
-    return ValidationReport(verdict, tuple(violations), stats)
+    return _report(violations, stats)
 
 
-def _check_leaf(proof: CyclicProof, node: ProofNode, mode: Mode, bad) -> None:
+def check_tree(root: ProofNode, assumptions: Iterable = ()) -> List[Violation]:
+    """Empty list when every step checks and every leaf is closed."""
+    mode = Mode(System.SN, 0, frozenset(assumptions))
+    return list(validate(root, mode, plain=True).violations)
+
+
+def _report(violations: List[Violation], stats: ProofStats) -> ValidationReport:
+    return ValidationReport("invalid" if violations else "valid",
+                            tuple(violations), stats)
+
+
+def _check_local(root: ProofNode, mode: Mode, plain: bool, bad) -> int:
+    """Steps, leaves and (unless plain) annotation propagation; node count."""
+    size = 0
+    for node in walk(root):
+        size += 1
+        if node.vars is None and not plain:
+            continue
+        r = node.rule
+        if isinstance(r, LEAF_KINDS):
+            _check_leaf(node, mode, plain, bad)
+            continue
+        err = check_step(node.sequent, r, [c.sequent for c in node.children])
+        if err is not None:
+            bad(node.id, "Step", f"({err.rule}) {err.message}" if plain else err.message)
+            continue
+        if plain:
+            continue
+        try:
+            anns = propagate(AnnotatedSequent(node.sequent, node.vars), r, mode)
+        except ArgMismatch as exc:
+            bad(node.id, "Step", str(exc))
+            continue
+        for child, want in zip(node.children, anns):
+            if isinstance(child.rule, AssumeLeaf):
+                continue  # assumption leaves may carry anything
+            if child.vars is not None and child.vars != want:
+                bad(child.id, "Annotation",
+                    f"expected {_vset(want)}, found {_vset(child.vars)}")
+    return size
+
+
+def _check_leaf(node: ProofNode, mode: Mode, plain: bool, bad) -> None:
+    """The one leaf judgement; back leaves of annotated proofs go to the cycle pass."""
     r = node.rule
     if node.children:
-        bad(Violation(node.id, "Step", "leaf with children"))
+        bad(node.id, "Step", "leaf with children")
     if isinstance(r, AxiomLeaf):
         if is_axiom(node.sequent) is None:
-            bad(Violation(node.id, "AxiomLeaf",
-                          f"not an axiom: {node.sequent.sx}"))
+            bad(node.id, "AxiomLeaf", f"not an axiom: {node.sequent.sx}")
     elif isinstance(r, AssumeLeaf):
         if len(node.sequent) != 1 or node.sequent.count(r.formula) != 1:
-            bad(Violation(node.id, "AssumeLeaf",
-                          "assumption leaf sequent must be the assumed formula alone"))
+            bad(node.id, "AssumeLeaf",
+                "assumption leaf sequent must be the assumed formula alone")
         elif r.formula.fv:
-            bad(Violation(node.id, "AssumeLeaf",
-                          "assumed formula must be a sentence"))
+            bad(node.id, "AssumeLeaf", "assumed formula must be a sentence")
         elif r.formula not in mode.assumptions:
-            bad(Violation(node.id, "AssumeLeaf",
-                          f"not among the declared assumptions: {r.formula.sx}"))
+            bad(node.id, "AssumeLeaf",
+                f"not among the declared assumptions: {r.formula.sx}")
     elif isinstance(r, OpenLeaf):
-        bad(Violation(node.id, "OpenLeaf", "open leaves are not allowed"))
-    # BackLeaf handled by the cycle pass
+        bad(node.id, "OpenLeaf", "open leaves are not allowed")
+    elif plain:
+        bad(node.id, "BackLeaf", "back leaves are not allowed in a plain proof")
 
 
 def _crosses_case_right(nodes, pth: List[str]) -> bool:
@@ -318,17 +349,20 @@ def report_from_sexpr(value) -> ValidationReport:
     for item in value[1:]:
         if not isinstance(item, list) or not item:
             raise ParseError(f"bad report entry {sexpr.render(item)}")
-        if item[0] == "verdict":
-            verdict = item[1]
-        elif item[0] == "violation":
-            fields = {e[0]: e[1] for e in item[1:]}
-            violations.append(Violation(fields["node"], fields["tag"],
-                                        str(fields.get("message", ""))))
-        elif item[0] == "stats":
-            fields = {e[0]: e[1:] for e in item[1:]}
-            stats = ProofStats(int(fields["nodes"][0]),
-                               int(fields["backlinks"][0]),
-                               tuple(int(k) for k in fields.get("cycles", ())))
+        try:
+            if item[0] == "verdict":
+                verdict = item[1]
+            elif item[0] == "violation":
+                fields = {e[0]: e[1] for e in item[1:]}
+                violations.append(Violation(fields["node"], fields["tag"],
+                                            str(fields.get("message", ""))))
+            elif item[0] == "stats":
+                fields = {e[0]: e[1:] for e in item[1:]}
+                stats = ProofStats(int(fields["nodes"][0]),
+                                   int(fields["backlinks"][0]),
+                                   tuple(int(k) for k in fields.get("cycles", ())))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad report entry {sexpr.render(item)}") from exc
     if verdict not in ("valid", "invalid"):
         raise ParseError("report lacks a verdict")
     return ValidationReport(verdict, tuple(violations), stats)

@@ -30,10 +30,9 @@ from .builders import (PreError, forall_cycle_proof, induction_rule_proof,
                        induction_rule_via_assumptions, induction_schema_proof,
                        omega_truncation, prove_ground_atom, tautology,
                        two_loops_proof, _chain, _HOLE)
-from .calculus import (AddSRule, ArgMismatch, ProofNode, RepRule, Sequent,
-                       check_tree, parse_proof, render_proof, walk)
-from .checker import (CyclicProof, ProofStats, ValidationReport, Violation,
-                      render_report, validate)
+from .calculus import (AddSRule, ArgMismatch, RepRule, Sequent, parse_proof,
+                       render_proof)
+from .checker import CyclicProof, render_report, validate
 from .semantics import DEFAULT_CUTOFF, DEFAULT_VALUE_BOUND, eval_formula, eval_term
 from .syntax import (Add, All, And, CaptureError, Eq, Ex, Formula, Mul, Neq,
                      Or, ParseError, Succ, V, Var, ZERO, formula_from_sexpr,
@@ -45,15 +44,6 @@ from .uncycle import (ExtractionError, check_certificate_bounded, extract_all,
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 _SYSTEMS = {"sn": System.SN, "spi": System.SPI, "ssigma": System.SSIGMA}
-
-
-@dataclass(frozen=True)
-class Config:
-    mode: Mode
-    cutoff: int = DEFAULT_CUTOFF
-    value_bound: int = DEFAULT_VALUE_BOUND
-    depth: int = 10
-    fmt: str = "text"
 
 
 class CliError(Exception):
@@ -89,44 +79,30 @@ def _assumptions(paths: Sequence[str]) -> frozenset:
     return frozenset(got)
 
 
-def _config(args) -> Config:
-    mode = Mode(_SYSTEMS[args.system], args.level,
-                _assumptions(getattr(args, "assume", []) or []))
-    return Config(mode=mode,
-                  cutoff=getattr(args, "cutoff", DEFAULT_CUTOFF),
-                  value_bound=getattr(args, "bound", DEFAULT_VALUE_BOUND),
-                  depth=getattr(args, "depth", 10),
-                  fmt=getattr(args, "format", "text"))
-
-
-def _tree_report(root: ProofNode, assumptions) -> ValidationReport:
-    issues = check_tree(root, assumptions)
-    stats = ProofStats(sum(1 for _ in walk(root)), 0, ())
-    violations = tuple(Violation(i.node_id, "Tree", i.message) for i in issues)
-    return ValidationReport("valid" if not issues else "invalid", violations, stats)
+def _mode(args) -> Mode:
+    if args.level < 0:
+        raise CliError(f"--level must be >= 0, got {args.level}")
+    return Mode(_SYSTEMS[args.system], args.level, _assumptions(args.assume))
 
 
 # --- subcommands -----------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    cfg = _config(args)
+    mode = _mode(args)
     root = parse_proof(_read(args.path))
-    if is_annotated(root):
-        report = validate(CyclicProof(root), cfg.mode)
-    else:
-        report = _tree_report(root, cfg.mode.assumptions)
-    _emit(render_report(report, cfg.fmt), args.out)
+    report = validate(root, mode, plain=not is_annotated(root))
+    _emit(render_report(report, args.format), args.out)
     return EXIT_OK if report.valid else EXIT_FAIL
 
 
 def cmd_annotate(args) -> int:
-    cfg = _config(args)
+    mode = _mode(args)
     root = parse_proof(_read(args.path))
     if is_annotated(root):
         raise CliError("input already annotated")
     root_vars = frozenset(ident_var(v) for v in args.vars)
     try:
-        out = annotate_tree(root, root_vars, cfg.mode)
+        out = annotate_tree(root, root_vars, mode)
     except (ArgMismatch, CaptureError) as exc:
         print(f"annotation failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -135,17 +111,20 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_unravel(args) -> int:
-    cfg = _config(args)
     root = parse_proof(_read(args.path))
-    _emit(render_proof(unravel(root, cfg.depth)), args.out)
+    try:
+        tree = unravel(root, args.depth)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    _emit(render_proof(tree), args.out)
     return EXIT_OK
 
 
 def cmd_ravel(args) -> int:
-    cfg = _config(args)
+    mode = _mode(args)
     graph = parse_graph(_read(args.path))
     try:
-        proof = ravel(graph, cfg.mode)
+        proof = ravel(graph, mode)
     except RavelError as exc:
         print(f"ravel failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -154,15 +133,14 @@ def cmd_ravel(args) -> int:
 
 
 def cmd_uncycle(args) -> int:
-    cfg = _config(args)
-    root = parse_proof(_read(args.path))
-    proof = CyclicProof(root)
-    report = validate(proof, cfg.mode)
+    mode = _mode(args)
+    proof = CyclicProof(parse_proof(_read(args.path)))
+    report = validate(proof, mode)
     if not report.valid:
-        print(render_report(report, cfg.fmt), file=sys.stderr)
+        print(render_report(report, args.format), file=sys.stderr)
         return EXIT_FAIL
     try:
-        pairs = extract_all(proof, cfg.mode)
+        pairs = extract_all(proof, mode)
     except ExtractionError as exc:
         print(f"extraction failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -170,7 +148,7 @@ def cmd_uncycle(args) -> int:
     certs = []
     for _, cert in pairs:
         if not args.no_check:
-            checked = check_certificate_bounded(cert, cfg.value_bound, cfg.cutoff)
+            checked = check_certificate_bounded(cert, args.bound, args.cutoff)
             cert = checked.certificate
             failed = failed or not checked.ok
         certs.append(cert)

@@ -4,9 +4,11 @@ A regular proof graph is the rolled-up presentation of a proof tree with
 finitely many distinct subtrees: nodes carry annotated sequents and rules,
 children are id references, and cycles are ordinary child edges. Ravelling
 unrolls such a graph depth-first into a cyclic proof, installing a
-back-reference the first time the current path revisits a graph node;
-unravelling goes the other way, following back-references as jumps and
-cutting the tree off with Open leaves at a depth bound.
+back-reference the first time the current path revisits a graph node, and
+then hands the result to checker.validate: this module checks no step, leaf
+or back-link condition itself. Unravelling goes the other way: it folds the
+proof into its graph and expands that to a depth bound, cutting the tree off
+with Open leaves.
 
 Two distinct graph nodes with structurally identical unfoldings are never
 merged; repeats are detected by node id, not by comparing unfoldings.
@@ -15,15 +17,14 @@ merged; repeats are detected by node id, not by comparing unfoldings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from . import sexpr
-from .annotation import AnnotatedSequent, Mode, aseq_from_sexpr, propagate
-from .calculus import (ArgMismatch, AssumeLeaf, BackLeaf, CaseRule,
-                       LEAF_KINDS, OpenLeaf, ProofNode, RULE_ARITY, Rule,
-                       Sequent, check_step, rule_from_sexpr, rule_to_sexpr_str,
+from .annotation import AnnotatedSequent, Mode, aseq_from_sexpr, is_annotated
+from .calculus import (BackLeaf, LEAF_KINDS, OpenLeaf, ProofNode, RULE_ARITY,
+                       Rule, Sequent, rule_from_sexpr, rule_to_sexpr_str,
                        sequent_from_sexpr, walk)
-from .checker import CyclicProof
+from .checker import CyclicProof, Violation, validate
 from .syntax import ParseError
 
 
@@ -43,8 +44,8 @@ class RegularProofGraph:
         if root not in nodes:
             raise ValueError(f"root {root} is not a node")
         for n in nodes.values():
-            if isinstance(n.rule, (OpenLeaf, BackLeaf)):
-                raise ValueError(f"{n.id}: open/back leaves have no place in a graph")
+            if isinstance(n.rule, BackLeaf):
+                raise ValueError(f"{n.id}: back leaves have no place in a graph")
             want = RULE_ARITY[n.rule.name]
             if len(n.children) != want:
                 raise ValueError(f"{n.id}: rule {n.rule.name} needs "
@@ -75,41 +76,38 @@ class RegularProofGraph:
 
 
 def graph_of(proof: Union[CyclicProof, ProofNode]) -> RegularProofGraph:
-    """Collapse each back-reference into a child edge to its target."""
+    """Collapse each back-reference into a child edge to its target.
+
+    Raises ValueError, from the graph constructor, when a back-reference
+    reaches no inference node.
+    """
     if isinstance(proof, ProofNode):
         proof = CyclicProof(proof)
     nodes: Dict[str, GNode] = {}
     for n in walk(proof.root):
         if isinstance(n.rule, BackLeaf):
             continue
-        kids = []
-        for c in n.children:
-            if isinstance(c.rule, BackLeaf):
-                target = c.rule.target
-                if target not in proof.nodes:
-                    raise ValueError(f"{c.id}: dangling back-reference {target}")
-                kids.append(target)
-            else:
-                kids.append(c.id)
-        nodes[n.id] = GNode(n.id, n.sequent, n.vars, n.rule, tuple(kids))
+        kids = tuple(c.rule.target if isinstance(c.rule, BackLeaf) else c.id
+                     for c in n.children)
+        nodes[n.id] = GNode(n.id, n.sequent, n.vars, n.rule, kids)
     return RegularProofGraph(proof.root.id, nodes)
 
 
 class RavelError(Exception):
-    def __init__(self, path: Tuple[str, ...], condition: str):
-        self.path = tuple(path)
-        self.condition = condition
-        super().__init__(f"{condition} (path {' -> '.join(self.path)})")
+    """The unrolled proof is invalid; carries its first violation."""
+
+    def __init__(self, violation: Violation):
+        self.violation = violation
+        super().__init__(f"{violation.tag} at {violation.node_id}: "
+                         f"{violation.message}")
 
 
 def ravel(g: RegularProofGraph, mode: Mode) -> CyclicProof:
     """Unroll g into a cyclic proof, back-linking at the first on-path repeat.
 
-    The graph must be locally rule-correct and annotation-consistent under
-    mode; that and the back-link side conditions at each cut point are
-    checked during the walk, and RavelError pinpoints the first failure.
+    The result is judged by checker.validate (as a plain tree when g carries
+    no full annotation), and RavelError reports its first violation.
     """
-    _check_graph_local(g, mode)
     emitted = set()
     counters: Dict[str, int] = {}
 
@@ -126,86 +124,40 @@ def ravel(g: RegularProofGraph, mode: Mode) -> CyclicProof:
         emitted.add(cand)
         return cand
 
-    # path entries: (graph id, tree id, edge to the next path element is a
-    # case-right edge)
-    def expand(gid: str, path: List[Tuple[str, str, bool]]) -> ProofNode:
+    on_path: Dict[str, str] = {}  # graph id -> tree id of its copy on the path
+
+    def expand(gid: str) -> ProofNode:
         gn = g.nodes[gid]
-        hit = next((i for i, (pg, _, _) in enumerate(path) if pg == gid), None)
-        if hit is not None:
-            gids = [p[0] for p in path[hit:]] + [gid]
-            if gn.vars is None:
-                raise RavelError(gids, "Unannotated")
-            if not gn.vars:
-                raise RavelError(gids, "EmptyAnnotation")
-            for pg, _, _ in path[hit:]:
-                if g.nodes[pg].vars != gn.vars:
-                    raise RavelError(gids, "AnnotationMismatch")
-            if not any(cr for _, _, cr in path[hit:]):
-                raise RavelError(gids, "NoProgress")
+        if gid in on_path:
             return ProofNode(fresh_id(gid), gn.sequent,
-                             BackLeaf(path[hit][1]), (), gn.vars)
-        tid = fresh_id(gid)
-        kids = []
-        for i, cgid in enumerate(gn.children):
-            cross = isinstance(gn.rule, CaseRule) and i == 1
-            path.append((gid, tid, cross))
-            kids.append(expand(cgid, path))
-            path.pop()
-        return ProofNode(tid, gn.sequent, gn.rule, tuple(kids), gn.vars)
+                             BackLeaf(on_path[gid]), (), gn.vars)
+        tid = on_path[gid] = fresh_id(gid)
+        kids = tuple(expand(c) for c in gn.children)
+        del on_path[gid]
+        return ProofNode(tid, gn.sequent, gn.rule, kids, gn.vars)
 
-    return CyclicProof(expand(g.root, []))
-
-
-def _check_graph_local(g: RegularProofGraph, mode: Mode) -> None:
-    for gn in g.nodes.values():
-        if isinstance(gn.rule, LEAF_KINDS):
-            continue
-        premises = [g.nodes[c].sequent for c in gn.children]
-        err = check_step(gn.sequent, gn.rule, premises)
-        if err is not None:
-            raise RavelError((gn.id,), f"Step: {err.message}")
-        if gn.vars is None:
-            continue
-        try:
-            anns = propagate(AnnotatedSequent(gn.sequent, gn.vars),
-                             gn.rule, mode)
-        except ArgMismatch as exc:
-            raise RavelError((gn.id,), f"Step: {exc}") from None
-        for cgid, want in zip(gn.children, anns):
-            child = g.nodes[cgid]
-            if isinstance(child.rule, AssumeLeaf):
-                continue
-            if child.vars is not None and child.vars != want:
-                raise RavelError((gn.id, cgid), "AnnotationMismatch")
+    proof = CyclicProof(expand(g.root))
+    report = validate(proof, mode, plain=not is_annotated(proof.root))
+    if not report.valid:
+        raise RavelError(report.violations[0])
+    return proof
 
 
 def unravel(proof: Union[CyclicProof, ProofNode], depth: int) -> ProofNode:
-    """Depth-bounded unfolding; ids record the path from the root.
+    """Depth-bounded unfolding: expand_graph of the proof's graph.
 
-    Back-references are followed in place (a jump costs no depth). A node
-    sitting at the bound keeps its place if it is a closing leaf and becomes
-    an Open leaf otherwise.
+    Raises ValueError when a back-reference reaches no inference node.
     """
-    if isinstance(proof, ProofNode):
-        proof = CyclicProof(proof)
-    nodes = proof.nodes
-
-    def go(node: ProofNode, d: int, pid: str) -> ProofNode:
-        if isinstance(node.rule, BackLeaf):
-            node = nodes[node.rule.target]
-        if isinstance(node.rule, LEAF_KINDS):
-            return ProofNode(pid, node.sequent, node.rule, (), node.vars)
-        if d >= depth:
-            return ProofNode(pid, node.sequent, OpenLeaf(), (), node.vars)
-        kids = tuple(go(c, d + 1, pid + str(i))
-                     for i, c in enumerate(node.children))
-        return ProofNode(pid, node.sequent, node.rule, kids, node.vars)
-
-    return go(proof.root, 0, "n")
+    return expand_graph(graph_of(proof), depth)
 
 
 def expand_graph(g: RegularProofGraph, depth: int) -> ProofNode:
-    """Depth-bounded expansion of a graph, same id scheme as unravel."""
+    """Depth-bounded expansion; ids record the path from the root.
+
+    A cycle edge is followed like any other. A node sitting at the bound
+    keeps its place if it is a closing leaf and becomes an Open leaf
+    otherwise.
+    """
     def go(gid: str, d: int, pid: str) -> ProofNode:
         gn = g.nodes[gid]
         if isinstance(gn.rule, LEAF_KINDS):

@@ -27,8 +27,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from . import sexpr
 from .annotation import Mode, System
-from .calculus import (AllRule, AndRule, BackLeaf, CaseRule, CutRule,
-                       ProofNode, Sequent, walk)
+from .calculus import AllRule, BackLeaf, CaseRule, ProofNode, Sequent, walk
 from .checker import CyclicProof
 from .semantics import (DEFAULT_CUTOFF, DEFAULT_VALUE_BOUND, TV,
                         all_assignments, eval_formula)
@@ -106,33 +105,30 @@ class InductionCertificate:
 
 # --- the directed graph over the proof tree --------------------------------------
 
-def directed_successors(proof: CyclicProof) -> Dict[str, List[str]]:
-    """Tree edges parent -> child, plus back-reference jumps."""
-    succ: Dict[str, List[str]] = {}
-    for n in walk(proof.root):
-        if isinstance(n.rule, BackLeaf):
-            succ[n.id] = [n.rule.target]
-        else:
-            succ[n.id] = [c.id for c in n.children]
-    return succ
-
-
-def compute_M(proof: Union[CyclicProof, ProofNode]):
-    """Node ids with a directed path to the root, or NoRootCycle."""
-    if isinstance(proof, ProofNode):
-        proof = CyclicProof(proof)
-    root_id = proof.root.id
-    if root_id not in proof.backlinks.values():
-        return NO_ROOT_CYCLE
-    pred: Dict[str, List[str]] = {nid: [] for nid in proof.nodes}
-    for u, vs in directed_successors(proof).items():
+def _digraph(proof: CyclicProof) -> Tuple[Dict[str, List[str]],
+                                          Dict[str, List[str]]]:
+    """Successors and predecessors: tree edges plus back-reference jumps."""
+    succ = {n.id: [n.rule.target] if isinstance(n.rule, BackLeaf)
+            else [c.id for c in n.children] for n in walk(proof.root)}
+    pred: Dict[str, List[str]] = {nid: [] for nid in succ}
+    for u, vs in succ.items():
         for v in vs:
             pred[v].append(u)
-    seen = {root_id}
-    queue = [root_id]
+    return succ, pred
+
+
+def _root_cycle(proof: CyclicProof, pred, root_id: str):
+    """Ids of root_id's subtree with a directed path to it, or NoRootCycle.
+
+    Back-links of a valid proof target ancestors, so the search leaves the
+    subtree only through the tree edge into root_id, which it skips.
+    """
+    queue = [p for p in pred[root_id] if p != proof.parents[root_id]]
+    if not queue:
+        return NO_ROOT_CYCLE
+    seen = {root_id, *queue}
     while queue:
-        nid = queue.pop()
-        for p in pred[nid]:
+        for p in pred[queue.pop()]:
             if p not in seen:
                 seen.add(p)
                 queue.append(p)
@@ -176,12 +172,12 @@ def _fresh_named(avoid) -> Var:
 
 # --- ranks ------------------------------------------------------------------------
 
-def compute_ranks(proof: CyclicProof, m_nodes, c_nodes) -> Dict[str, int]:
+def compute_ranks(succ: Mapping[str, List[str]], m_nodes,
+                  c_nodes) -> Dict[str, int]:
     """Longest directed path to the first (case) conclusion, in edges."""
     m = set(m_nodes)
     c = set(c_nodes)
-    succ = {u: [v for v in vs if v in m]
-            for u, vs in directed_successors(proof).items() if u in m}
+    succ = {u: [v for v in succ[u] if v in m] for u in m}
     memo: Dict[str, int] = {u: 0 for u in c}
     state: Dict[str, int] = {}
 
@@ -211,17 +207,28 @@ def extract_certificate(proof: Union[CyclicProof, ProofNode], mode: Mode):
     """Certificate for the root cycle, or NoRootCycle. Input must be valid."""
     if isinstance(proof, ProofNode):
         proof = CyclicProof(proof)
-    m_set = compute_M(proof)
+    succ, pred = _digraph(proof)
+    m_set = _root_cycle(proof, pred, proof.root.id)
     if isinstance(m_set, NoRootCycle):
         return m_set
+    return _certificate(proof, succ, proof.root, m_set, mode)
+
+
+def _certificate(proof: CyclicProof, succ, root: ProofNode, m_set, mode: Mode):
+    """The certificate of the root cycle m_set of root's subtree."""
     nodes = proof.nodes
-    root = proof.root
     n = mode.level
     if root.vars is None:
         raise ExtractionError("proof is not annotated")
     root_vars = root.vars
 
-    preorder_m = [nd.id for nd in walk(root) if nd.id in m_set]
+    preorder_m: List[str] = []
+    avoid = set()  # every name bound in the subtree stays clear of z
+    for nd in walk(root):
+        if nd.id in m_set:
+            preorder_m.append(nd.id)
+        for f in nd.sequent:
+            avoid |= f.av
     for nid in preorder_m:
         if nodes[nid].vars != root_vars:
             raise ExtractionError(
@@ -267,32 +274,21 @@ def extract_certificate(proof: Union[CyclicProof, ProofNode], mode: Mode):
         raise ExtractionError(f"theta falls outside level-{n + 1} "
                               f"universal class: {theta.sx}")
 
-    avoid = set(b_set) | set(case_vars) | set(theta.av)
-    for nd in walk(root):
-        for f in nd.sequent:
-            avoid |= f.av
-    z = _fresh_named(avoid)
+    z = _fresh_named(avoid | b_set | set(case_vars) | theta.av)
 
-    total = None
-    for y in case_vars:
-        total = V(y) if total is None else Add(total, V(y))
-    zeta = impl(Eq(total, V(z)), theta)
-    for y in reversed(case_vars):
-        zeta = AllLe(y, V(z), zeta)
-
+    zeta = _zeta(case_vars, z, theta)
     if mode.system is not System.SSIGMA and not is_in(zeta, PI, n + 1):
         raise ExtractionError("zeta falls outside the universal class")
     if mode.system is System.SSIGMA:
         _check_zeta_shape(zeta, case_vars, z, theta)
 
-    ranks = compute_ranks(proof, m_set, c_ids)
+    ranks = compute_ranks(succ, m_set, c_ids)
     size = len(m_set)
     for nid, k in ranks.items():
         if not 0 <= k < size:
             raise ExtractionError(f"rank {k} at {nid} out of range")
-    succ = directed_successors(proof)
     c_set = set(c_ids)
-    edges: List[Tuple[str, str, str]] = []
+    tagged: List[Tuple[str, str, str]] = []
     for u in preorder_m:
         for v in succ[u]:
             if v in m_set:
@@ -301,7 +297,7 @@ def extract_certificate(proof: Union[CyclicProof, ProofNode], mode: Mode):
                 if u not in c_set and ranks[u] <= (0 if v in c_set else ranks[v]):
                     raise ExtractionError(
                         f"rank fails to decrease on {u} -> {v}")
-                edges.append((u, v, tag))
+                tagged.append((u, v, tag))
 
     phi_root = phis[root.id]
     trivial = phi_root == TOP
@@ -310,11 +306,10 @@ def extract_certificate(proof: Union[CyclicProof, ProofNode], mode: Mode):
     def add(kind, f, about):
         oblig.append(Obligation(kind, f, desugar(f), STATUS_UNCHECKED, about))
 
-    zeta0 = substitute(zeta, z, ZERO)
-    zetasz = substitute(zeta, z, Succ(V(z)))
-    add("base", impl(phi_root, zeta0), (root.id,))
-    add("step", impl(phi_root, All(z, impl(zeta, zetasz))), (root.id,))
-    for u, v, _tag in edges:
+    base, step = _induction(phi_root, zeta, z)
+    add("base", base, (root.id,))
+    add("step", step, (root.id,))
+    for u, v, _tag in tagged:
         add("side-equiv", iff(phis[u], phis[v]), (u, v))
     for nid in preorder_m:
         add("theta-gamma", impl(theta, impl(phis[nid], psis[nid])), (nid,))
@@ -332,8 +327,26 @@ def extract_certificate(proof: Union[CyclicProof, ProofNode], mode: Mode):
         b_vars=tuple(sorted(b_set)), case_vars=tuple(case_vars),
         fresh_z=z, theta=theta, zeta=zeta,
         phi_root=phi_root, phi_root_trivial=trivial,
-        ranks=ranks, obligations=tuple(oblig), edge_tags=tuple(edges),
+        ranks=ranks, obligations=tuple(oblig), edge_tags=tuple(tagged),
         notes=tuple(notes))
+
+
+def _zeta(case_vars, z: Var, theta: Formula) -> Formula:
+    """forall y1<=z ... forall ym<=z (y1+...+ym = z -> theta)."""
+    total = None
+    for y in case_vars:
+        total = V(y) if total is None else Add(total, V(y))
+    zeta = impl(Eq(total, V(z)), theta)
+    for y in reversed(case_vars):
+        zeta = AllLe(y, V(z), zeta)
+    return zeta
+
+
+def _induction(phi_root: Formula, zeta: Formula, z: Var) -> Tuple[Formula, Formula]:
+    """The base and step obligations of induction on z for zeta."""
+    zetasz = substitute(zeta, z, Succ(V(z)))
+    return (impl(phi_root, substitute(zeta, z, ZERO)),
+            impl(phi_root, All(z, impl(zeta, zetasz))))
 
 
 def _check_zeta_shape(zeta: Formula, case_vars, z: Var, theta: Formula) -> None:
@@ -351,9 +364,7 @@ def _check_edge(nodes, u: str, v: str, tag: str, mode: Mode) -> None:
     un = nodes[u]
     r = un.rule
     if tag == "link":
-        if un.sequent != nodes[v].sequent:
-            raise ExtractionError(f"{u}: back-reference sequent mismatch")
-        return
+        return  # back-link conditions are checker.validate's
     child_index = next(i for i, c in enumerate(un.children) if c.id == v)
     if tag == "E":
         inst = substitute(r.principal.body, r.principal.var, V(r.var))
@@ -388,20 +399,21 @@ def extract_all(proof: Union[CyclicProof, ProofNode],
     """One certificate per maximal root-cycle component, outermost first."""
     if isinstance(proof, ProofNode):
         proof = CyclicProof(proof)
+    succ, pred = _digraph(proof)
     out: List[Tuple[str, InductionCertificate]] = []
 
     def go(node: ProofNode) -> None:
         if isinstance(node.rule, BackLeaf):
             return
-        sub = CyclicProof(node)
-        m_set = compute_M(sub)
+        m_set = _root_cycle(proof, pred, node.id)
         if isinstance(m_set, NoRootCycle):
             for c in node.children:
                 go(c)
             return
-        out.append((node.id, extract_certificate(sub, mode)))
-        for nid in [nd.id for nd in walk(node) if nd.id in m_set]:
-            for c in sub.nodes[nid].children:
+        cert = _certificate(proof, succ, node, m_set, mode)
+        out.append((node.id, cert))
+        for nid in cert.m_nodes:
+            for c in proof.nodes[nid].children:
                 if c.id not in m_set:
                     go(c)
 
@@ -455,20 +467,12 @@ def certificate_with_theta(cert: InductionCertificate,
     z = cert.fresh_z
     if z in theta.fv:
         raise ValueError("replacement invariant captures the fresh variable")
-    total = None
-    for y in cert.case_vars:
-        total = V(y) if total is None else Add(total, V(y))
-    zeta = impl(Eq(total, V(z)), theta)
-    for y in reversed(cert.case_vars):
-        zeta = AllLe(y, V(z), zeta)
-    zeta0 = substitute(zeta, z, ZERO)
-    zetasz = substitute(zeta, z, Succ(V(z)))
+    zeta = _zeta(cert.case_vars, z, theta)
+    new = dict(zip(("base", "step"), _induction(cert.phi_root, zeta, z)))
     out = []
     for ob in cert.obligations:
-        if ob.kind == "base":
-            f = Or(ob.formula.left, zeta0)
-        elif ob.kind == "step":
-            f = Or(ob.formula.left, All(z, impl(zeta, zetasz)))
+        if ob.kind in new:
+            f = new[ob.kind]
         elif ob.kind == "theta-gamma":
             f = Or(negate(theta), ob.formula.right)
         else:
@@ -524,22 +528,25 @@ def certificate_from_sexpr(value) -> InductionCertificate:
     for item in value[1:]:
         if not isinstance(item, list) or not item:
             raise ParseError(f"bad certificate entry {sexpr.render(item)}")
-        head = item[0]
-        if head == "obligation":
-            sub = {e[0]: e[1:] for e in item[1:]}
-            fields["obligations"].append(Obligation(
-                kind=sub["kind"][0],
-                formula=formula_from_sexpr(sub["formula"][0]),
-                desugared=formula_from_sexpr(sub["desugared"][0]),
-                status=sub.get("status", [STATUS_UNCHECKED])[0],
-                about=tuple(sub.get("about", []))))
-        elif head == "edge-just":
-            u, v, tag = item[1]
-            fields["edges"].append((u, v, tag))
-        elif head == "note":
-            fields["notes"].append(str(item[1]))
-        else:
-            fields[head] = item[1:]
+        try:
+            head = item[0]
+            if head == "obligation":
+                sub = {e[0]: e[1:] for e in item[1:]}
+                fields["obligations"].append(Obligation(
+                    kind=sub["kind"][0],
+                    formula=formula_from_sexpr(sub["formula"][0]),
+                    desugared=formula_from_sexpr(sub["desugared"][0]),
+                    status=sub.get("status", [STATUS_UNCHECKED])[0],
+                    about=tuple(sub.get("about", []))))
+            elif head == "edge-just":
+                u, v, tag = item[1]
+                fields["edges"].append((u, v, tag))
+            elif head == "note":
+                fields["notes"].append(str(item[1]))
+            else:
+                fields[head] = item[1:]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad certificate entry {sexpr.render(item)}") from exc
     try:
         theta = formula_from_sexpr(fields["theta"][0])
         zeta = formula_from_sexpr(fields["zeta"][0])
@@ -561,7 +568,7 @@ def certificate_from_sexpr(value) -> InductionCertificate:
             obligations=tuple(fields["obligations"]),
             edge_tags=tuple(fields["edges"]),
             notes=tuple(fields["notes"]))
-    except (KeyError, IndexError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(f"incomplete certificate: {exc}") from exc
 
 

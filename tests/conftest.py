@@ -4,6 +4,7 @@ All randomness is seeded random.Random instances so failures reproduce.
 Var(...) is the binder-level identifier; V(...) is its term occurrence.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from cyclarith import (
     Neq,
     Or,
     OrRule,
+    RegularProofGraph,
     PredRule,
     RefRule,
     RepRule,
@@ -302,3 +304,16 @@ def proof_corpus():
 @pytest.fixture(scope="session")
 def cyclic_corpus(proof_corpus):
     return [(n, p, m) for n, p, m in proof_corpus if isinstance(p, CyclicProof)]
+
+
+def graph_with(g, gid, **changes):
+    """Graph g with node gid changed, keeping only the nodes still reachable."""
+    nodes = dict(g.nodes)
+    nodes[gid] = dataclasses.replace(nodes[gid], **changes)
+    seen, stack = set(), [g.root]
+    while stack:
+        nid = stack.pop()
+        if nid not in seen:
+            seen.add(nid)
+            stack.extend(nodes[nid].children)
+    return RegularProofGraph(g.root, {k: v for k, v in nodes.items() if k in seen})

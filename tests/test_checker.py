@@ -1,22 +1,28 @@
 import dataclasses
 
+import pytest
+
 from cyclarith import (
     Add,
     All,
+    AxiomLeaf,
     BackLeaf,
     CyclicProof,
     Eq,
     Mode,
     Neq,
+    ParseError,
     ProofNode,
     RefRule,
     Sequent,
     System,
     V,
     Var,
+    Violation,
     WeakRule,
     Zero,
     annotate_tree,
+    check_tree,
     erase,
     induction_schema_proof,
     parse_report,
@@ -176,3 +182,27 @@ def test_progress_on_unfolding():
     rep = check_progress_on_unfolding(_schema(), depth=12)
     assert rep.ok
     assert rep.segments > 0
+
+
+@pytest.mark.parametrize("text", [
+    "(report (verdict valid) (violation (tag X)))",
+    "(report (verdict))",
+    "(report (verdict valid) (stats (nodes)))",
+    "(report (verdict valid) (violation x))",
+])
+def test_report_reader_rejects_malformed_entries(text):
+    with pytest.raises(ParseError):
+        parse_report(text)
+
+
+def test_plain_tree_check_shares_the_leaf_judgement():
+    # the same fake axiom leaf, judged in an annotated proof and a plain tree
+    s = Sequent([Eq(V(x), Zero())])
+    annotated = validate(ProofNode("n0", s, AxiomLeaf(), (), frozenset()), SN0)
+    plain = validate(ProofNode("n0", s, AxiomLeaf()), SN0, plain=True)
+    assert [(v.tag, v.message) for v in annotated.violations] == \
+        [("AxiomLeaf", f"not an axiom: {s.sx}")]
+    assert [(v.tag, v.message) for v in plain.violations] == \
+        [("Tree", f"not an axiom: {s.sx}")]
+    assert check_tree(ProofNode("n0", s, BackLeaf("n0"))) == \
+        [Violation("n0", "Tree", "back leaves are not allowed in a plain proof")]

@@ -11,6 +11,7 @@ from cyclarith import (
     render_proof,
 )
 from cyclarith.cli import main
+from conftest import graph_with
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +216,56 @@ def test_eval_deep_equation(capsys):
     num = lambda k: "(s " * k + "0" + ")" * k  # noqa: E731
     rc, out, err = _run(capsys, ["eval", f"(eq (add {num(15000)} {num(15000)}) {num(30000)})"])
     assert (rc, out.strip(), err) == (0, "true", "")
+
+
+@pytest.mark.parametrize("target", ["zz", "n4"])
+def test_unravel_bad_back_link(capsys, tmp_path, corpus_dir, target):
+    # a dangling back-link, and a back leaf n4 that targets itself
+    text = (corpus_dir / "ind_schema_pi1.cyc").read_text()
+    assert text.count("(back n0)") == 1
+    bad = tmp_path / "bad.cyc"
+    bad.write_text(text.replace("(back n0)", f"(back {target})"))
+    rc, out, err = _run(capsys, ["unravel", str(bad), "--depth", "5"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_ravel_rejects_fake_axiom_leaf(capsys, tmp_path, corpus_dir):
+    from cyclarith import AxiomLeaf, graph_of, render_graph
+
+    proof = parse_proof((corpus_dir / "ind_schema_pi1.cyc").read_text())
+    g = tmp_path / "g.graph"
+    g.write_text(render_graph(graph_with(graph_of(proof), "a.t3",
+                                         rule=AxiomLeaf(), children=())) + "\n")
+    rc, out, err = _run(capsys, ["ravel", str(g), "--system", "sn", "--level", "0"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("ravel failed: AxiomLeaf at a.t3: not an axiom: ")
+
+
+def test_ravel_rejects_undeclared_assumption(capsys, tmp_path, corpus_dir):
+    from cyclarith import graph_of, render_graph
+
+    proof = parse_proof((corpus_dir / "ind_rule_assume.cyc").read_text())
+    g = tmp_path / "g.graph"
+    g.write_text(render_graph(graph_of(proof)) + "\n")
+    flags = ["--system", "spi", "--level", "0"]
+    rc, out, err = _run(capsys, ["ravel", str(g), *flags])
+    assert (rc, out) == (1, "")
+    assert err.startswith("ravel failed: AssumeLeaf at ")
+    rc, out, _ = _run(capsys, ["ravel", str(g), *flags,
+                               "--assume", str(corpus_dir / "ind_rule_assume.assume")])
+    assert rc == 0 and out.startswith("(node ")
+
+
+def test_check_plain_tree_uses_the_validator_leaf_messages(capsys, corpus_dir):
+    rc, out, _ = _run(capsys, ["check", str(corpus_dir / "omega_k3.prf"), "--format", "sexpr"])
+    assert rc == 1
+    report = parse_report(out)
+    assert [(v.tag, v.message) for v in report.violations] == \
+        [("Tree", "open leaves are not allowed")]
+
+
+def test_negative_level_is_a_usage_error(capsys, corpus_dir):
+    rc, out, err = _run(capsys, ["check", str(corpus_dir / "taut_00.prf"), "--level", "-1"])
+    assert (rc, out) == (2, "")
+    assert err == "error: --level must be >= 0, got -1\n"

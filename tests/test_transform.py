@@ -1,12 +1,19 @@
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 
 from cyclarith import (
     Add,
     All,
+    AssumeLeaf,
+    AxiomLeaf,
+    BackLeaf,
+    CyclicProof,
     Eq,
     Mode,
+    Neq,
     OpenLeaf,
     RavelError,
     RegularProofGraph,
@@ -16,6 +23,7 @@ from cyclarith import (
     Zero,
     expand_graph,
     graph_of,
+    induction_rule_via_assumptions,
     induction_schema_proof,
     parse_graph,
     prefix_equal,
@@ -25,6 +33,8 @@ from cyclarith import (
     validate,
     walk,
 )
+
+from conftest import graph_with
 
 x, y = Var("x"), Var("y")
 SN0 = Mode(System.SN, 0)
@@ -128,3 +138,78 @@ def test_unravel_prefixes_across_depths(cyclic_corpus):
         ts = [unravel(proof, d) for d in (3, 7, 12)]
         assert prefix_equal(ts[0], ts[1]), name
         assert prefix_equal(ts[1], ts[2]), name
+
+
+def test_ravel_rejects_fake_axiom_leaf():
+    g = graph_with(graph_of(_schema()), "a.t3", rule=AxiomLeaf(), children=())
+    with pytest.raises(RavelError) as info:
+        ravel(g, SN0)
+    v = info.value.violation
+    assert (v.node_id, v.tag) == ("a.t3", "AxiomLeaf")
+    assert str(info.value).startswith("AxiomLeaf at a.t3: not an axiom: ")
+
+
+def test_ravel_rejects_undeclared_assumption():
+    commute = All(y, Eq(Add(V(x), V(y)), Add(V(y), V(x))))
+    proof, mode = induction_rule_via_assumptions(commute, x, 0)
+    g = graph_of(proof)
+    assert validate(ravel(g, mode), mode).valid
+    bare = Mode(mode.system, mode.level)
+    with pytest.raises(RavelError) as info:
+        ravel(g, bare)
+    assert info.value.violation.tag == "AssumeLeaf"
+    assert isinstance(proof.nodes[info.value.violation.node_id].rule, AssumeLeaf)
+
+
+def test_unravel_rejects_back_links_to_no_inference():
+    p = _schema()
+
+    def retarget(target):
+        def fn(n):
+            return dataclasses.replace(n, rule=BackLeaf(target)) if n.id == "n4" else n
+        return CyclicProof(_rebuild(p.root, fn))
+
+    for target in ("zz", "n4"):
+        with pytest.raises(ValueError, match=f"unknown child {target}"):
+            unravel(retarget(target), 5)
+
+
+def _rebuild(node, fn):
+    return fn(dataclasses.replace(node, children=tuple(_rebuild(c, fn) for c in node.children)))
+
+
+def _mutant(proof, rng):
+    """proof with one node other than a back leaf changed in its sequent,
+    rule (made a leaf, subtree pruned) or annotation; back-links keep
+    their targets, since those are ancestors of the leaf."""
+    spot = rng.choice([n for n in walk(proof.root) if not isinstance(n.rule, BackLeaf)])
+    kind = rng.choice(("sequent", "rule", "vars"))
+    if kind == "sequent":
+        new = dataclasses.replace(spot, sequent=spot.sequent.add(Neq(Zero(), Zero())))
+    elif kind == "rule":
+        first = spot.sequent.formulas[:1] or (Eq(Zero(), Zero()),)
+        leaf = rng.choice((AxiomLeaf(), AssumeLeaf(first[0]), OpenLeaf()))
+        new = dataclasses.replace(spot, rule=leaf, children=())
+    else:
+        vs = rng.choice((None, frozenset(), spot.vars | {x}, spot.vars - {x}, frozenset({y})))
+        new = dataclasses.replace(spot, vars=vs)
+    return kind, CyclicProof(_rebuild(proof.root, lambda n: new if n.id == spot.id else n))
+
+
+def test_ravel_raises_exactly_when_validate_rejects(cyclic_corpus):
+    rng = random.Random(4)
+    outcomes = Counter()
+    for name, proof, mode in cyclic_corpus:
+        for _ in range(6):
+            kind, m = _mutant(proof, rng)
+            invalid = not validate(m, mode).valid
+            try:
+                ravel(graph_of(m), mode)
+                raised = False
+            except RavelError:
+                raised = True
+            assert raised == invalid, (name, kind, render_graph(graph_of(m)))
+            outcomes[kind, raised] += 1
+    # every kind of mutation is seen rejected, and some mutants stay valid
+    assert all(outcomes[k, True] for k in ("sequent", "rule", "vars"))
+    assert sum(n for (_, raised), n in outcomes.items() if not raised) > 0

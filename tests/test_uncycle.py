@@ -5,11 +5,13 @@ import pytest
 from cyclarith import (
     Add,
     All,
+    CyclicProof,
     Eq,
     ExtractionError,
     Mode,
     Neq,
     Or,
+    ParseError,
     Sequent,
     Succ,
     System,
@@ -197,3 +199,31 @@ def test_corpus_extraction_smoke(cyclic_corpus):
             chk = check_certificate_bounded(cert, 2, 6)
             falses = [o for o in chk.certificate.obligations if o.status == "false"]
             assert falses == [], (name, sid)
+
+
+@pytest.mark.parametrize("text", [
+    "(certificate (obligation (kind base)))",
+    "(certificate (obligation x))",
+    "(certificate (edge-just (a b)))",
+    "(certificate (edge-just))",
+    "(certificate (note))",
+])
+def test_certificate_reader_rejects_malformed_entries(text):
+    with pytest.raises(ParseError):
+        parse_certificate(text)
+
+
+def test_extract_all_matches_extraction_of_each_component(cyclic_corpus):
+    # extract_all shares one proof and one edge map across components; each
+    # certificate must equal the one extracted from its subtree alone
+    seen = 0
+    for name, proof, mode in cyclic_corpus:
+        try:
+            pairs = extract_all(proof, mode)
+        except ExtractionError:
+            continue
+        for nid, cert in pairs:
+            alone = extract_certificate(CyclicProof(proof.nodes[nid]), mode)
+            assert render_certificate(alone) == render_certificate(cert), (name, nid)
+            seen += 1
+    assert seen >= len(cyclic_corpus)
