@@ -23,7 +23,7 @@ from .calculus import (Add0Rule, AddSRule, AllRule, AndRule, AssumeLeaf,
                        parse_proof, parse_sequent, premises_of, render_proof,
                        walk)
 from .annotation import (AnnotatedSequent, Mode, System, annotate_tree, erase,
-                         is_annotated, parse_aseq, propagate)
+                         is_annotated, is_plain, parse_aseq, propagate)
 from .checker import (CyclicProof, ValidationReport, Violation, check_tree,
                       parse_report, render_report, soundness_sample, validate)
 from .transform import (RavelError, RegularProofGraph, expand_graph, graph_of,

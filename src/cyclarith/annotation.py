@@ -140,3 +140,12 @@ def erase(root: ProofNode) -> ProofNode:
 
 def is_annotated(root: ProofNode) -> bool:
     return all(n.vars is not None for n in walk(root))
+
+
+def is_plain(root: ProofNode) -> bool:
+    """No node carries an annotation: the proof is judged as a plain tree.
+
+    A partly annotated proof is neither plain nor annotated; the validator
+    reports its unannotated nodes.
+    """
+    return all(n.vars is None for n in walk(root))

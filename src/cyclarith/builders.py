@@ -2,16 +2,18 @@
 
 Closed tautologies, ground arithmetic facts, the two canonical cyclic
 shapes (induction packaged as a schema instance and induction packaged as
-a rule application), a couple of ready-made corpus proofs, and finite
-truncations of an infinite case cascade. Every constructor re-derives its
-sequents through premises_of, so a successful return is correct by
-construction; the cyclic builders additionally annotate and validate
-before returning.
+a rule application), a couple of ready-made corpus proofs, finite
+truncations of an infinite case cascade, and the seeded examples corpus
+built from all of these. Every constructor re-derives its sequents through
+premises_of, so a successful return is correct by construction; the cyclic
+builders additionally annotate and validate before returning.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .annotation import Mode, System, annotate_tree, erase, is_annotated
@@ -19,7 +21,7 @@ from .calculus import (Add0Rule, AddSRule, AllRule, AndRule, AssumeLeaf,
                        AxiomLeaf, BackLeaf, CaseRule, CutRule, ExRule,
                        Mult0Rule, MultSRule, OpenLeaf, OrRule, PredRule,
                        ProofNode, RefRule, RepRule, Rule, Sequent, WeakRule,
-                       is_axiom, premises_of, walk)
+                       is_axiom, premises_of, render_proof, walk)
 from .checker import CyclicProof, validate
 from .semantics import eval_term
 from .syntax import (Add, All, AllLe, And, Eq, Ex, ExLe, Formula, Le, Mul,
@@ -117,6 +119,11 @@ def tautology(gamma: Sequent, phi: Formula) -> ProofNode:
 
 _HOLE = Var("$0")
 
+# The most formulas any sequent of a prove_ground_atom proof holds: the
+# goal, t != n, u != u, the disequation being rewritten, the arithmetic
+# equation and the rewritten disequation, while u is contracted.
+GROUND_WIDTH = 6
+
 
 def _redex(term: Term) -> Optional[Tuple[Tuple[int, ...], Term, Rule]]:
     """Innermost-leftmost arithmetic redex: (path, contractum, rule)."""
@@ -174,13 +181,21 @@ def prove_ground_atom(t: Term, u: Term) -> ProofNode:
     arithmetic rule contributes the equation, (rep) applies it at the redex
     position. Equalities then close through (ref) and two transfers,
     disequalities descend with (pred) to an ax_s leaf.
+
+    Spent equations are weakened away: after each (rep) a (weak) drops the
+    arithmetic equation and the pre-rewrite disequation, and after each
+    (pred) one drops its premise, unless a later rule still needs it (the
+    goal, and u != u for the closing transfer). Every sequent of the proof
+    therefore holds at most GROUND_WIDTH formulas, however large the terms,
+    and the rendered proof grows quadratically in the numerals' size, not
+    cubically.
     """
     if t.fv or u.fv:
         raise PreError(f"ground atom needs closed terms: {t.sx} / {u.sx}")
     a, b = eval_term(t, {}), eval_term(u, {})
     rules: List[Rule] = []
 
-    def contract(f: Neq, side: int) -> Neq:
+    def contract(f: Neq, side: int, keep: Optional[Formula] = None) -> Neq:
         while True:
             inner = f.left if side == 0 else f.right
             hit = _redex(inner)
@@ -193,10 +208,15 @@ def prove_ground_atom(t: Term, u: Term) -> ProofNode:
             done = _plug(inner, path, dst)
             if side == 0:
                 rules.append(RepRule(pat, f.right, _HOLE, src, dst))
-                f = Neq(done, f.right)
+                nxt = Neq(done, f.right)
             else:
                 rules.append(RepRule(f.left, pat, _HOLE, src, dst))
-                f = Neq(f.left, done)
+                nxt = Neq(f.left, done)
+            # both premises of (rep) are spent; one copy of src != dst goes
+            # even when it coincides with nxt
+            spent = [Neq(src, dst)] if f == keep else [f, Neq(src, dst)]
+            rules.append(WeakRule(Sequent(spent)))
+            f = nxt
 
     if a == b:
         goal: Formula = Eq(t, u)
@@ -208,20 +228,24 @@ def prove_ground_atom(t: Term, u: Term) -> ProofNode:
             contract(Neq(t, t), 1)  # t != n
             if u != n:
                 rules.append(RefRule(u))
-                contract(Neq(u, u), 1)  # u != n
+                # u != u stays: the first transfer needs its instance
+                contract(Neq(u, u), 1, keep=Neq(u, u))  # u != n
                 rules.append(RepRule(V(_HOLE), u, _HOLE, u, n))  # n != u
                 if t != n:
                     rules.append(RepRule(t, V(_HOLE), _HOLE, n, u))  # t != u
     else:
         goal = Neq(t, u)
-        f = contract(Neq(t, u), 0)
-        f = contract(f, 1)  # now numeral(a) != numeral(b)
-        for i in range(1, min(a, b) + 1):
-            rules.append(PredRule(numeral(a - i), numeral(b - i)))
+        f = contract(goal, 0, keep=goal)
+        f = contract(f, 1, keep=goal)  # now numeral(a) != numeral(b)
+        while isinstance(f.left, Succ) and isinstance(f.right, Succ):
+            rules.append(PredRule(f.left.arg, f.right.arg))
+            if f != goal:
+                rules.append(WeakRule(Sequent([f])))
+            f = Neq(f.left.arg, f.right.arg)
         if a < b:
             # flip 0 != numeral(b-a) around so ax_s applies
             rules.append(RefRule(ZERO))
-            rules.append(RepRule(V(_HOLE), ZERO, _HOLE, ZERO, numeral(b - a)))
+            rules.append(RepRule(V(_HOLE), ZERO, _HOLE, ZERO, f.right))
     return _chain(Sequent([goal]), rules, "g")
 
 
@@ -518,3 +542,112 @@ def omega_truncation(proofs: Sequence[Union[ProofNode, CyclicProof]],
         return ProofNode(f"o{k}", cur, case, (left, build(k + 1)))
 
     return build(0)
+
+
+# --- the examples corpus ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class CorpusEntry:
+    name: str
+    kind: str  # cyclic | tree | tree-open
+    text: str
+    system: str = "sn"
+    level: int = 0
+    assume: Tuple[Formula, ...] = ()
+
+
+def _rand_pi1(rng: random.Random, x: Var) -> Formula:
+    """A small Pi1 formula with x free: universal prefix over a safe matrix."""
+    y, z = Var("y"), Var("z")
+    prefix = rng.choice([(), (y,), (y, z)])
+    pool_vars = [V(x)] + [V(v) for v in prefix]
+
+    def term(depth: int):
+        roll = rng.random()
+        if depth == 0 or roll < 0.35:
+            return rng.choice(pool_vars) if rng.random() < 0.7 else numeral(rng.randrange(3))
+        kind = rng.choice([Add, Mul, Succ])
+        if kind is Succ:
+            return Succ(term(depth - 1))
+        return kind(term(depth - 1), term(depth - 1))
+
+    def atom():
+        kind = rng.choice([Eq, Neq])
+        return kind(term(1), term(1))
+
+    matrix: Formula = atom()
+    for _ in range(rng.randrange(3)):
+        matrix = rng.choice([And, Or])(matrix, atom())
+    # make sure x actually occurs free
+    if x not in matrix.fv:
+        matrix = And(matrix, Eq(Add(V(x), ZERO), V(x)))
+    phi = matrix
+    for v in reversed(prefix):
+        phi = All(v, phi)
+    return phi
+
+
+def _rule_add_left() -> CyclicProof:
+    """Induction-rule instance for 0+x = x with hand-rolled sub-proofs."""
+    x = Var("x")
+    phi = Eq(Add(ZERO, V(x)), V(x))
+    base = prove_ground_atom(Add(ZERO, ZERO), ZERO)
+    phisx = substitute(phi, x, Succ(V(x)))
+    step = _chain(Sequent([negate(phi), phisx]), [
+        AddSRule(ZERO, V(x)),
+        RepRule(Add(ZERO, Succ(V(x))), Succ(V(_HOLE)), _HOLE,
+                Add(ZERO, V(x)), V(x)),
+    ], "c")
+    return induction_rule_proof(base, step, phi, x, 0)
+
+
+def build_corpus(seed: int = 0) -> List[CorpusEntry]:
+    """The `examples` corpus: fixed constructions plus seeded random ones."""
+    rng = random.Random(seed)
+    x, y = Var("x"), Var("y")
+    entries: List[CorpusEntry] = []
+
+    def cyclic(name, proof, mode):
+        entries.append(CorpusEntry(name, "cyclic", render_proof(proof.root),
+                                   str(mode.system), mode.level,
+                                   tuple(sorted(mode.assumptions, key=lambda f: f.sx))))
+
+    commute = All(y, Eq(Add(V(x), V(y)), Add(V(y), V(x))))
+    cyclic("ind_schema_pi1.cyc", induction_schema_proof(commute, x, 0), Mode(System.SN, 0))
+    z = Var("z")
+    pi2 = All(y, Ex(z, Eq(Add(V(x), V(y)), Add(V(y), V(z)))))
+    cyclic("ind_schema_pi2.cyc", induction_schema_proof(pi2, x, 1), Mode(System.SN, 1))
+    w = Var("w")
+    pi3 = All(y, Ex(z, All(w, Eq(Add(V(x), V(w)), Add(V(w), V(x))))))
+    cyclic("ind_schema_pi3.cyc", induction_schema_proof(pi3, x, 2), Mode(System.SN, 2))
+
+    cyclic("ind_rule_add0.cyc", _rule_add_left(), Mode(System.SPI, 0))
+    proof, mode = two_loops_proof()
+    cyclic("two_loops.cyc", proof, mode)
+    proof, mode = forall_cycle_proof()
+    cyclic("forall_cycle.cyc", proof, mode)
+    proof, mode = induction_rule_via_assumptions(commute, x, 0)
+    cyclic("ind_rule_assume.cyc", proof, mode)
+
+    for i in range(8):
+        phi = _rand_pi1(rng, x)
+        cyclic(f"schema_rand_{i:02d}.cyc", induction_schema_proof(phi, x, 0),
+               Mode(System.SN, 0))
+
+    for i in range(6):
+        phi = _rand_pi1(rng, x)
+        proof = tautology(Sequent([]), phi)
+        entries.append(CorpusEntry(f"taut_{i:02d}.prf", "tree", render_proof(proof)))
+
+    for i in range(6):
+        a, b = rng.randrange(9), rng.randrange(9)
+        t = Add(numeral(a), numeral(b)) if rng.random() < 0.5 else Mul(numeral(a), numeral(b))
+        u = numeral(rng.randrange(13))
+        proof = prove_ground_atom(t, u)
+        entries.append(CorpusEntry(f"ground_{i:02d}.prf", "tree", render_proof(proof)))
+
+    phi = Eq(Add(V(x), ZERO), V(x))
+    stages = [prove_ground_atom(Add(numeral(k), ZERO), numeral(k)) for k in range(3)]
+    entries.append(CorpusEntry("omega_k3.prf", "tree-open",
+                               render_proof(omega_truncation(stages, Sequent([]), phi, x))))
+    return entries

@@ -18,25 +18,19 @@ Exit codes are a stable contract: 0 success/valid, 1 semantic failure
 from __future__ import annotations
 
 import argparse
-import random
+import functools
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import sexpr
-from .annotation import Mode, System, annotate_tree, is_annotated
-from .builders import (PreError, forall_cycle_proof, induction_rule_proof,
-                       induction_rule_via_assumptions, induction_schema_proof,
-                       omega_truncation, prove_ground_atom, tautology,
-                       two_loops_proof, _chain, _HOLE)
-from .calculus import (AddSRule, ArgMismatch, RepRule, Sequent, parse_proof,
-                       render_proof)
+from .annotation import Mode, System, annotate_tree, is_annotated, is_plain
+from .builders import CorpusEntry, PreError, build_corpus, prove_ground_atom
+from .calculus import ArgMismatch, parse_proof, render_proof
 from .checker import CyclicProof, render_report, validate
 from .semantics import DEFAULT_CUTOFF, DEFAULT_VALUE_BOUND, eval_formula, eval_term
-from .syntax import (Add, All, And, CaptureError, Eq, Ex, Formula, Mul, Neq,
-                     Or, ParseError, Succ, V, Var, ZERO, formula_from_sexpr,
-                     ident_var, negate, numeral, parse_formula, substitute)
+from .syntax import (CaptureError, Eq, Neq, ParseError, formula_from_sexpr,
+                     ident_var, negate, parse_formula)
 from .transform import RavelError, parse_graph, ravel, unravel
 from .uncycle import (ExtractionError, check_certificate_bounded, extract_all,
                       render_certificates)
@@ -90,7 +84,7 @@ def _mode(args) -> Mode:
 def cmd_check(args) -> int:
     mode = _mode(args)
     root = parse_proof(_read(args.path))
-    report = validate(root, mode, plain=not is_annotated(root))
+    report = validate(root, mode, plain=is_plain(root))
     _emit(render_report(report, args.format), args.out)
     return EXIT_OK if report.valid else EXIT_FAIL
 
@@ -189,112 +183,6 @@ def cmd_prove_ground(args) -> int:
 
 # --- the examples corpus ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    kind: str  # cyclic | tree | tree-open
-    text: str
-    system: str = "sn"
-    level: int = 0
-    assume: Tuple[Formula, ...] = ()
-
-
-def _rand_pi1(rng: random.Random, x: Var) -> Formula:
-    """A small Pi1 formula with x free: universal prefix over a safe matrix."""
-    y, z = Var("y"), Var("z")
-    prefix = rng.choice([(), (y,), (y, z)])
-    pool_vars = [V(x)] + [V(v) for v in prefix]
-
-    def term(depth: int):
-        roll = rng.random()
-        if depth == 0 or roll < 0.35:
-            return rng.choice(pool_vars) if rng.random() < 0.7 else numeral(rng.randrange(3))
-        kind = rng.choice([Add, Mul, Succ])
-        if kind is Succ:
-            return Succ(term(depth - 1))
-        return kind(term(depth - 1), term(depth - 1))
-
-    def atom():
-        kind = rng.choice([Eq, Neq])
-        return kind(term(1), term(1))
-
-    matrix: Formula = atom()
-    for _ in range(rng.randrange(3)):
-        matrix = rng.choice([And, Or])(matrix, atom())
-    # make sure x actually occurs free
-    if x not in matrix.fv:
-        matrix = And(matrix, Eq(Add(V(x), ZERO), V(x)))
-    phi = matrix
-    for v in reversed(prefix):
-        phi = All(v, phi)
-    return phi
-
-
-def _rule_add_left() -> CyclicProof:
-    """Induction-rule instance for 0+x = x with hand-rolled sub-proofs."""
-    x = Var("x")
-    phi = Eq(Add(ZERO, V(x)), V(x))
-    base = prove_ground_atom(Add(ZERO, ZERO), ZERO)
-    phisx = substitute(phi, x, Succ(V(x)))
-    step = _chain(Sequent([negate(phi), phisx]), [
-        AddSRule(ZERO, V(x)),
-        RepRule(Add(ZERO, Succ(V(x))), Succ(V(_HOLE)), _HOLE,
-                Add(ZERO, V(x)), V(x)),
-    ], "c")
-    return induction_rule_proof(base, step, phi, x, 0)
-
-
-def build_corpus(seed: int = 0) -> List[CorpusEntry]:
-    rng = random.Random(seed)
-    x, y = Var("x"), Var("y")
-    entries: List[CorpusEntry] = []
-
-    def cyclic(name, proof, mode):
-        entries.append(CorpusEntry(name, "cyclic", render_proof(proof.root),
-                                   str(mode.system), mode.level,
-                                   tuple(sorted(mode.assumptions, key=lambda f: f.sx))))
-
-    commute = All(y, Eq(Add(V(x), V(y)), Add(V(y), V(x))))
-    cyclic("ind_schema_pi1.cyc", induction_schema_proof(commute, x, 0), Mode(System.SN, 0))
-    z = Var("z")
-    pi2 = All(y, Ex(z, Eq(Add(V(x), V(y)), Add(V(y), V(z)))))
-    cyclic("ind_schema_pi2.cyc", induction_schema_proof(pi2, x, 1), Mode(System.SN, 1))
-    w = Var("w")
-    pi3 = All(y, Ex(z, All(w, Eq(Add(V(x), V(w)), Add(V(w), V(x))))))
-    cyclic("ind_schema_pi3.cyc", induction_schema_proof(pi3, x, 2), Mode(System.SN, 2))
-
-    cyclic("ind_rule_add0.cyc", _rule_add_left(), Mode(System.SPI, 0))
-    proof, mode = two_loops_proof()
-    cyclic("two_loops.cyc", proof, mode)
-    proof, mode = forall_cycle_proof()
-    cyclic("forall_cycle.cyc", proof, mode)
-    proof, mode = induction_rule_via_assumptions(commute, x, 0)
-    cyclic("ind_rule_assume.cyc", proof, mode)
-
-    for i in range(8):
-        phi = _rand_pi1(rng, x)
-        cyclic(f"schema_rand_{i:02d}.cyc", induction_schema_proof(phi, x, 0),
-               Mode(System.SN, 0))
-
-    for i in range(6):
-        phi = _rand_pi1(rng, x)
-        proof = tautology(Sequent([]), phi)
-        entries.append(CorpusEntry(f"taut_{i:02d}.prf", "tree", render_proof(proof)))
-
-    for i in range(6):
-        a, b = rng.randrange(9), rng.randrange(9)
-        t = Add(numeral(a), numeral(b)) if rng.random() < 0.5 else Mul(numeral(a), numeral(b))
-        u = numeral(rng.randrange(13))
-        proof = prove_ground_atom(t, u)
-        entries.append(CorpusEntry(f"ground_{i:02d}.prf", "tree", render_proof(proof)))
-
-    phi = Eq(Add(V(x), ZERO), V(x))
-    stages = [prove_ground_atom(Add(numeral(k), ZERO), numeral(k)) for k in range(3)]
-    entries.append(CorpusEntry("omega_k3.prf", "tree-open",
-                               render_proof(omega_truncation(stages, Sequent([]), phi, x))))
-    return entries
-
-
 def cmd_examples(args) -> int:
     outdir = Path(args.outdir)
     try:
@@ -334,7 +222,9 @@ def _add_out_flag(p: argparse.ArgumentParser) -> None:
                    help="write here instead of stdout")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """Built once per process; parse_args copies the --assume default."""
     top = argparse.ArgumentParser(prog="cyclarith",
                                   description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)

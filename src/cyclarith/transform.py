@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from . import sexpr
-from .annotation import AnnotatedSequent, Mode, aseq_from_sexpr, is_annotated
+from .annotation import AnnotatedSequent, Mode, aseq_from_sexpr, is_plain
 from .calculus import (BackLeaf, LEAF_KINDS, OpenLeaf, ProofNode, RULE_ARITY,
                        Rule, Sequent, rule_from_sexpr, rule_to_sexpr_str,
                        sequent_from_sexpr, walk)
@@ -105,8 +105,8 @@ class RavelError(Exception):
 def ravel(g: RegularProofGraph, mode: Mode) -> CyclicProof:
     """Unroll g into a cyclic proof, back-linking at the first on-path repeat.
 
-    The result is judged by checker.validate (as a plain tree when g carries
-    no full annotation), and RavelError reports its first violation.
+    The result is judged by checker.validate (as a plain tree when no node
+    of g carries an annotation), and RavelError reports its first violation.
     """
     emitted = set()
     counters: Dict[str, int] = {}
@@ -137,7 +137,7 @@ def ravel(g: RegularProofGraph, mode: Mode) -> CyclicProof:
         return ProofNode(tid, gn.sequent, gn.rule, kids, gn.vars)
 
     proof = CyclicProof(expand(g.root))
-    report = validate(proof, mode, plain=not is_annotated(proof.root))
+    report = validate(proof, mode, plain=is_plain(proof.root))
     if not report.valid:
         raise RavelError(report.violations[0])
     return proof

@@ -226,3 +226,66 @@ def test_omega_truncation_rejects_free_x_in_gamma():
     phi = Eq(Add(Zero(), V(x)), V(x))
     with pytest.raises(PreError):
         omega_truncation([], Sequent([Eq(V(x), Zero())]), phi, x)
+
+
+def _closed(rng, depth):
+    """A closed term over 0, s, add and mul, nested up to depth."""
+    k = rng.randrange(4) if depth > 0 else 0
+    if k == 0:
+        return numeral(rng.randrange(7))
+    if k == 1:
+        return Succ(_closed(rng, depth - 1))
+    return (Add if k == 2 else Mul)(_closed(rng, depth - 1), _closed(rng, depth - 1))
+
+
+def test_ground_atom_sequents_have_constant_width():
+    from cyclarith.builders import GROUND_WIDTH
+    from cyclarith.semantics import eval_term
+
+    rng = random.Random(4242)
+    widest = {Eq: 0, Neq: 0}
+    seen = {Eq: 0, Neq: 0}
+    while min(seen.values()) < 150:
+        t = _closed(rng, 3)
+        a = eval_term(t, {})
+        if a > 40:
+            continue
+        if rng.random() < 0.5:
+            # an equation more often than chance gives one
+            u = numeral(a) if rng.random() < 0.5 else Add(numeral(a), Zero())
+        else:
+            u = _closed(rng, 2)
+        if eval_term(u, {}) > 40:
+            continue
+        kind = Eq if eval_term(u, {}) == a else Neq
+        g = prove_ground_atom(t, u)
+        assert g.sequent == Sequent([kind(t, u)]), (t.sx, u.sx)
+        assert check_tree(g) == [], (t.sx, u.sx)
+        width = max(len(n.sequent) for n in walk(g))
+        assert width <= GROUND_WIDTH, (t.sx, u.sx, width)
+        widest[kind] = max(widest[kind], width)
+        seen[kind] += 1
+    # the bound is reached, so it is the constant and not a loose guess
+    assert widest[Eq] == GROUND_WIDTH
+    assert widest[Neq] <= GROUND_WIDTH
+
+
+def test_ground_proof_size_grows_quadratically():
+    from cyclarith import render_proof
+
+    def size(k):
+        return len(render_proof(prove_ground_atom(Add(numeral(k), numeral(k)), numeral(2 * k))))
+
+    # doubling k doubles both the node count and each sequent's size: 4x,
+    # where sequents that keep every spent equation give about 6.75x
+    assert size(40) <= 4.5 * size(20)
+
+
+def test_ground_atom_weakens_only_spent_formulas():
+    # 0 != 1 needs every formula it introduces, 0+0 = 0 drops two
+    d = prove_ground_atom(Zero(), numeral(1))
+    assert [type(n.rule).__name__ for n in walk(d)] == ["RefRule", "RepRule", "AxiomLeaf"]
+    g = prove_ground_atom(Add(Zero(), Zero()), Zero())
+    assert [type(n.rule).__name__ for n in walk(g)] == \
+        ["RefRule", "Add0Rule", "RepRule", "WeakRule", "AxiomLeaf"]
+    assert check_tree(g) == []

@@ -269,3 +269,77 @@ def test_negative_level_is_a_usage_error(capsys, corpus_dir):
     rc, out, err = _run(capsys, ["check", str(corpus_dir / "taut_00.prf"), "--level", "-1"])
     assert (rc, out) == (2, "")
     assert err == "error: --level must be >= 0, got -1\n"
+
+
+def test_parser_is_built_once_and_keeps_no_assumptions(capsys, corpus_dir):
+    from cyclarith.cli import _parser
+
+    assert _parser() is _parser()
+    proof = str(corpus_dir / "ind_rule_assume.cyc")
+    flags = ["--system", "spi", "--level", "0"]
+    rc, out, _ = _run(capsys, ["check", proof, *flags,
+                               "--assume", str(corpus_dir / "ind_rule_assume.assume")])
+    assert (rc, "verdict: valid" in out) == (0, True)
+    # the second call must not inherit the first one's --assume
+    rc, out, _ = _run(capsys, ["check", proof, *flags])
+    assert rc == 1 and "AssumeLeaf at " in out
+    assert _parser().parse_args(["check", proof]).assume == []
+
+
+def _strip_annotation(text, node_id):
+    from cyclarith import sexpr
+
+    tree = sexpr.parse(text)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node[2] == node_id:
+            assert node[3][0] == "aseq"
+            node[3] = node[3][1]
+            return sexpr.render(tree)
+        stack.extend(node[5:])
+    raise AssertionError(node_id)
+
+
+def test_check_partly_annotated_proof_reports_the_unannotated_node(capsys, tmp_path, corpus_dir):
+    bad = tmp_path / "partial.cyc"
+    bad.write_text(_strip_annotation((corpus_dir / "ind_schema_pi1.cyc").read_text(), "n2"))
+    rc, out, _ = _run(capsys, ["check", str(bad), "--format", "sexpr"])
+    assert rc == 1
+    assert [(v.tag, v.node_id) for v in parse_report(out).violations] == [("Unannotated", "n2")]
+
+
+def test_check_erased_cyclic_proof_is_judged_as_a_plain_tree(capsys, tmp_path, corpus_dir):
+    from cyclarith import erase
+
+    plain = tmp_path / "plain.cyc"
+    plain.write_text(render_proof(erase(parse_proof(
+        (corpus_dir / "ind_schema_pi1.cyc").read_text()))) + "\n")
+    rc, out, _ = _run(capsys, ["check", str(plain)])
+    assert rc == 1
+    assert "Tree at n4: back leaves are not allowed in a plain proof" in out
+
+
+def test_ravel_partly_annotated_graph_reports_the_unannotated_node(capsys, tmp_path, corpus_dir):
+    from cyclarith import graph_of, render_graph
+
+    proof = parse_proof((corpus_dir / "ind_schema_pi1.cyc").read_text())
+    g = tmp_path / "g.graph"
+    g.write_text(render_graph(graph_with(graph_of(proof), "n2", vars=None)) + "\n")
+    rc, out, err = _run(capsys, ["ravel", str(g)])
+    assert (rc, out) == (1, "")
+    assert err == "ravel failed: Unannotated at n2: node carries no annotation\n"
+
+
+def test_ground_ladder_proves_checks_and_annotates(capsys, tmp_path):
+    num = lambda k: "(s " * k + "0" + ")" * k  # noqa: E731
+    prf, ann = str(tmp_path / "g.prf"), str(tmp_path / "g.cyc")
+    for k in range(2, 41):
+        goal = f"(eq (add {num(k)} {num(k)}) {num(2 * k)})"
+        assert _run(capsys, ["prove-ground", goal, "-o", prf])[0] == 0, k
+        for argv in (["check", prf], ["annotate", prf, "-o", ann], ["check", ann]):
+            rc, out, err = _run(capsys, argv)
+            assert (rc, err) == (0, ""), (k, argv, err)
+            assert argv[0] == "annotate" or "verdict: valid" in out, (k, argv, out)
+        with open(prf) as f:
+            assert f.readline().startswith(f"(node :id g0 (seq {goal}) "), k
