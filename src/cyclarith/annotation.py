@@ -22,8 +22,8 @@ from typing import List
 
 from . import sexpr
 from .calculus import (AllRule, AndRule, ArgMismatch, CaseRule, CutRule,
-                       ProofNode, Rule, RULE_ARITY, sequent_from_sexpr,
-                       vars_to_sexpr_str, walk)
+                       ProofNode, Rule, RULE_ARITY, fold_tree,
+                       sequent_from_sexpr, vars_to_sexpr_str, walk)
 from .syntax import (CaptureError, Formula, PI, ParseError, SIGMA, V,
                      ident_var, is_in, negate, substitute)
 
@@ -70,12 +70,12 @@ class AnnotatedSequent:
         return self.sx
 
 
-def aseq_from_sexpr(value) -> AnnotatedSequent:
+def aseq_from_sexpr(value, memo: dict = None) -> AnnotatedSequent:
     if not isinstance(value, list) or len(value) != 3 or value[0] != "aseq" \
             or not isinstance(value[2], list) or not value[2] \
             or value[2][0] != "vars":
         raise ParseError(f"bad annotated sequent {sexpr.render(value)}")
-    seq = sequent_from_sexpr(value[1])
+    seq = sequent_from_sexpr(value[1], memo)
     names = value[2][1:]
     for a in names:
         if not isinstance(a, str):
@@ -121,21 +121,22 @@ def annotate_tree(root: ProofNode, root_vars, mode: Mode) -> ProofNode:
     Works on cyclic trees too; back-reference leaves are annotated by their
     tree position (whether that matches their target is the checker's job).
     """
-    def go(node: ProofNode, vs: frozenset) -> ProofNode:
+    def visit(item):
+        node, vs = item
         anns = propagate(AnnotatedSequent(node.sequent, vs), node.rule, mode)
-        kids = tuple(go(c, a) for c, a in zip(node.children, anns))
+        return item, list(zip(node.children, anns))
+
+    def build(item, kids) -> ProofNode:
+        node, vs = item
         return ProofNode(node.id, node.sequent, node.rule, kids, vs)
 
-    return go(root, frozenset(root_vars))
+    return fold_tree((root, frozenset(root_vars)), visit, build)
 
 
 def erase(root: ProofNode) -> ProofNode:
     """Annotation-free copy; ids, sequents, and rules unchanged."""
-    def go(node: ProofNode) -> ProofNode:
-        return ProofNode(node.id, node.sequent, node.rule,
-                         tuple(go(c) for c in node.children), None)
-
-    return go(root)
+    return fold_tree(root, lambda node: (node, node.children),
+                     lambda node, kids: ProofNode(node.id, node.sequent, node.rule, kids, None))
 
 
 def is_annotated(root: ProofNode) -> bool:

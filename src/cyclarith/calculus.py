@@ -14,6 +14,13 @@ axioms, assumptions, open stubs, or back-references.  This module decides
 single steps (check_step) only; whole trees, leaves included, are judged by
 checker.validate, which checks plain finite trees and cyclic proofs alike.
 
+parse_proof reads a file once: the reader shares equal sublists, and
+proof_from_sexpr converts with one memo for the document (see syntax), in
+which sequents are kept under their own kind, "sequent", beside formulas
+and terms.  A formula that a premise repeats from its conclusion is then
+converted once, and a back-link leaf's sequent, the same text as its
+target's, is the target's Sequent object.  The memo dies with the call.
+
 File format:
     (node :id L <sequent> <rule> <child>*)
     <sequent>  ::=  (seq f ...)  |  (aseq (seq f ...) (vars x ...))
@@ -142,10 +149,16 @@ def parse_sequent(text: str) -> Sequent:
     return sequent_from_sexpr(sexpr.parse(text))
 
 
-def sequent_from_sexpr(value) -> Sequent:
-    if not isinstance(value, list) or not value or value[0] != "seq":
-        raise ParseError(f"bad sequent {sexpr.render(value)}")
-    return Sequent(formula_from_sexpr(v) for v in value[1:])
+def sequent_from_sexpr(value, memo: dict = None) -> Sequent:
+    if memo is None:
+        memo = {}
+    seen = memo.setdefault("sequent", {})
+    seq = seen.get(id(value))
+    if seq is None:
+        if not isinstance(value, list) or not value or value[0] != "seq":
+            raise ParseError(f"bad sequent {sexpr.render(value)}")
+        seq = seen[id(value)] = Sequent([formula_from_sexpr(v, memo) for v in value[1:]])
+    return seq
 
 
 # --- rules and leaves ---------------------------------------------------------
@@ -457,6 +470,29 @@ def walk(root: ProofNode) -> Iterator[ProofNode]:
         stack.extend(reversed(node.children))
 
 
+def fold_tree(root, visit, build):
+    """build(head, children) for root and every item below it, children
+    first, where visit(item) gives (head, child items) and children is the
+    tuple of what build made of the child items.  visit runs in preorder and
+    build in postorder, on an explicit stack: a tree may be a chain
+    thousands of nodes long."""
+    out: list = []
+    todo: list = [(False, root)]
+    while todo:
+        built, item = todo.pop()
+        if built:
+            head, n = item
+            start = len(out) - n
+            children = tuple(out[start:])
+            del out[start:]
+            out.append(build(head, children))
+            continue
+        head, kids = visit(item)
+        todo.append((True, (head, len(kids))))
+        todo.extend([(False, kid) for kid in reversed(kids)])
+    return out[0]
+
+
 def node_map(root: ProofNode) -> Dict[str, ProofNode]:
     out = {}
     for node in walk(root):
@@ -476,7 +512,7 @@ def parent_map(root: ProofNode) -> Dict[str, Optional[str]]:
 
 # --- parsing and rendering -----------------------------------------------------
 
-def rule_from_sexpr(value) -> Rule:
+def rule_from_sexpr(value, memo: dict = None) -> Rule:
     if not isinstance(value, list) or not value:
         raise ParseError(f"bad rule {sexpr.render(value)}")
     head = value[0]
@@ -484,7 +520,7 @@ def rule_from_sexpr(value) -> Rule:
     if head == "axiom" and not rest:
         return AxiomLeaf()
     if head == "assume" and len(rest) == 1:
-        return AssumeLeaf(formula_from_sexpr(rest[0]))
+        return AssumeLeaf(formula_from_sexpr(rest[0], memo))
     if head == "open" and not rest:
         return OpenLeaf()
     if head == "back" and len(rest) == 1 and isinstance(rest[0], str):
@@ -494,35 +530,35 @@ def rule_from_sexpr(value) -> Rule:
     name, args = rest[0], rest[1:]
     try:
         if name == "and" and len(args) == 1:
-            return AndRule(formula_from_sexpr(args[0]))
+            return AndRule(formula_from_sexpr(args[0], memo))
         if name == "or" and len(args) == 1:
-            return OrRule(formula_from_sexpr(args[0]))
+            return OrRule(formula_from_sexpr(args[0], memo))
         if name == "all" and len(args) == 2:
-            return AllRule(formula_from_sexpr(args[0]), ident_var(args[1]))
+            return AllRule(formula_from_sexpr(args[0], memo), ident_var(args[1]))
         if name == "ex" and len(args) == 2:
-            return ExRule(formula_from_sexpr(args[0]), term_from_sexpr(args[1]))
+            return ExRule(formula_from_sexpr(args[0], memo), term_from_sexpr(args[1], memo))
         if name == "ref" and len(args) == 1:
-            return RefRule(term_from_sexpr(args[0]))
+            return RefRule(term_from_sexpr(args[0], memo))
         if name == "rep" and len(args) == 5:
-            return RepRule(term_from_sexpr(args[0]), term_from_sexpr(args[1]),
-                           ident_var(args[2]), term_from_sexpr(args[3]),
-                           term_from_sexpr(args[4]))
+            return RepRule(term_from_sexpr(args[0], memo), term_from_sexpr(args[1], memo),
+                           ident_var(args[2]), term_from_sexpr(args[3], memo),
+                           term_from_sexpr(args[4], memo))
         if name == "add0" and len(args) == 1:
-            return Add0Rule(term_from_sexpr(args[0]))
+            return Add0Rule(term_from_sexpr(args[0], memo))
         if name == "adds" and len(args) == 2:
-            return AddSRule(term_from_sexpr(args[0]), term_from_sexpr(args[1]))
+            return AddSRule(term_from_sexpr(args[0], memo), term_from_sexpr(args[1], memo))
         if name == "mult0" and len(args) == 1:
-            return Mult0Rule(term_from_sexpr(args[0]))
+            return Mult0Rule(term_from_sexpr(args[0], memo))
         if name == "mults" and len(args) == 2:
-            return MultSRule(term_from_sexpr(args[0]), term_from_sexpr(args[1]))
+            return MultSRule(term_from_sexpr(args[0], memo), term_from_sexpr(args[1], memo))
         if name == "pred" and len(args) == 2:
-            return PredRule(term_from_sexpr(args[0]), term_from_sexpr(args[1]))
+            return PredRule(term_from_sexpr(args[0], memo), term_from_sexpr(args[1], memo))
         if name == "case" and len(args) == 1:
             return CaseRule(ident_var(args[0]))
         if name == "weak" and len(args) == 1:
-            return WeakRule(sequent_from_sexpr(args[0]))
+            return WeakRule(sequent_from_sexpr(args[0], memo))
         if name == "cut" and len(args) == 1:
-            return CutRule(formula_from_sexpr(args[0]))
+            return CutRule(formula_from_sexpr(args[0], memo))
     except ParseError:
         raise
     except ValueError as exc:
@@ -548,41 +584,49 @@ def vars_to_sexpr_str(vs: frozenset) -> str:
 
 
 def proof_from_sexpr(value) -> ProofNode:
-    root = _node_from_sexpr(value)
+    root = _node_from_sexpr(value, {})
     node_map(root)  # raises on duplicate ids
     return root
 
 
-def _node_from_sexpr(value) -> ProofNode:
-    if not isinstance(value, list) or len(value) < 4 or value[0] != "node" \
-            or value[1] != ":id":
-        raise ParseError(f"bad proof node {sexpr.render(value)[:80]}")
-    label = value[2]
-    if not isinstance(label, str) or isinstance(label, list) or not label:
-        raise ParseError("node id must be an atom")
-    seq_form = value[3]
-    vs: Optional[frozenset] = None
-    if isinstance(seq_form, list) and seq_form and seq_form[0] == "aseq":
-        if len(seq_form) != 3 or not isinstance(seq_form[2], list) \
-                or not seq_form[2] or seq_form[2][0] != "vars":
-            raise ParseError(f"bad annotated sequent {sexpr.render(seq_form)}")
-        seq = sequent_from_sexpr(seq_form[1])
-        vs = frozenset(ident_var(a) for a in seq_form[2][1:])
-    else:
-        seq = sequent_from_sexpr(seq_form)
-    if len(value) < 5:
-        raise ParseError(f"node {label} is missing its rule")
-    rule = rule_from_sexpr(value[4])
-    children = tuple(_node_from_sexpr(v) for v in value[5:])
-    if len(children) != RULE_ARITY[rule.name]:
-        raise ParseError(f"node {label}: ({rule.name}) takes "
-                         f"{RULE_ARITY[rule.name]} premises, got {len(children)}")
-    return ProofNode(label, seq, rule, children, vs)
+def _node_from_sexpr(value, memo: dict) -> ProofNode:
+    """The proof tree of value.  Each node's header, sequent and rule are
+    checked in preorder and its premise count after its children, as a
+    recursive descent would."""
+    def visit(value):
+        if not isinstance(value, list) or len(value) < 4 or value[0] != "node" \
+                or value[1] != ":id":
+            raise ParseError(f"bad proof node {sexpr.render(value)[:80]}")
+        label = value[2]
+        if not isinstance(label, str) or isinstance(label, list) or not label:
+            raise ParseError("node id must be an atom")
+        seq_form = value[3]
+        vs: Optional[frozenset] = None
+        if isinstance(seq_form, list) and seq_form and seq_form[0] == "aseq":
+            if len(seq_form) != 3 or not isinstance(seq_form[2], list) \
+                    or not seq_form[2] or seq_form[2][0] != "vars":
+                raise ParseError(f"bad annotated sequent {sexpr.render(seq_form)}")
+            seq = sequent_from_sexpr(seq_form[1], memo)
+            vs = frozenset(ident_var(a) for a in seq_form[2][1:])
+        else:
+            seq = sequent_from_sexpr(seq_form, memo)
+        if len(value) < 5:
+            raise ParseError(f"node {label} is missing its rule")
+        return (label, seq, rule_from_sexpr(value[4], memo), vs), value[5:]
+
+    def build(head, children) -> ProofNode:
+        label, seq, rule, vs = head
+        if len(children) != RULE_ARITY[rule.name]:
+            raise ParseError(f"node {label}: ({rule.name}) takes "
+                             f"{RULE_ARITY[rule.name]} premises, got {len(children)}")
+        return ProofNode(label, seq, rule, children, vs)
+
+    return fold_tree(value, visit, build)
 
 
 def parse_proof(text: str) -> ProofNode:
     try:
-        return proof_from_sexpr(sexpr.parse(text))
+        return proof_from_sexpr(sexpr.parse(text, share=True))
     except sexpr.SexprError as exc:
         raise ParseError(str(exc)) from exc
 

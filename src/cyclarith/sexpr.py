@@ -8,6 +8,17 @@ The reader splits the text into tokens with one regular expression and
 builds the lists in a single loop with an explicit stack, so its time is
 linear in the input and nesting depth costs no recursion.  `;` starts a
 comment that runs to the end of the line.
+
+With `share=True` the reader makes equal lists one object: each list, when
+it closes, is looked up in a table of the lists read so far, keyed by the
+tuple of its items, and a list read before is used in its place.  Items that
+are lists hash by identity, so the key costs one tuple per list, and as the
+lists below were shared first, equal keys mean equal lists.  The proof and
+graph readers use it, so that their converters can memoise on identity.  A
+shared value must never be mutated: every place it occurs would change with
+it.  A quoted string equals the atom with its text, so the first quoted
+string ends sharing for the rest of the read; documents read with sharing
+hold none.  The table dies with the read.
 """
 
 from __future__ import annotations
@@ -24,6 +35,14 @@ class SexprError(Exception):
 
 class QuotedString(str):
     """Atom that renders with double quotes."""
+
+
+class _Shared(list):
+    """List made by a shared read; hashed by identity, so that a tuple of a
+    list's items can be a key of the table of shared lists."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
 
 
 # One alternative per token kind; every character of the input either starts a
@@ -44,23 +63,27 @@ def _error(message: str, text: str, tokens: list, rest) -> SexprError:
     return SexprError(message, len(text))
 
 
-def _read(text: str, once: bool):
+def _read(text: str, once: bool, share: bool = False):
     """The values of text, in one pass over its tokens with an explicit
-    stack; with once, the single value and nothing but comments after it."""
+    stack; with once, the single value and nothing but comments after it;
+    with share, equal lists made one object (see the module docstring)."""
     tokens = _TOKEN.findall(text)
     rest = iter(tokens)
+    shared: dict = {}      # tuple of a list's items -> the list
     values: list = []
     stack: list = []       # the lists enclosing `items`
     items = values         # the list that receives the next value
     for tok in rest:
         if tok == "(":
             stack.append(items)
-            items = []
+            items = _Shared() if share else []
             continue
         if tok == ")":
             if not stack:
                 raise _error("unmatched ')'", text, tokens, rest)
             done = items
+            if share:
+                done = shared.setdefault(tuple(done), done)
             items = stack.pop()
             items.append(done)
         elif tok[0] in ';"':
@@ -72,6 +95,7 @@ def _read(text: str, once: bool):
             if "\\" in body:
                 body = _ESCAPE.sub(r"\1", body)
             items.append(QuotedString(body))
+            share = False
         else:
             items.append(tok)
         if once and not stack:
@@ -86,8 +110,8 @@ def _read(text: str, once: bool):
     return values
 
 
-def parse(text: str):
-    return _read(text, True)
+def parse(text: str, share: bool = False):
+    return _read(text, True, share)
 
 
 def parse_many(text: str):

@@ -16,6 +16,17 @@ are computed at construction.  The canonical s-expression `sx` is rendered
 on first use, without recursion, and cached on the node it was asked of
 only, so a deep term costs memory linear in its size.  `sx` is the sort key
 for sequent normalization.
+
+A document (a proof or a graph) is converted with one memo: a dict that
+holds, for each kind of value ("formula", "term", and calculus's
+"sequent"), a table from the identity of a list to what it converted to.
+The document readers share equal sublists (see sexpr), so a formula, term
+or sequent that the document repeats is found by identity and converted
+once.  A list is looked up under the kind it is read as, so one met as a
+term and again as a formula is converted, and checked, as each; only
+successful conversions are stored, so the first error is the one an
+unmemoised read raises.  The memo is made by the call that converts the
+document and dies with it.
 """
 
 from __future__ import annotations
@@ -633,12 +644,12 @@ def ident_var(atom) -> Var:
     return Var(atom)
 
 
-def term_from_sexpr(value) -> Term:
-    return _from_sexpr(value, False)
+def term_from_sexpr(value, memo: dict = None) -> Term:
+    return _from_sexpr(value, False, memo)
 
 
-def formula_from_sexpr(value) -> Formula:
-    return _from_sexpr(value, True)
+def formula_from_sexpr(value, memo: dict = None) -> Formula:
+    return _from_sexpr(value, True, memo)
 
 
 # formula head -> (constructor, length of the list, kinds of its arguments:
@@ -652,28 +663,35 @@ _FORMULA_FORMS = {
 }
 
 
-def _from_sexpr(value, formula: bool):
+def _from_sexpr(value, formula: bool, memo: dict = None):
     """Term or formula of an s-expression value, with an explicit stack.
 
     Lists are checked in preorder, left to right, so the first error raised
     is the one a recursive descent would raise; nodes are built in postorder
     on `out`.  A task is (is_formula, value) to read, or (None, constructor,
-    argument count, successors to wrap the result in) to build.
+    argument count, successors to wrap the result in, memo table, id of the
+    value) to build.  memo is a document's memo (see the module docstring);
+    without one, a memo lives for this call only.
     """
+    if memo is None:
+        memo = {}
+    formulas = memo.setdefault("formula", {})
+    terms = memo.setdefault("term", {})
     out: list = []
     todo: list = [(formula, value)]
     while todo:
         task = todo.pop()
         kind = task[0]
         if kind is None:
-            _, make, n, k = task
+            _, make, n, k, seen, key = task
             args = out[-n:]
             del out[-n:]
             try:
                 node = make(*args)
             except ValueError as exc:
                 raise ParseError(str(exc)) from exc
-            out.append(_succs(node, k))
+            node = seen[key] = _succs(node, k)
+            out.append(node)
             continue
         v = task[1]
         if kind:
@@ -685,6 +703,10 @@ def _from_sexpr(value, formula: bool):
                 else:
                     raise ParseError(f"bad formula {v!r}")
                 continue
+            node = formulas.get(id(v))
+            if node is not None:
+                out.append(node)
+                continue
             if not v:
                 raise ParseError("empty formula")
             head = v[0]
@@ -692,25 +714,32 @@ def _from_sexpr(value, formula: bool):
             if form is None or len(v) != form[1]:
                 raise ParseError(f"bad formula {sexpr.render(v)}")
             make, _, args = form
-            todo.append((None, make, len(args), 0))
+            todo.append((None, make, len(args), 0, formulas, id(v)))
             for i in range(len(args), 0, -1):
                 if args[i - 1] != "v":
                     todo.append((args[i - 1] == "f", v[i]))
             if args[0] == "v":
                 out.append(ident_var(v[1]))
             continue
+        key = id(v)
         k = 0       # successors around the term, read as one chain
+        node = terms.get(key)
+        if node is not None:
+            out.append(node)
+            continue
         while isinstance(v, list) and len(v) == 2 and v[0] == "s":
             v, k = v[1], k + 1
         if isinstance(v, str):
-            out.append(_succs(ZERO if v == "0" else V(ident_var(v)), k))
+            node = terms[key] = _succs(ZERO if v == "0" else V(ident_var(v)), k)
+            out.append(node)
             continue
         if not v:
             raise ParseError("empty term")
         head = v[0]
         if len(v) != 3 or not (head == "add" or head == "mul"):
             raise ParseError(f"bad term {sexpr.render(v)}")
-        todo += ((None, Add if head == "add" else Mul, 2, k), (False, v[2]), (False, v[1]))
+        todo += ((None, Add if head == "add" else Mul, 2, k, terms, key),
+                 (False, v[2]), (False, v[1]))
     return out[0]
 
 

@@ -202,6 +202,7 @@ def graph_from_sexpr(value) -> RegularProofGraph:
         raise ParseError("expected (graph ...)")
     root = None
     nodes: Dict[str, GNode] = {}
+    memo: dict = {}   # the document's memo (see the syntax module docstring)
     for item in value[1:]:
         if not isinstance(item, list) or not item:
             raise ParseError(f"bad graph entry {sexpr.render(item)}")
@@ -215,11 +216,11 @@ def graph_from_sexpr(value) -> RegularProofGraph:
                 raise ParseError(f"duplicate node id {nid}")
             seqform = item[3]
             if isinstance(seqform, list) and seqform and seqform[0] == "aseq":
-                aseq = aseq_from_sexpr(seqform)
+                aseq = aseq_from_sexpr(seqform, memo)
                 seq, vs = aseq.sequent, aseq.vars
             else:
-                seq, vs = sequent_from_sexpr(seqform), None
-            rule = rule_from_sexpr(item[4])
+                seq, vs = sequent_from_sexpr(seqform, memo), None
+            rule = rule_from_sexpr(item[4], memo)
             kidsform = item[5]
             if not isinstance(kidsform, list) or not kidsform \
                     or kidsform[0] != "children" \
@@ -237,4 +238,4 @@ def graph_from_sexpr(value) -> RegularProofGraph:
 
 
 def parse_graph(text: str) -> RegularProofGraph:
-    return graph_from_sexpr(sexpr.parse(text))
+    return graph_from_sexpr(sexpr.parse(text, share=True))

@@ -6,6 +6,7 @@ Var(...) is the binder-level identifier; V(...) is its term occurrence.
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -317,3 +318,39 @@ def graph_with(g, gid, **changes):
             seen.add(nid)
             stack.extend(nodes[nid].children)
     return RegularProofGraph(g.root, {k: v for k, v in nodes.items() if k in seen})
+
+
+# Mutations of document texts, for differential tests of the readers.
+
+_DOC_TOKEN = re.compile(r'[()]|"[^"]*"|[^()"\s]+|\s+')
+_DOC_PIECES = ["(", ")", '"x"', "x", "0", "(s 0)", "(seq)", "(eq 0 0)", "top", ":id", "(vars x)"]
+
+
+def mutate_document(text, rng):
+    """text with one balanced list put in place of another, so that a list may
+    turn up where another kind of value belongs, or with one to three tokens
+    deleted, inserted or replaced."""
+    tokens = _DOC_TOKEN.findall(text)
+    if rng.random() < 0.5:
+        spans, stack = [], []
+        for i, tok in enumerate(tokens):
+            if tok == "(":
+                stack.append(i)
+            elif tok == ")" and stack:
+                spans.append((stack.pop(), i + 1))
+        (a0, a1), (b0, b1) = rng.choice(spans), rng.choice(spans)
+        if b0 >= a1 or b1 <= a0:
+            tokens[a0:a1] = tokens[b0:b1]
+            return "".join(tokens)
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(tokens))
+        roll = rng.randrange(4)
+        if roll == 0:
+            del tokens[i]
+        elif roll == 1:
+            tokens.insert(i, rng.choice(_DOC_PIECES))
+        elif roll == 2:
+            tokens[i] = rng.choice(_DOC_PIECES)
+        else:
+            tokens.insert(i, tokens[rng.randrange(len(tokens))])
+    return "".join(tokens)

@@ -1,4 +1,6 @@
+import gc
 import random
+import sys
 
 import pytest
 
@@ -44,7 +46,14 @@ from cyclarith import (
 )
 from cyclarith.calculus import ArgMismatch, RULE_ARITY
 
-from conftest import RULE_NAMES, make_rule_instance
+from cyclarith import Mode, System, annotate_tree, erase, is_annotated, syntax, validate
+from cyclarith.calculus import BackLeaf, node_map, proof_from_sexpr
+from cyclarith.cli import build_corpus
+from cyclarith.sexpr import SexprError
+from cyclarith.syntax import ParseError
+
+import reference_sexpr
+from conftest import RULE_NAMES, make_rule_instance, mutate_document
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -248,3 +257,130 @@ def test_proof_render_parse_round_trip(proof_corpus):
         txt = render_proof(root)
         back = parse_proof(txt)
         assert render_proof(back) == txt, name
+
+
+# --- reading each document once ------------------------------------------
+
+
+def _deep_chain(n):
+    """A plain proof 2n+2 nodes deep: (ref 0) and (weak (seq (neq 0 0)))
+    alternate above an axiom, so every sequent has one or two formulas."""
+    gamma = Sequent([Eq(Zero(), Zero())])
+    neq = Neq(Zero(), Zero())
+    node = ProofNode("r", gamma, RefRule(Zero()), (ProofNode("a", gamma.add(neq), AxiomLeaf()),))
+    for i in range(n):
+        node = ProofNode(f"w{i}", gamma.add(neq), WeakRule(Sequent([neq])), (node,))
+        node = ProofNode(f"r{i}", gamma, RefRule(Zero()), (node,))
+    return node
+
+
+def test_deep_proof_parses_annotates_erases_and_checks_without_recursion():
+    text = render_proof(_deep_chain(500))
+    sn0 = Mode(System.SN, 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        root = parse_proof(text)
+        assert sum(1 for _ in walk(root)) == 1002
+        assert validate(root, sn0, plain=True).valid
+        annotated = annotate_tree(root, frozenset({x}), sn0)
+        assert is_annotated(annotated)
+        assert validate(annotated, sn0).valid
+        again = render_proof(annotated)
+        assert render_proof(parse_proof(again)) == again
+        assert render_proof(erase(annotated)) == text
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _outcome(read, text):
+    try:
+        return ("proof", render_proof(read(text)))
+    except ParseError as exc:
+        return ("error", str(exc))
+
+
+def _reference_proof(text):
+    """parse_proof over the recursive reference reader, whose lists are
+    never shared."""
+    try:
+        value = reference_sexpr.parse(text)
+    except SexprError as exc:
+        raise ParseError(str(exc)) from exc
+    return proof_from_sexpr(value)
+
+
+def test_shared_reading_matches_unshared_reference_on_corpus_and_mutants():
+    texts = [entry.text + "\n" for seed in (1, 2, 3) for entry in build_corpus(seed)]
+    back_links = 0
+    for text in texts:
+        want = _outcome(_reference_proof, text)
+        assert want[0] == "proof"
+        assert _outcome(parse_proof, text) == want
+        # a back-link leaf repeats its target's sequent, read as one object
+        nodes = node_map(parse_proof(text))
+        for node in nodes.values():
+            if isinstance(node.rule, BackLeaf):
+                assert node.sequent is nodes[node.rule.target].sequent
+                back_links += 1
+    assert back_links > 40
+    rng = random.Random(23)
+    small = [t for t in texts if len(t) < 10000]
+    seen = set()
+    for _ in range(300):
+        text = mutate_document(rng.choice(small), rng)
+        want = _outcome(_reference_proof, text)
+        seen.add(want[0])
+        assert _outcome(parse_proof, text) == want, text
+    assert seen == {"proof", "error"}
+
+
+@pytest.mark.parametrize("text, message", [
+    # a term of a (rep) rule, then the same list as a formula of the premise
+    ("(node :id n1 (seq (eq 0 0)) (rule rep (add h 0) 0 h (s 0) (s 0))"
+     " (node :id n2 (seq (add h 0)) (axiom)))", "bad formula (add h 0)"),
+    # a formula of the sequent, then the same list as the term of (ref)
+    ("(node :id n1 (seq (eq 0 0)) (rule ref (eq 0 0)) (node :id n2 (seq) (axiom)))",
+     "bad term (eq 0 0)"),
+    # a sequent, then the same list as the formula of (cut)
+    ("(node :id n1 (seq (eq 0 0)) (rule cut (seq (eq 0 0)))"
+     " (node :id n2 (seq) (axiom)) (node :id n3 (seq) (axiom)))",
+     "bad formula (seq (eq 0 0))"),
+])
+def test_shared_reading_converts_a_list_again_under_another_kind(text, message):
+    for read in (parse_proof, _reference_proof):
+        with pytest.raises(ParseError) as info:
+            read(text)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    # a node's rule is read before its children
+    ("(node :id n1 (seq) (bogus) (node :id n2 (seq) (bogus2)))", "bad rule (bogus)"),
+    # the first child is read before the second
+    ("(node :id n1 (seq) (rule cut (eq 0 0)) (node :id n2 (seq) (bogus2))"
+     " (node :id n3 (seq) (bogus3)))", "bad rule (bogus2)"),
+    # a node's premise count is checked after its children are read
+    ("(node :id n1 (seq) (rule cut (eq 0 0)) (node :id n2 (seq) (bogus2)))",
+     "bad rule (bogus2)"),
+    ("(node :id n1 (seq) (rule cut (eq 0 0))"
+     " (node :id n2 (seq) (axiom) (node :id n3 (seq) (axiom))))",
+     "node n2: (axiom) takes 0 premises, got 1"),
+])
+def test_proof_reading_reports_the_first_error_in_document_order(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_proof(text)
+    assert str(info.value) == message
+
+
+def test_parse_proof_keeps_nothing_alive_after_the_call():
+    gc.collect()
+    before = len(syntax._TABLE)
+    text = ("(node :id n1 (seq (eq probe_u probe_u) (eq probe_u probe_u)) (rule ref (s probe_u))"
+            " (node :id n2 (seq (eq probe_u probe_u) (eq probe_u probe_u)"
+            " (neq (s probe_u) (s probe_u))) (open)))")
+    root = parse_proof(text)
+    assert len(syntax._TABLE) > before
+    del root
+    gc.collect()
+    assert len(syntax._TABLE) == before

@@ -190,3 +190,52 @@ def test_reader_is_iterative_in_depth():
         assert value == "x"
     finally:
         sys.setrecursionlimit(limit)
+
+
+# --- shared reading -------------------------------------------------------
+
+
+def _lists(value):
+    """Every list in value, outermost first."""
+    out, todo = [], [value]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, list):
+            out.append(v)
+            todo.extend(v)
+    return out
+
+
+def _parse_shared(text):
+    return parse(text, share=True)
+
+
+def test_shared_read_matches_plain_read():
+    rng = random.Random(7)
+    texts = ["".join(rng.choice(_ALPHABET) for _ in range(rng.randrange(16)))
+             for _ in range(20000)]
+    texts += [render(_random_sexpr(rng, 5)) for _ in range(300)]
+    shared_lists = 0
+    for text in texts:
+        want = _outcome(parse, text)
+        assert _outcome(_parse_shared, text) == want, text
+        if want[0] != "value" or '"' in text:
+            continue
+        plain = _lists(parse(text))
+        assert len({id(v) for v in plain}) == len(plain)
+        lists = _lists(_parse_shared(text))
+        by_text = {}
+        for v in lists:
+            assert by_text.setdefault(render(v), v) is v, text
+        shared_lists += len(lists) - len({id(v) for v in lists})
+    assert shared_lists > 100
+
+
+def test_shared_read_keeps_quoted_strings_and_atoms_apart():
+    v = _parse_shared('(a "a")')
+    assert _shape(v) == [("a", "a"), ("q", "a")]
+    for text in ('((a) ("a") (a))', '(("a") (a) ("a"))'):
+        v = _parse_shared(text)
+        assert _shape(v) == _shape(parse(text))
+        assert v[0] is not v[1] and v[1] is not v[2]
+        assert render(v) == text

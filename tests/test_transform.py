@@ -34,7 +34,14 @@ from cyclarith import (
     walk,
 )
 
-from conftest import graph_with
+from cyclarith.calculus import parse_proof
+from cyclarith.cli import build_corpus
+from cyclarith.sexpr import SexprError
+from cyclarith.syntax import ParseError
+from cyclarith.transform import graph_from_sexpr
+
+import reference_sexpr
+from conftest import graph_with, mutate_document
 
 x, y = Var("x"), Var("y")
 SN0 = Mode(System.SN, 0)
@@ -213,3 +220,43 @@ def test_ravel_raises_exactly_when_validate_rejects(cyclic_corpus):
     # every kind of mutation is seen rejected, and some mutants stay valid
     assert all(outcomes[k, True] for k in ("sequent", "rule", "vars"))
     assert sum(n for (_, raised), n in outcomes.items() if not raised) > 0
+
+
+def _graph_outcome(read, text):
+    try:
+        return ("graph", render_graph(read(text)))
+    except (ParseError, SexprError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _reference_graph(text):
+    """parse_graph over the recursive reference reader, whose lists are
+    never shared."""
+    return graph_from_sexpr(reference_sexpr.parse(text))
+
+
+def test_shared_graph_reading_matches_unshared_reference_on_corpus_and_mutants():
+    texts = [render_graph(graph_of(parse_proof(entry.text))) + "\n"
+             for seed in (1, 2, 3) for entry in build_corpus(seed) if entry.kind == "cyclic"]
+    for text in texts:
+        want = _graph_outcome(_reference_graph, text)
+        assert want[0] == "graph"
+        assert _graph_outcome(parse_graph, text) == want
+    rng = random.Random(29)
+    small = [t for t in texts if len(t) < 10000]
+    seen = set()
+    for _ in range(300):
+        text = mutate_document(rng.choice(small), rng)
+        want = _graph_outcome(_reference_graph, text)
+        seen.add(want[0])
+        assert _graph_outcome(parse_graph, text) == want, text
+    assert seen == {"graph", "ParseError", "SexprError"}
+
+
+def test_shared_graph_reading_converts_a_list_again_under_another_kind():
+    # a formula of a sequent, then the same list as the term of (ref)
+    text = ("(graph (root a) (gnode :id a (seq (eq 0 0)) (rule ref (eq 0 0)) (children b))"
+            " (gnode :id b (seq (eq 0 0)) (axiom) (children)))")
+    for read in (parse_graph, _reference_graph):
+        with pytest.raises(ParseError, match=r"^bad term \(eq 0 0\)$"):
+            read(text)
