@@ -23,9 +23,9 @@ from typing import List
 from . import sexpr
 from .calculus import (AllRule, AndRule, ArgMismatch, CaseRule, CutRule,
                        ProofNode, Rule, RULE_ARITY, fold_tree,
-                       sequent_from_sexpr, vars_to_sexpr_str, walk)
-from .syntax import (CaptureError, Formula, PI, ParseError, SIGMA, V,
-                     ident_var, is_in, negate, substitute)
+                       node_sequent_from_sexpr, vars_to_sexpr_str, walk)
+from .syntax import (CaptureError, Formula, PI, ParseError, SIGMA, V, is_in,
+                     negate, substitute)
 
 
 class System(enum.Enum):
@@ -70,21 +70,11 @@ class AnnotatedSequent:
         return self.sx
 
 
-def aseq_from_sexpr(value, memo: dict = None) -> AnnotatedSequent:
-    if not isinstance(value, list) or len(value) != 3 or value[0] != "aseq" \
-            or not isinstance(value[2], list) or not value[2] \
-            or value[2][0] != "vars":
-        raise ParseError(f"bad annotated sequent {sexpr.render(value)}")
-    seq = sequent_from_sexpr(value[1], memo)
-    names = value[2][1:]
-    for a in names:
-        if not isinstance(a, str):
-            raise ParseError(f"bad variable {sexpr.render(a)}")
-    return AnnotatedSequent(seq, frozenset(ident_var(a) for a in names))
-
-
 def parse_aseq(text: str) -> AnnotatedSequent:
-    return aseq_from_sexpr(sexpr.parse(text))
+    value = sexpr.parse(text)
+    if not isinstance(value, list) or not value or value[0] != "aseq":
+        raise ParseError(f"bad annotated sequent {sexpr.render(value)}")
+    return AnnotatedSequent(*node_sequent_from_sexpr(value))
 
 
 def propagate(conclusion: AnnotatedSequent, r: Rule, mode: Mode) -> List[frozenset]:

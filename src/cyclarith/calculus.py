@@ -583,6 +583,19 @@ def vars_to_sexpr_str(vs: frozenset) -> str:
     return "(vars" + "".join(" " + v.name for v in sorted(vs)) + ")"
 
 
+def node_sequent_from_sexpr(
+        value, memo: dict = None) -> Tuple[Sequent, Optional[frozenset]]:
+    """A node's sequent and annotation: (seq f ...) reads with annotation
+    None, (aseq (seq f ...) (vars x ...)) with the set of its variables."""
+    if not isinstance(value, list) or not value or value[0] != "aseq":
+        return sequent_from_sexpr(value, memo), None
+    if len(value) != 3 or not isinstance(value[2], list) or not value[2] \
+            or value[2][0] != "vars":
+        raise ParseError(f"bad annotated sequent {sexpr.render(value)}")
+    return (sequent_from_sexpr(value[1], memo),
+            frozenset(ident_var(a) for a in value[2][1:]))
+
+
 def proof_from_sexpr(value) -> ProofNode:
     root = _node_from_sexpr(value, {})
     node_map(root)  # raises on duplicate ids
@@ -600,16 +613,7 @@ def _node_from_sexpr(value, memo: dict) -> ProofNode:
         label = value[2]
         if not isinstance(label, str) or isinstance(label, list) or not label:
             raise ParseError("node id must be an atom")
-        seq_form = value[3]
-        vs: Optional[frozenset] = None
-        if isinstance(seq_form, list) and seq_form and seq_form[0] == "aseq":
-            if len(seq_form) != 3 or not isinstance(seq_form[2], list) \
-                    or not seq_form[2] or seq_form[2][0] != "vars":
-                raise ParseError(f"bad annotated sequent {sexpr.render(seq_form)}")
-            seq = sequent_from_sexpr(seq_form[1], memo)
-            vs = frozenset(ident_var(a) for a in seq_form[2][1:])
-        else:
-            seq = sequent_from_sexpr(seq_form, memo)
+        seq, vs = node_sequent_from_sexpr(value[3], memo)
         if len(value) < 5:
             raise ParseError(f"node {label} is missing its rule")
         return (label, seq, rule_from_sexpr(value[4], memo), vs), value[5:]

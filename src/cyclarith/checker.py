@@ -10,7 +10,9 @@ an invalid proof lists everything wrong with it, not just the first problem.
 
 validate is the package's only validity judgement: plain finite trees
 (plain=True), ravelled graphs and cyclic proofs all go through it, and
-_check_leaf is the only place a leaf is decided.
+_check_leaf is the only place a leaf is decided. uncycle relies on it for
+the back-link conditions and checks only what extraction itself needs (see
+that module's docstring).
 """
 
 from __future__ import annotations
@@ -43,15 +45,6 @@ class CyclicProof:
         self.parents = parent_map(root)
         self.backlinks = {n.id: n.rule.target for n in self.nodes.values()
                           if isinstance(n.rule, BackLeaf)}
-
-    def ancestors(self, node_id: str) -> List[str]:
-        """Ids on the path from node_id up to the root, excluding node_id."""
-        out = []
-        cur = self.parents.get(node_id)
-        while cur is not None:
-            out.append(cur)
-            cur = self.parents.get(cur)
-        return out
 
     def path_down(self, top_id: str, bottom_id: str) -> Optional[List[str]]:
         """Ids from top_id down to bottom_id inclusive, or None."""
@@ -123,11 +116,11 @@ def validate(proof: Union[CyclicProof, ProofNode], mode: Mode,
         if target_id not in nodes:
             bad(leaf_id, "DanglingTarget", f"no node with id {target_id}")
             continue
-        if target_id not in proof.ancestors(leaf_id):
+        pth = proof.path_down(target_id, leaf_id)
+        if pth is None or len(pth) < 2:
             bad(leaf_id, "NotAncestor", f"{target_id} is not a proper ancestor")
             continue
         target = nodes[target_id]
-        pth = proof.path_down(target_id, leaf_id)
         cycle_lengths.append(len(pth) - 1)
         if leaf.sequent != target.sequent:
             bad(leaf_id, "SequentMismatch",
@@ -230,61 +223,6 @@ def _crosses_case_right(nodes, pth: List[str]) -> bool:
 
 def _vset(vs) -> str:
     return "{" + " ".join(sorted(v.name for v in vs)) + "}"
-
-
-# --- progress on finite unfoldings ----------------------------------------------
-
-@dataclass(frozen=True)
-class ProgressReport:
-    ok: bool
-    segments: int
-    issues: Tuple[str, ...]
-
-
-def check_progress_on_unfolding(proof: Union[CyclicProof, ProofNode],
-                                depth: int) -> ProgressReport:
-    """Unfold back-links up to a depth bound and check segment discipline.
-
-    On each root-to-frontier path, the stretches between consecutive
-    back-link jumps must contain at least one (case) right edge and no
-    (case) left edge. The stretch before the first jump is exempt, as is
-    any unfinished stretch cut off by the depth bound.
-    """
-    if isinstance(proof, ProofNode):
-        proof = CyclicProof(proof)
-    nodes = proof.nodes
-    issues: List[str] = []
-    segments = 0
-
-    # state: (node, depth, in_segment, rights, lefts)
-    stack = [(proof.root, 0, False, 0, 0)]
-    while stack:
-        node, d, tracking, rights, lefts = stack.pop()
-        if isinstance(node.rule, BackLeaf):
-            target = nodes.get(node.rule.target)
-            if target is None:
-                issues.append(f"{node.id}: dangling back-reference")
-                continue
-            if tracking:
-                segments += 1
-                if lefts:
-                    issues.append(
-                        f"{node.id}: cycle segment crosses a (case) left premise")
-                if not rights:
-                    issues.append(
-                        f"{node.id}: cycle segment crosses no (case) right premise")
-            if d < depth:
-                stack.append((target, d, True, 0, 0))
-            continue
-        if d >= depth or not node.children:
-            continue
-        is_case = isinstance(node.rule, CaseRule)
-        for i, child in enumerate(node.children):
-            r2 = rights + (1 if is_case and i == 1 else 0)
-            l2 = lefts + (1 if is_case and i == 0 else 0)
-            stack.append((child, d + 1, tracking, r2, l2))
-
-    return ProgressReport(not issues, segments, tuple(issues))
 
 
 # --- sampled soundness -----------------------------------------------------------

@@ -37,8 +37,6 @@ from .uncycle import (ExtractionError, check_certificate_bounded, extract_all,
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
-_SYSTEMS = {"sn": System.SN, "spi": System.SPI, "ssigma": System.SSIGMA}
-
 
 class CliError(Exception):
     """Carries an exit code alongside the message."""
@@ -76,7 +74,7 @@ def _assumptions(paths: Sequence[str]) -> frozenset:
 def _mode(args) -> Mode:
     if args.level < 0:
         raise CliError(f"--level must be >= 0, got {args.level}")
-    return Mode(_SYSTEMS[args.system], args.level, _assumptions(args.assume))
+    return Mode(System(args.system), args.level, _assumptions(args.assume))
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -211,7 +209,7 @@ def cmd_examples(args) -> int:
 # --- wiring ----------------------------------------------------------------------
 
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--system", choices=sorted(_SYSTEMS), default="sn")
+    p.add_argument("--system", choices=[s.value for s in System], default="sn")
     p.add_argument("--level", type=int, default=0, metavar="N")
     p.add_argument("--assume", action="append", default=[], metavar="FILE",
                    help="file of assumption sentences, one s-expression each")

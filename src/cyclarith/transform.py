@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from . import sexpr
-from .annotation import AnnotatedSequent, Mode, aseq_from_sexpr, is_plain
+from .annotation import AnnotatedSequent, Mode, is_plain
 from .calculus import (BackLeaf, LEAF_KINDS, OpenLeaf, ProofNode, RULE_ARITY,
-                       Rule, Sequent, rule_from_sexpr, rule_to_sexpr_str,
-                       sequent_from_sexpr, walk)
+                       Rule, Sequent, fold_tree, node_sequent_from_sexpr,
+                       rule_from_sexpr, rule_to_sexpr_str, walk)
 from .checker import CyclicProof, Violation, validate
 from .syntax import ParseError
 
@@ -126,17 +126,21 @@ def ravel(g: RegularProofGraph, mode: Mode) -> CyclicProof:
 
     on_path: Dict[str, str] = {}  # graph id -> tree id of its copy on the path
 
-    def expand(gid: str) -> ProofNode:
+    def visit(gid: str):
         gn = g.nodes[gid]
         if gid in on_path:
-            return ProofNode(fresh_id(gid), gn.sequent,
-                             BackLeaf(on_path[gid]), (), gn.vars)
+            return (gid, fresh_id(gid), BackLeaf(on_path[gid])), ()
         tid = on_path[gid] = fresh_id(gid)
-        kids = tuple(expand(c) for c in gn.children)
-        del on_path[gid]
-        return ProofNode(tid, gn.sequent, gn.rule, kids, gn.vars)
+        return (gid, tid, gn.rule), gn.children
 
-    proof = CyclicProof(expand(g.root))
+    def build(head, kids) -> ProofNode:
+        gid, tid, rule = head
+        if not isinstance(rule, BackLeaf):
+            del on_path[gid]
+        gn = g.nodes[gid]
+        return ProofNode(tid, gn.sequent, rule, kids, gn.vars)
+
+    proof = CyclicProof(fold_tree(g.root, visit, build))
     report = validate(proof, mode, plain=is_plain(proof.root))
     if not report.valid:
         raise RavelError(report.violations[0])
@@ -158,28 +162,37 @@ def expand_graph(g: RegularProofGraph, depth: int) -> ProofNode:
     keeps its place if it is a closing leaf and becomes an Open leaf
     otherwise.
     """
-    def go(gid: str, d: int, pid: str) -> ProofNode:
+    def visit(item):
+        gid, d, pid = item
         gn = g.nodes[gid]
         if isinstance(gn.rule, LEAF_KINDS):
-            return ProofNode(pid, gn.sequent, gn.rule, (), gn.vars)
+            return (pid, gn, gn.rule), ()
         if d >= depth:
-            return ProofNode(pid, gn.sequent, OpenLeaf(), (), gn.vars)
-        kids = tuple(go(c, d + 1, pid + str(i))
-                     for i, c in enumerate(gn.children))
-        return ProofNode(pid, gn.sequent, gn.rule, kids, gn.vars)
+            return (pid, gn, OpenLeaf()), ()
+        return (pid, gn, gn.rule), [(c, d + 1, pid + str(i))
+                                    for i, c in enumerate(gn.children)]
 
-    return go(g.root, 0, "n")
+    def build(head, kids) -> ProofNode:
+        pid, gn, rule = head
+        return ProofNode(pid, gn.sequent, rule, kids, gn.vars)
+
+    return fold_tree((g.root, 0, "n"), visit, build)
 
 
 def prefix_equal(a: ProofNode, b: ProofNode) -> bool:
     """Tree equality up to Open leaves, which cut the comparison short."""
-    if isinstance(a.rule, OpenLeaf) or isinstance(b.rule, OpenLeaf):
-        return a.id == b.id and a.sequent == b.sequent and a.vars == b.vars
-    if (a.id, a.sequent, a.rule, a.vars) != (b.id, b.sequent, b.rule, b.vars):
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    return all(prefix_equal(x, y) for x, y in zip(a.children, b.children))
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if isinstance(a.rule, OpenLeaf) or isinstance(b.rule, OpenLeaf):
+            if (a.id, a.sequent, a.vars) != (b.id, b.sequent, b.vars):
+                return False
+            continue
+        if (a.id, a.sequent, a.rule, a.vars) != (b.id, b.sequent, b.rule, b.vars) \
+                or len(a.children) != len(b.children):
+            return False
+        todo.extend(zip(a.children, b.children))
+    return True
 
 
 # --- graph file format -----------------------------------------------------------
@@ -214,12 +227,7 @@ def graph_from_sexpr(value) -> RegularProofGraph:
             nid = item[2]
             if nid in nodes:
                 raise ParseError(f"duplicate node id {nid}")
-            seqform = item[3]
-            if isinstance(seqform, list) and seqform and seqform[0] == "aseq":
-                aseq = aseq_from_sexpr(seqform, memo)
-                seq, vs = aseq.sequent, aseq.vars
-            else:
-                seq, vs = sequent_from_sexpr(seqform, memo), None
+            seq, vs = node_sequent_from_sexpr(item[3], memo)
             rule = rule_from_sexpr(item[4], memo)
             kidsform = item[5]
             if not isinstance(kidsform, list) or not kidsform \

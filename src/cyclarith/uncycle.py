@@ -18,22 +18,35 @@ obligation per M-node, and a discharge obligation at the root.
 Proofs whose root lies on no cycle yield the NoRootCycle marker instead;
 extract_all recurses below such roots and emits one certificate per
 maximal root-cycle component, outermost first.
+
+Extraction takes the back-link conditions (targets, sequents, annotation
+and progress along each link) from checker.validate, and asks
+annotation.propagate rather than restating its restriction-class tests.
+It refuses, with ExtractionError, a proof that is not annotated, a root
+annotation that is empty or not carried by every M-node, a tree edge in M
+whose premise propagate does not give the root's annotation (so a cycle
+never loses its annotation through a class test, a (case) left premise or
+an sSigma (forall)), an M-sequent outside the restriction class in spi and
+ssigma, and a cycle of M that avoids every (case) conclusion
+(compute_ranks). Ranks then decrease along every M-edge, and theta and
+zeta lie in the restriction class, by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from . import sexpr
-from .annotation import Mode, System
+from .annotation import AnnotatedSequent, Mode, System, propagate
 from .calculus import AllRule, BackLeaf, CaseRule, ProofNode, Sequent, walk
-from .checker import CyclicProof
+from .checker import CyclicProof, _vset
 from .semantics import (DEFAULT_CUTOFF, DEFAULT_VALUE_BOUND, TV,
                         all_assignments, eval_formula)
-from .syntax import (And, All, AllLe, Add, BOT, Eq, Formula, Neq, Or, PI,
-                     ParseError, SIGMA, Succ, TOP, V, Var, ZERO, desugar,
-                     formula_from_sexpr, iff, impl, is_in, negate, substitute)
+from .syntax import (And, All, AllLe, Add, BOT, Eq, Formula, Or, ParseError,
+                     Succ, TOP, V, Var, ZERO, desugar, formula_from_sexpr, iff,
+                     impl, negate, substitute)
 
 
 class NoRootCycle:
@@ -151,15 +164,6 @@ def _disj(formulas) -> Formula:
     return BOT if out is None else out
 
 
-def _conj(formulas) -> Formula:
-    out = None
-    for f in formulas:
-        out = f if out is None else And(out, f)
-    if out is None:
-        raise ExtractionError("empty conjunction")
-    return out
-
-
 def _fresh_named(avoid) -> Var:
     names = {v.name for v in avoid}
     k = 0
@@ -204,7 +208,11 @@ def compute_ranks(succ: Mapping[str, List[str]], m_nodes,
 # --- extraction -------------------------------------------------------------------
 
 def extract_certificate(proof: Union[CyclicProof, ProofNode], mode: Mode):
-    """Certificate for the root cycle, or NoRootCycle. Input must be valid."""
+    """Certificate for the root cycle, or NoRootCycle.
+
+    The input should pass checker.validate: extraction checks only what the
+    module docstring lists.
+    """
     if isinstance(proof, ProofNode):
         proof = CyclicProof(proof)
     succ, pred = _digraph(proof)
@@ -221,6 +229,8 @@ def _certificate(proof: CyclicProof, succ, root: ProofNode, m_set, mode: Mode):
     if root.vars is None:
         raise ExtractionError("proof is not annotated")
     root_vars = root.vars
+    if not root_vars:
+        raise ExtractionError(f"{root.id}: annotation on the cycle is empty")
 
     preorder_m: List[str] = []
     avoid = set()  # every name bound in the subtree stays clear of z
@@ -245,6 +255,23 @@ def _certificate(proof: CyclicProof, succ, root: ProofNode, m_set, mode: Mode):
         phis[nid] = negate(_disj(phi_part))
         psis[nid] = _disj(psi_part)
 
+    # every tree edge inside M must keep the root's annotation, as propagate
+    # decides it; back-link edges are checker.validate's
+    tagged: List[Tuple[str, str, str]] = []
+    for u in preorder_m:
+        r = nodes[u].rule
+        if isinstance(r, BackLeaf):
+            tagged.append((u, r.target, EDGE_TAGS["back"]))
+            continue
+        kept = propagate(AnnotatedSequent(nodes[u].sequent, root_vars), r, mode)
+        for child, vs in zip(nodes[u].children, kept):
+            if child.id in m_set:
+                if vs != root_vars:
+                    raise ExtractionError(
+                        f"{u}: ({r.name}) does not keep {_vset(root_vars)} "
+                        f"on the edge to {child.id}")
+                tagged.append((u, child.id, EDGE_TAGS[r.name]))
+
     b_set = set()
     c_ids: List[str] = []
     case_vars: List[Var] = []
@@ -256,48 +283,13 @@ def _certificate(proof: CyclicProof, succ, root: ProofNode, m_set, mode: Mode):
             c_ids.append(nid)
             if r.var not in case_vars:
                 case_vars.append(r.var)
-    if mode.system is System.SSIGMA and b_set:
-        raise ExtractionError("eigenvariables on a cycle in a "
-                              "sigma-restricted proof")
-    if not c_ids:
-        raise ExtractionError("root cycle without a (case) conclusion")
+    ranks = compute_ranks(succ, m_set, c_ids)
 
-    theta = _conj([psis[c] for c in c_ids])
+    theta = reduce(And, [psis[c] for c in c_ids])  # compute_ranks found a (case)
     for b in sorted(b_set, reverse=True):
         theta = All(b, theta)
-
-    if mode.system is System.SSIGMA:
-        if not is_in(theta, SIGMA, n):
-            raise ExtractionError(f"theta falls outside level-{n} "
-                                  f"existential class: {theta.sx}")
-    elif not is_in(theta, PI, n + 1):
-        raise ExtractionError(f"theta falls outside level-{n + 1} "
-                              f"universal class: {theta.sx}")
-
     z = _fresh_named(avoid | b_set | set(case_vars) | theta.av)
-
     zeta = _zeta(case_vars, z, theta)
-    if mode.system is not System.SSIGMA and not is_in(zeta, PI, n + 1):
-        raise ExtractionError("zeta falls outside the universal class")
-    if mode.system is System.SSIGMA:
-        _check_zeta_shape(zeta, case_vars, z, theta)
-
-    ranks = compute_ranks(succ, m_set, c_ids)
-    size = len(m_set)
-    for nid, k in ranks.items():
-        if not 0 <= k < size:
-            raise ExtractionError(f"rank {k} at {nid} out of range")
-    c_set = set(c_ids)
-    tagged: List[Tuple[str, str, str]] = []
-    for u in preorder_m:
-        for v in succ[u]:
-            if v in m_set:
-                tag = EDGE_TAGS[nodes[u].rule.name]
-                _check_edge(nodes, u, v, tag, mode)
-                if u not in c_set and ranks[u] <= (0 if v in c_set else ranks[v]):
-                    raise ExtractionError(
-                        f"rank fails to decrease on {u} -> {v}")
-                tagged.append((u, v, tag))
 
     phi_root = phis[root.id]
     trivial = phi_root == TOP
@@ -347,51 +339,6 @@ def _induction(phi_root: Formula, zeta: Formula, z: Var) -> Tuple[Formula, Formu
     zetasz = substitute(zeta, z, Succ(V(z)))
     return (impl(phi_root, substitute(zeta, z, ZERO)),
             impl(phi_root, All(z, impl(zeta, zetasz))))
-
-
-def _check_zeta_shape(zeta: Formula, case_vars, z: Var, theta: Formula) -> None:
-    """zeta must be theta under bounded universal guards, nothing more."""
-    f = zeta
-    for y in case_vars:
-        if not isinstance(f, AllLe) or f.var != y or f.bound != V(z):
-            raise ExtractionError("zeta guard shape broken")
-        f = f.body
-    if not (isinstance(f, Or) and isinstance(f.left, Neq) and f.right == theta):
-        raise ExtractionError("zeta core shape broken")
-
-
-def _check_edge(nodes, u: str, v: str, tag: str, mode: Mode) -> None:
-    un = nodes[u]
-    r = un.rule
-    if tag == "link":
-        return  # back-link conditions are checker.validate's
-    child_index = next(i for i, c in enumerate(un.children) if c.id == v)
-    if tag == "E":
-        inst = substitute(r.principal.body, r.principal.var, V(r.var))
-        if not mode.in_restriction(inst):
-            raise ExtractionError(f"{u}: quantifier instance outside the "
-                                  "restriction class on a cycle")
-    elif tag == "F":
-        side = r.principal.left if child_index == 0 else r.principal.right
-        if not mode.in_restriction(side):
-            raise ExtractionError(f"{u}: conjunct outside the restriction "
-                                  "class on a cycle")
-    elif tag == "G":
-        side = r.formula if child_index == 0 else negate(r.formula)
-        if not mode.in_restriction(side):
-            raise ExtractionError(f"{u}: cut formula outside the restriction "
-                                  "class on a cycle")
-    elif tag == "H":
-        if child_index != 1:
-            raise ExtractionError(f"{u}: cycle through a (case) left premise")
-        if mode.system is System.SN:
-            bad = [f for f in un.sequent
-                   if r.var in f.fv and not mode.in_restriction(f)]
-        else:
-            bad = [f for f in un.sequent if not mode.in_restriction(f)]
-        if bad:
-            raise ExtractionError(f"{u}: case variable loose outside the "
-                                  "restriction class")
 
 
 def extract_all(proof: Union[CyclicProof, ProofNode],

@@ -46,7 +46,8 @@ from cyclarith import (
 )
 from cyclarith.calculus import ArgMismatch, RULE_ARITY
 
-from cyclarith import Mode, System, annotate_tree, erase, is_annotated, syntax, validate
+from cyclarith import (Mode, System, annotate_tree, erase, graph_of, is_annotated,
+                       prefix_equal, ravel, syntax, unravel, validate)
 from cyclarith.calculus import BackLeaf, node_map, proof_from_sexpr
 from cyclarith.cli import build_corpus
 from cyclarith.sexpr import SexprError
@@ -289,6 +290,9 @@ def test_deep_proof_parses_annotates_erases_and_checks_without_recursion():
         again = render_proof(annotated)
         assert render_proof(parse_proof(again)) == again
         assert render_proof(erase(annotated)) == text
+        assert render_proof(ravel(graph_of(root), sn0).root) == text
+        assert sum(1 for _ in walk(unravel(root, 2000))) == 1002
+        assert prefix_equal(root, root)
     finally:
         sys.setrecursionlimit(limit)
 

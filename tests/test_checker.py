@@ -30,7 +30,6 @@ from cyclarith import (
     soundness_sample,
     validate,
 )
-from cyclarith.checker import check_progress_on_unfolding
 
 x, y = Var("x"), Var("y")
 SN0 = Mode(System.SN, 0)
@@ -59,7 +58,6 @@ def test_cyclic_proof_structure():
     p = _schema()
     assert p.root.id == "n0"
     assert p.backlinks == {"n4": "n0"}
-    assert p.ancestors("n4") == ["n3", "n2", "n1", "n0"]
     assert p.path_down("n0", "n4") == ["n0", "n1", "n2", "n3", "n4"]
     assert p.path_down("n4", "n0") is None
 
@@ -176,12 +174,6 @@ def test_soundness_sample_schema():
     assert rep.ok
     assert rep.checked > 0
     assert rep.hits == ()
-
-
-def test_progress_on_unfolding():
-    rep = check_progress_on_unfolding(_schema(), depth=12)
-    assert rep.ok
-    assert rep.segments > 0
 
 
 @pytest.mark.parametrize("text", [

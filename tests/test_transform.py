@@ -260,3 +260,14 @@ def test_shared_graph_reading_converts_a_list_again_under_another_kind():
     for read in (parse_graph, _reference_graph):
         with pytest.raises(ParseError, match=r"^bad term \(eq 0 0\)$"):
             read(text)
+
+
+def test_proof_and_graph_read_a_malformed_annotation_alike():
+    aseq = "(aseq (seq (eq 0 0)) (vars (x)))"
+    messages = set()
+    for read, text in ((parse_proof, f"(node :id a {aseq} (axiom))"),
+                       (parse_graph, f"(graph (root a) (gnode :id a {aseq} (axiom) (children)))")):
+        with pytest.raises(ParseError) as info:
+            read(text)
+        messages.add(str(info.value))
+    assert messages == {"expected a variable, got (x)"}

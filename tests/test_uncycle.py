@@ -27,12 +27,14 @@ from cyclarith import (
     induction_rule_via_assumptions,
     induction_schema_proof,
     parse_certificate,
+    parse_proof,
     render_certificate,
     render_formula,
     tautology,
     two_loops_proof,
     validate,
 )
+from cyclarith.builders import build_corpus
 from cyclarith.uncycle import BOT, EDGE_TAGS, KINDS, NO_ROOT_CYCLE, NoRootCycle, TOP
 
 x, y = Var("x"), Var("y")
@@ -227,3 +229,22 @@ def test_extract_all_matches_extraction_of_each_component(cyclic_corpus):
             assert render_certificate(alone) == render_certificate(cert), (name, nid)
             seen += 1
     assert seen >= len(cyclic_corpus)
+
+
+@pytest.fixture(scope="module")
+def examples_seed_1():
+    return {e.name: e.text for e in build_corpus(1)}
+
+
+@pytest.mark.parametrize("name,system,level", [
+    ("ind_schema_pi2.cyc", System.SN, 0),
+    ("ind_schema_pi3.cyc", System.SN, 0),
+    ("ind_schema_pi3.cyc", System.SN, 1),
+    ("forall_cycle.cyc", System.SSIGMA, 2),
+])
+def test_extraction_refuses_a_cycle_that_loses_its_annotation(
+        examples_seed_1, name, system, level):
+    # called without validate: a (case) whose variable is loose outside the
+    # restriction class, or an sSigma (all), breaks the annotation on the cycle
+    with pytest.raises(ExtractionError):
+        extract_all(parse_proof(examples_seed_1[name]), Mode(system, level))
