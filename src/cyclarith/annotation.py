@@ -24,7 +24,7 @@ from . import sexpr
 from .calculus import (AllRule, AndRule, ArgMismatch, CaseRule, CutRule,
                        ProofNode, Rule, RULE_ARITY, fold_tree,
                        node_sequent_from_sexpr, vars_to_sexpr_str, walk)
-from .syntax import (CaptureError, Formula, PI, ParseError, SIGMA, V, is_in,
+from .syntax import (And, CaptureError, Formula, PI, ParseError, SIGMA, V, is_in,
                      negate, substitute)
 
 
@@ -82,6 +82,8 @@ def propagate(conclusion: AnnotatedSequent, r: Rule, mode: Mode) -> List[frozens
     seq = conclusion.sequent
     vs = conclusion.vars
     if isinstance(r, AndRule):
+        if not isinstance(r.principal, And):
+            raise ArgMismatch(f"(and) principal is not a conjunction: {r.principal.sx}")
         return [vs if mode.in_restriction(r.principal.left) else EMPTY,
                 vs if mode.in_restriction(r.principal.right) else EMPTY]
     if isinstance(r, CutRule):

@@ -14,7 +14,9 @@ axioms, assumptions, open stubs, or back-references.  This module decides
 single steps (check_step) only; whole trees, leaves included, are judged by
 checker.validate, which checks plain finite trees and cyclic proofs alike.
 
-parse_proof reads a file once: the reader shares equal sublists, and
+parse_proof reads a file once: the reader takes a shallow list that the
+file repeats, such as a sequent a premise copies from its conclusion, as
+one token and reads its text once (see sexpr), it shares equal sublists, and
 proof_from_sexpr converts with one memo for the document (see syntax), in
 which sequents are kept under their own kind, "sequent", beside formulas
 and terms.  A formula that a premise repeats from its conclusion is then

@@ -19,6 +19,20 @@ shared value must never be mutated: every place it occurs would change with
 it.  A quoted string equals the atom with its text, so the first quoted
 string ends sharing for the rest of the read; documents read with sharing
 hold none.  The table dies with the read.
+
+A shared read also takes a whole list nested at most `BLOCK_DEPTH` deep that
+holds no `"` and no `;` as one block token.  Inside a block every other
+character is whitespace or part of an atom, so the block's own tokens are
+the ones the plain tokeniser would give.  A per-read memo maps each block's
+text to its list: a block seen before costs one dict lookup, and a new one
+is read from its inner text, its own blocks through the same memo, and then
+looked up in the table of shared lists, so equal lists spaced differently
+are still one object.  Proof files repeat each node's sequent in its
+premises, so most of their lists are blocks met before.  Blocks never hold
+quoted strings, so they stay shared after a quoted string has ended the
+sharing of other lists.  The possessive quantifiers of the block pattern
+keep a failed attempt on a deeper list from backtracking; that needs
+Python 3.11.
 """
 
 from __future__ import annotations
@@ -52,12 +66,38 @@ _TOKEN = re.compile(r'[()]|"[^"\\]*(?:\\.[^"\\]*)*"|"|;[^\n]*|[^()" \t\r\n;][^()
                     re.S)
 _ESCAPE = re.compile(r"\\(.)", re.S)
 
+# A list nested at most BLOCK_DEPTH deep with no '"' and no ';' in it, tried
+# first by the shared reader's tokeniser.
+BLOCK_DEPTH = 8
+_BLOCK = r'\([^()";]*+\)'
+for _ in range(BLOCK_DEPTH - 1):
+    _BLOCK = rf'\([^()";]*+(?:{_BLOCK}[^()";]*+)*+\)'
+_SHARED_TOKEN = re.compile(_BLOCK + "|" + _TOKEN.pattern, re.S)
 
-def _error(message: str, text: str, tokens: list, rest) -> SexprError:
+
+class _Blocks(dict):
+    """Block text -> its list, for one shared read.  A block met for the
+    first time is read from its inner text, its own blocks through this
+    memo, and then goes through `shared`, the read's table of lists."""
+
+    def __init__(self, shared: dict):
+        super().__init__()
+        self.shared = shared
+
+    def __missing__(self, text: str) -> _Shared:
+        items = _Shared(self[t] if t[0] == "(" else t
+                        for t in _SHARED_TOKEN.findall(text, 1, len(text) - 1))
+        items = self[text] = self.shared.setdefault(tuple(items), items)
+        return items
+
+
+def _error(message: str, text: str, token: re.Pattern, tokens: list,
+           rest) -> SexprError:
     """The error at the token just taken from `rest`, an iterator over
-    `tokens`; the offset is found by scanning again, on the error path only."""
+    `tokens`, which `token` split text into; the offset is found by scanning
+    again, on the error path only."""
     k = len(tokens) - length_hint(rest) - 1
-    for i, m in enumerate(_TOKEN.finditer(text)):
+    for i, m in enumerate(token.finditer(text)):
         if i == k:
             return SexprError(message, m.start())
     return SexprError(message, len(text))
@@ -67,9 +107,11 @@ def _read(text: str, once: bool, share: bool = False):
     """The values of text, in one pass over its tokens with an explicit
     stack; with once, the single value and nothing but comments after it;
     with share, equal lists made one object (see the module docstring)."""
-    tokens = _TOKEN.findall(text)
+    token = _SHARED_TOKEN if share else _TOKEN
+    tokens = token.findall(text)
     rest = iter(tokens)
     shared: dict = {}      # tuple of a list's items -> the list
+    blocks = _Blocks(shared) if share else None
     values: list = []
     stack: list = []       # the lists enclosing `items`
     items = values         # the list that receives the next value
@@ -80,28 +122,31 @@ def _read(text: str, once: bool, share: bool = False):
             continue
         if tok == ")":
             if not stack:
-                raise _error("unmatched ')'", text, tokens, rest)
+                raise _error("unmatched ')'", text, token, tokens, rest)
             done = items
             if share:
                 done = shared.setdefault(tuple(done), done)
             items = stack.pop()
             items.append(done)
-        elif tok[0] in ';"':
+        elif tok[0] in '(;"':
             if tok[0] == ";":
                 continue
-            if len(tok) == 1:
-                raise _error("unterminated string", text, tokens, rest)
-            body = tok[1:-1]
-            if "\\" in body:
-                body = _ESCAPE.sub(r"\1", body)
-            items.append(QuotedString(body))
-            share = False
+            if tok[0] == "(":
+                items.append(blocks[tok])   # a block; shared reads only
+            elif len(tok) == 1:
+                raise _error("unterminated string", text, token, tokens, rest)
+            else:
+                body = tok[1:-1]
+                if "\\" in body:
+                    body = _ESCAPE.sub(r"\1", body)
+                items.append(QuotedString(body))
+                share = False
         else:
             items.append(tok)
         if once and not stack:
             for tok in rest:
                 if tok[0] != ";":
-                    raise _error("trailing input after s-expression", text, tokens, rest)
+                    raise _error("trailing input after s-expression", text, token, tokens, rest)
             return values[0]
     if stack:
         raise SexprError("unclosed '('", len(text))

@@ -178,30 +178,35 @@ def _fresh_named(avoid) -> Var:
 
 def compute_ranks(succ: Mapping[str, List[str]], m_nodes,
                   c_nodes) -> Dict[str, int]:
-    """Longest directed path to the first (case) conclusion, in edges."""
+    """Longest directed path to the first (case) conclusion, in edges.
+
+    A depth-first search with an explicit stack of (node, successors left);
+    a node's rank is set when its successors are done.  It meets the nodes
+    in the order of a recursive search over sorted(m), so an error names
+    the same node."""
     m = set(m_nodes)
-    c = set(c_nodes)
     succ = {u: [v for v in succ[u] if v in m] for u in m}
-    memo: Dict[str, int] = {u: 0 for u in c}
-    state: Dict[str, int] = {}
-
-    def rk(u: str) -> int:
-        if u in memo:
-            return memo[u]
-        if state.get(u) == 1:
-            raise ExtractionError(f"directed cycle through {u} avoids every "
-                                  "(case) conclusion")
-        state[u] = 1
-        best = 0
-        for v in succ[u]:
-            best = max(best, 1 + (0 if v in c else rk(v)))
-        state[u] = 2
-        memo[u] = best
-        return best
-
+    memo: Dict[str, int] = {u: 0 for u in c_nodes}
     order = sorted(m)   # the cycle an error names must not depend on string hashing
-    for u in order:
-        rk(u)
+    for top in order:
+        if top in memo:
+            continue
+        path = {top}    # the nodes on the stack
+        stack = [(top, iter(succ[top]))]
+        while stack:
+            u, rest = stack[-1]
+            for v in rest:
+                if v not in memo:
+                    if v in path:
+                        raise ExtractionError(f"directed cycle through {v} "
+                                              "avoids every (case) conclusion")
+                    path.add(v)
+                    stack.append((v, iter(succ[v])))
+                    break
+            else:
+                stack.pop()
+                path.remove(u)
+                memo[u] = max((1 + memo[v] for v in succ[u]), default=0)
     return {u: memo[u] for u in order}
 
 

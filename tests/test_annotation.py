@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from cyclarith import (
     Add,
     All,
@@ -17,6 +19,7 @@ from cyclarith import (
     Neq,
     OrRule,
     Or,
+    ProofNode,
     RefRule,
     Sequent,
     Succ,
@@ -33,6 +36,7 @@ from cyclarith import (
     propagate,
     render_proof,
 )
+from cyclarith.calculus import ArgMismatch
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -72,6 +76,17 @@ def test_propagate_and_splits_on_class():
     flipped = And(SIG1, PI1)
     aseq2 = AnnotatedSequent(Sequent([flipped, ATOM]), frozenset([x]))
     assert propagate(aseq2, AndRule(flipped), SN0) == [frozenset(), frozenset([x])]
+
+
+def test_propagate_and_rejects_a_principal_that_is_no_conjunction():
+    # annotate propagates before any step check, so a mistyped (and) rule
+    # must be an ArgMismatch (exit 1 from the CLI), not an AttributeError
+    aseq = AnnotatedSequent(Sequent([PI1, ATOM]), frozenset([x]))
+    with pytest.raises(ArgMismatch, match="not a conjunction"):
+        propagate(aseq, AndRule(PI1), SN0)
+    root = ProofNode("n", Sequent([PI1]), AndRule(PI1), ())
+    with pytest.raises(ArgMismatch):
+        annotate_tree(root, frozenset([x]), SN0)
 
 
 def test_propagate_cut_splits_on_class():

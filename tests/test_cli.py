@@ -1,17 +1,22 @@
 import os
+import random
 
 import pytest
 
 from cyclarith import (
+    erase,
+    graph_of,
     parse_certificate,
     parse_formula,
     parse_proof,
     parse_report,
     render_certificate,
+    render_graph,
     render_proof,
 )
+from cyclarith.builders import build_corpus
 from cyclarith.cli import main
-from conftest import graph_with
+from conftest import graph_with, mutate_document
 
 
 @pytest.fixture(scope="module")
@@ -343,3 +348,35 @@ def test_ground_ladder_proves_checks_and_annotates(capsys, tmp_path):
             assert argv[0] == "annotate" or "verdict: valid" in out, (k, argv, out)
         with open(prf) as f:
             assert f.readline().startswith(f"(node :id g0 (seq {goal}) "), k
+
+
+def test_subcommands_keep_the_exit_code_contract_on_mutated_files(capsys, tmp_path):
+    # every proof file of examples --seed 1, token-mutated, through each
+    # subcommand that reads one: the exit code is 0, 1 or 2 and no exception
+    # escapes main
+    assert main(["examples", str(tmp_path), "--seed", "1"]) == 0
+    capsys.readouterr()
+    entries = [e for e in build_corpus(1) if e.name.endswith((".cyc", ".prf"))]
+    rng = random.Random(5)
+    codes = {cmd: set() for cmd in ("check", "unravel", "ravel", "uncycle", "annotate")}
+    for i in range(200):
+        cmd = list(codes)[i % len(codes)]
+        entry = rng.choice(entries)
+        text = entry.text
+        if cmd == "ravel":
+            text = render_graph(graph_of(parse_proof(text)))
+        elif cmd == "annotate":
+            text = render_proof(erase(parse_proof(text)))
+        path = tmp_path / "mutant"
+        path.write_text(mutate_document(text, rng), encoding="utf-8")
+        argv = [cmd, str(path)] + (["x"] if cmd == "annotate" else []) + ["--system", entry.system, "--level", str(entry.level),
+                "-o", str(tmp_path / "out")]
+        if entry.assume:
+            argv += ["--assume", str(tmp_path / (entry.name.rsplit(".", 1)[0] + ".assume"))]
+        argv += {"unravel": ["--depth", "4"], "uncycle": ["--no-check"]}.get(cmd, [])
+        rc, _, err = _run(capsys, argv)
+        assert rc in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err, (argv, err)
+        codes[cmd].add(rc)
+    assert all(len(seen) >= 2 for seen in codes.values()), codes
+    assert set().union(*codes.values()) == {0, 1, 2}, codes

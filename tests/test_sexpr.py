@@ -1,3 +1,4 @@
+import functools
 import random
 import re
 import sys
@@ -5,7 +6,8 @@ import sys
 import pytest
 
 from cyclarith.cli import build_corpus
-from cyclarith.sexpr import QuotedString, SexprError, parse, parse_many, render, render_pretty
+from cyclarith.sexpr import (_SHARED_TOKEN, BLOCK_DEPTH, QuotedString, SexprError, parse,
+                             parse_many, render, render_pretty)
 
 import reference_sexpr
 
@@ -141,9 +143,11 @@ def test_reader_matches_reference_on_random_inputs():
 _PIECES = ["(", ")", '"', '"x y"', '\\', ";c\n", " ", "\n", "atom", "0"]
 
 
-def test_reader_matches_reference_on_mutated_corpus_files():
+@functools.cache
+def _mutated_corpus_texts():
     rng = random.Random(11)
     texts = [t for t in _corpus_texts() if len(t) < 3000]
+    out = []
     for _ in range(1000):
         text = rng.choice(texts)
         tokens = re.findall(r'[()]|"[^"]*"|[^()"\s]+|\s+', text)
@@ -158,7 +162,13 @@ def test_reader_matches_reference_on_mutated_corpus_files():
                 tokens[i] = rng.choice(_PIECES)
             else:
                 tokens.insert(i, tokens[rng.randrange(len(tokens))])
-        _same_as_reference("".join(tokens))
+        out.append("".join(tokens))
+    return out
+
+
+def test_reader_matches_reference_on_mutated_corpus_files():
+    for text in _mutated_corpus_texts():
+        _same_as_reference(text)
 
 
 def test_reader_error_offsets():
@@ -239,3 +249,100 @@ def test_shared_read_keeps_quoted_strings_and_atoms_apart():
         assert _shape(v) == _shape(parse(text))
         assert v[0] is not v[1] and v[1] is not v[2]
         assert render(v) == text
+
+
+# --- block tokens of the shared read ---------------------------------------
+
+
+def _nested(depth, piece="", at=-1):
+    """A list nested depth deep, with piece put in at nesting level `at`."""
+    text = "x"
+    for level in range(depth, 0, -1):
+        text = f"(f{level} a{level} {piece if level == at else ''} {text} b)"
+    return text
+
+
+_INNER_PIECES = ["", ";c (a)\n", '"q (x)"', "a;b", "a;(b", ";"]
+
+
+def test_block_pattern_takes_lists_up_to_the_depth_bound():
+    assert BLOCK_DEPTH == 8
+    assert _SHARED_TOKEN.fullmatch(_nested(BLOCK_DEPTH))
+    assert _SHARED_TOKEN.fullmatch("()")
+    assert not _SHARED_TOKEN.fullmatch(_nested(BLOCK_DEPTH + 1))
+    for piece in _INNER_PIECES[1:]:
+        assert not _SHARED_TOKEN.fullmatch(_nested(3, piece, 2)), piece
+
+
+def test_blocks_match_reference_around_the_depth_bound():
+    cases = 0
+    for depth in (BLOCK_DEPTH - 1, BLOCK_DEPTH, BLOCK_DEPTH + 1):
+        for piece in _INNER_PIECES:
+            for at in range(1, depth + 1):
+                inner = _nested(depth, piece, at)
+                plain = _nested(depth)
+                for text in (inner, f"(top {plain} {inner} {plain})",
+                             f"(top {inner} ({plain}) {plain} ;\n)"):
+                    want = _outcome(reference_sexpr.parse, text)
+                    assert _outcome(_parse_shared, text) == want, text
+                    assert _outcome(parse, text) == want, text
+                    cases += 1
+    assert cases > 400
+
+
+def test_shared_read_error_offsets_match_plain_read_on_mutated_corpus_files():
+    errors = 0
+    for text in _mutated_corpus_texts():
+        want = _outcome(parse, text)
+        assert _outcome(_parse_shared, text) == want, text
+        errors += want[0] == "error"
+    assert errors > 300
+
+
+def _flat(value):
+    """value as a list of "(", ")" and atoms, walked with an explicit stack."""
+    out, todo = [], [value]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, list):
+            out.append("(")
+            todo.append(")")
+            todo.extend(reversed(v))
+        else:
+            out.append(v)
+    return out
+
+
+def test_shared_read_is_iterative_in_depth():
+    depth = 20000
+    chain = "(eq " + "(s " * depth + "0" + ")" * depth + " 0)"
+    nodes = 1002
+    gamma = "(seq (eq 0 0))"
+    proof = ("".join(f"(node n{i} {gamma} (rule ref 0) " for i in range(nodes - 1))
+             + "(node a (seq (eq 0 0) (neq 0 0)) (axiom))" + ")" * (nodes - 1))
+    assert "\n" not in proof
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        value = _parse_shared(chain)
+        assert _flat(value) == _flat(parse(chain))
+        value = _parse_shared(proof)
+        assert _flat(value) == _flat(parse(proof))
+        sequents = []
+        for _ in range(nodes - 1):
+            sequents.append(value[2])
+            value = value[-1]
+        assert all(seq is sequents[0] for seq in sequents)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_equal_blocks_spaced_differently_read_as_one_object():
+    v = _parse_shared("((a  b) (a b) ( a\tb\n) (a b ;c\n) (f (a b)) (f ( a b )))")
+    assert _shape(v) == _shape(parse("((a b) (a b) (a b) (a b) (f (a b)) (f (a b)))"))
+    assert v[0] is v[1] is v[2] is v[3] is v[4][1]
+    assert v[4] is v[5]
+    # blocks hold no strings, so they are still shared after a quoted string
+    v = _parse_shared('((a b) "q" (a  b) ((a b) "r") ((a b) "r"))')
+    assert v[0] is v[2] is v[3][0] is v[4][0]
+    assert v[3] is not v[4]

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -35,7 +36,8 @@ from cyclarith import (
     validate,
 )
 from cyclarith.builders import build_corpus
-from cyclarith.uncycle import BOT, EDGE_TAGS, KINDS, NO_ROOT_CYCLE, NoRootCycle, TOP
+from cyclarith.uncycle import (BOT, EDGE_TAGS, KINDS, NO_ROOT_CYCLE, NoRootCycle, TOP, _digraph,
+                               compute_ranks)
 
 x, y = Var("x"), Var("y")
 SN0 = Mode(System.SN, 0)
@@ -248,3 +250,82 @@ def test_extraction_refuses_a_cycle_that_loses_its_annotation(
     # restriction class, or an sSigma (all), breaks the annotation on the cycle
     with pytest.raises(ExtractionError):
         extract_all(parse_proof(examples_seed_1[name]), Mode(system, level))
+
+
+# --- ranks ----------------------------------------------------------------
+
+
+def _recursive_ranks(succ, m_nodes, c_nodes):
+    """The recursive rank computation compute_ranks replaced, as an oracle."""
+    m, c = set(m_nodes), set(c_nodes)
+    succ = {u: [v for v in succ[u] if v in m] for u in m}
+    memo = {u: 0 for u in c}
+    state = {}
+
+    def rk(u):
+        if u in memo:
+            return memo[u]
+        if state.get(u) == 1:
+            raise ExtractionError(f"directed cycle through {u} avoids every "
+                                  "(case) conclusion")
+        state[u] = 1
+        best = 0
+        for v in succ[u]:
+            best = max(best, 1 + (0 if v in c else rk(v)))
+        state[u] = 2
+        memo[u] = best
+        return best
+
+    order = sorted(m)
+    for u in order:
+        rk(u)
+    return {u: memo[u] for u in order}
+
+
+def test_ranks_of_a_long_chain_need_no_recursion():
+    n = 5000
+    ids = [f"n{i:05d}" for i in range(n)]
+    succ = {u: [v] for u, v in zip(ids, ids[1:])}
+    succ[ids[-1]] = [ids[0]]    # the (case) node closes the cycle
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        ranks = compute_ranks(succ, ids, [ids[-1]])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ranks == {u: n - 1 - i for i, u in enumerate(ids)}
+
+
+@pytest.mark.parametrize("succ,c_nodes", [
+    ({"a": ["b"], "b": ["c"], "c": ["a"]}, []),
+    # the cycle b -> c -> d -> b lies below a (case) node a
+    ({"a": ["b"], "b": ["c"], "c": ["d", "a"], "d": ["b"]}, ["a"]),
+    ({"a": ["e", "b"], "b": ["d"], "c": ["b"], "d": ["c"], "e": []}, []),
+    ({"k": ["j"], "j": ["k", "i"], "i": ["i"]}, ["k"]),
+])
+def test_ranks_name_the_cycle_the_recursive_search_names(succ, c_nodes):
+    with pytest.raises(ExtractionError) as want:
+        _recursive_ranks(succ, succ, c_nodes)
+    with pytest.raises(ExtractionError) as got:
+        compute_ranks(succ, succ, c_nodes)
+    assert str(got.value) == str(want.value)
+
+
+def test_ranks_match_the_recursive_search_on_corpus_certificates():
+    seen = 0
+    for seed in (1, 2, 3):
+        for entry in build_corpus(seed):
+            if entry.kind != "cyclic":
+                continue
+            proof = CyclicProof(parse_proof(entry.text))
+            succ, _ = _digraph(proof)
+            for system in System:
+                for level in range(3):
+                    try:
+                        pairs = extract_all(proof, Mode(system, level, frozenset(entry.assume)))
+                    except ExtractionError:
+                        continue
+                    for _, cert in pairs:
+                        assert cert.ranks == _recursive_ranks(succ, cert.m_nodes, cert.c_nodes)
+                        seen += 1
+    assert seen >= 100
