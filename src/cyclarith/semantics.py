@@ -12,8 +12,10 @@ closures (closure code generation, Feeley & Lapalme 1987), which are then
 run on the assignment.  Compilation
 
 - folds every closed term, numerals included, into an int constant; terms
-  are evaluated with an explicit stack and successor chains with a loop, so
-  term depth costs no recursion;
+  are evaluated with an explicit stack and successor chains with a loop, and
+  an open term becomes nested closures for its first `CLOSURE_DEPTH`
+  `add`/`mul` levels only, with the iterative evaluator below them, so term
+  depth costs no recursion;
 - turns each connective into a strong-Kleene closure that short-circuits;
 - memoises each quantifier node (Michie 1968).  Its value is a pure
   function of the cutoff and of the values of its free variables, so it is
@@ -84,18 +86,26 @@ def eval_term(t: Term, env: Dict[Var, int]) -> int:
     return values[0]
 
 
-def _term_code(t: Term) -> Callable[[Env], int]:
+# Levels of an open term compiled into nested closures; below this depth a
+# closure runs `eval_term`, so a deep term costs no recursion.
+CLOSURE_DEPTH = 100
+
+
+def _term_code(t: Term, depth: int = 0) -> Callable[[Env], int]:
     """Closure computing t; a closed term is folded to its value."""
     if not t.fv:
         value = eval_term(t, {})
         return lambda e: value
+    if depth == CLOSURE_DEPTH:
+        names = [(v, v.name) for v in t.fv]
+        return lambda e: eval_term(t, {v: e.get(name, 0) for v, name in names})
     k = 0
     while isinstance(t, Succ):
         t, k = t.arg, k + 1
     if isinstance(t, V):
         name = t.var.name
         return lambda e: e.get(name, 0) + k
-    left, right = _term_code(t.left), _term_code(t.right)
+    left, right = _term_code(t.left, depth + 1), _term_code(t.right, depth + 1)
     if isinstance(t, Add):
         return lambda e: left(e) + right(e) + k
     if isinstance(t, Mul):

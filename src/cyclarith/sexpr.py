@@ -33,6 +33,24 @@ quoted strings, so they stay shared after a quoted string has ended the
 sharing of other lists.  The possessive quantifiers of the block pattern
 keep a failed attempt on a deeper list from backtracking; that needs
 Python 3.11.
+
+Numerals are successor chains, `(s (s ... 0))`, often thousands deep.  Both
+reads take a run of at least `CHAIN_RUN` `(s` opens, each followed by
+whitespace, the atom after them, if any, and the closes after that as one
+chain token, and a run of at least `CHAIN_RUN` closes, such as the one that
+ends a chain around a list, `(s (s ... (add x y)))`, as one token too.
+These are tried first, so no block starts with such a run, and they are
+possessive, so a chain is matched in one pass however deep it is.  A whole
+chain, an atom with at least as many closes as opens, becomes its nested
+list at once; in a shared read it comes from a per-read chain memo, atom ->
+chain lists by depth, whose every new level goes through the table of
+shared lists, so it is the object a block or a `(`...`)` read of that list
+gives.  A partial chain, one around a list or followed by more items,
+pushes the lists it leaves open as single `(` tokens would.  A block's
+inner text is split without chain tokens, since a chain token can close
+fewer lists than it opens.  The closes of one token can pass the end of a
+value, so a read that fails is done again without chain tokens, and the
+error of that read, message and offset, is the one raised.
 """
 
 from __future__ import annotations
@@ -62,17 +80,33 @@ class _Shared(list):
 # One alternative per token kind; every character of the input either starts a
 # token or is whitespace (" \t\r\n"), which no alternative matches.  A lone
 # '"' is a string that never closes.
-_TOKEN = re.compile(r'[()]|"[^"\\]*(?:\\.[^"\\]*)*"|"|;[^\n]*|[^()" \t\r\n;][^()" \t\r\n]*',
-                    re.S)
+_ATOM = r'[^()" \t\r\n;][^()" \t\r\n]*'
+_PLAIN_TOKEN = re.compile(rf'[()]|"[^"\\]*(?:\\.[^"\\]*)*"|"|;[^\n]*|{_ATOM}', re.S)
 _ESCAPE = re.compile(r"\\(.)", re.S)
 
-# A list nested at most BLOCK_DEPTH deep with no '"' and no ';' in it, tried
-# first by the shared reader's tokeniser.
+# A list nested at most BLOCK_DEPTH deep with no '"' and no ';' in it.
 BLOCK_DEPTH = 8
 _BLOCK = r'\([^()";]*+\)'
 for _ in range(BLOCK_DEPTH - 1):
     _BLOCK = rf'\([^()";]*+(?:{_BLOCK}[^()";]*+)*+\)'
-_SHARED_TOKEN = re.compile(_BLOCK + "|" + _TOKEN.pattern, re.S)
+_BLOCK_TOKEN = re.compile(_BLOCK + "|" + _PLAIN_TOKEN.pattern, re.S)
+
+# A successor chain: a run of at least CHAIN_RUN "(s" opens, each followed
+# by whitespace, an optional atom and the closes after it; and a run of at
+# least CHAIN_RUN closes, such as the one after a chain around a list.  Both
+# readers try them first.  A shorter run reads faster as single tokens, or
+# as a block.  The first CHAIN_RUN steps are written out, not counted: a
+# pattern that starts with a counted repeat makes the regex engine set up
+# the repeat at every character, while `\(s` fails at once where it does
+# not match.
+CHAIN_RUN = 4
+_OPEN = r'\(s[ \t\r\n]++'
+_CLOSE = r'[ \t\r\n]*+\)'
+_CHAIN = (rf'{_OPEN * CHAIN_RUN}(?:{_OPEN})*+(?:{_ATOM})?+(?:{_CLOSE})*+'
+          rf'|\){_CLOSE * (CHAIN_RUN - 1)}(?:{_CLOSE})*+')
+_CHAIN_START = re.compile(_OPEN * CHAIN_RUN)    # a chain, not a block like (s x)
+_TOKEN = re.compile(_CHAIN + "|" + _PLAIN_TOKEN.pattern, re.S)
+_SHARED_TOKEN = re.compile(_CHAIN + "|" + _BLOCK_TOKEN.pattern, re.S)
 
 
 class _Blocks(dict):
@@ -86,9 +120,29 @@ class _Blocks(dict):
 
     def __missing__(self, text: str) -> _Shared:
         items = _Shared(self[t] if t[0] == "(" else t
-                        for t in _SHARED_TOKEN.findall(text, 1, len(text) - 1))
+                        for t in _BLOCK_TOKEN.findall(text, 1, len(text) - 1))
         items = self[text] = self.shared.setdefault(tuple(items), items)
         return items
+
+
+class _Chains(dict):
+    """Atom -> its successor chains by depth, [atom, (s atom), (s (s atom)),
+    ...], for one shared read; each new level goes through `shared`."""
+
+    def __init__(self, shared: dict):
+        super().__init__()
+        self.shared = shared
+
+    def __missing__(self, atom: str) -> list:
+        levels = self[atom] = [atom]
+        return levels
+
+    def chain(self, atom: str, depth: int):
+        levels = self[atom]
+        while len(levels) <= depth:
+            key = ("s", levels[-1])
+            levels.append(self.shared.setdefault(key, _Shared(key)))
+        return levels[depth]
 
 
 def _error(message: str, text: str, token: re.Pattern, tokens: list,
@@ -104,14 +158,28 @@ def _error(message: str, text: str, token: re.Pattern, tokens: list,
 
 
 def _read(text: str, once: bool, share: bool = False):
+    """The values of text (see `_scan`); on an error, the read without chain
+    tokens says which, and where."""
+    try:
+        return _scan(text, once, share, True)
+    except SexprError:
+        return _scan(text, once, share, False)
+
+
+def _scan(text: str, once: bool, share: bool, chains: bool):
     """The values of text, in one pass over its tokens with an explicit
     stack; with once, the single value and nothing but comments after it;
-    with share, equal lists made one object (see the module docstring)."""
-    token = _SHARED_TOKEN if share else _TOKEN
+    with share, equal lists made one object; with chains, successor chains
+    and runs of closes taken as one token each (see the module docstring)."""
+    if share:
+        token = _SHARED_TOKEN if chains else _BLOCK_TOKEN
+    else:
+        token = _TOKEN if chains else _PLAIN_TOKEN
     tokens = token.findall(text)
     rest = iter(tokens)
     shared: dict = {}      # tuple of a list's items -> the list
     blocks = _Blocks(shared) if share else None
+    numerals = _Chains(shared) if share else None
     values: list = []
     stack: list = []       # the lists enclosing `items`
     items = values         # the list that receives the next value
@@ -128,19 +196,48 @@ def _read(text: str, once: bool, share: bool = False):
                 done = shared.setdefault(tuple(done), done)
             items = stack.pop()
             items.append(done)
-        elif tok[0] in '(;"':
+        elif tok[0] in '(;")':
             if tok[0] == ";":
                 continue
-            if tok[0] == "(":
+            if tok[0] == "(" and not (chains and tok[1] == "s" and tok[2] in " \t\r\n"
+                                      and _CHAIN_START.match(tok)):
                 items.append(blocks[tok])   # a block; shared reads only
-            elif len(tok) == 1:
-                raise _error("unterminated string", text, token, tokens, rest)
-            else:
+            elif tok[0] == '"':
+                if len(tok) == 1:
+                    raise _error("unterminated string", text, token, tokens, rest)
                 body = tok[1:-1]
                 if "\\" in body:
                     body = _ESCAPE.sub(r"\1", body)
                 items.append(QuotedString(body))
                 share = False
+            else:
+                # a run of closes, or a chain: n opens, an atom or none and
+                # the closes; its innermost `whole` levels close around the
+                # atom, the other opens stay open, the other closes close
+                closes = tok.count(")")
+                if tok[0] == "(":
+                    n = tok.count("(")
+                    atom = tok[tok.rindex("(") + 2:].strip(" \t\r\n)")
+                    whole = min(n, closes) if atom else 0
+                    for _ in range(n - whole):
+                        stack.append(items)
+                        items = _Shared(("s",)) if share else ["s"]
+                    if atom:
+                        if numerals is None:
+                            for _ in range(whole):
+                                atom = ["s", atom]
+                            items.append(atom)
+                        else:
+                            items.append(numerals.chain(atom, whole))
+                    closes -= whole
+                for _ in range(closes):
+                    if not stack:
+                        raise _error("unmatched ')'", text, token, tokens, rest)
+                    done = items
+                    if share:
+                        done = shared.setdefault(tuple(done), done)
+                    items = stack.pop()
+                    items.append(done)
         else:
             items.append(tok)
         if once and not stack:

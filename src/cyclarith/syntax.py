@@ -9,13 +9,16 @@ quantifier/equation core.
 Terms and formulas are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", 2006): a constructor returns the one live node with its class
 and children, looked up in an intern table, so structurally equal nodes are
-the same object and `==`/`hash` are identity.  The table holds its nodes
-weakly; a node nothing else refers to is freed, and with it whatever was
-memoised on it (its classification).  Free and all variables (`fv`, `av`)
-are computed at construction.  The canonical s-expression `sx` is rendered
-on first use, without recursion, and cached on the node it was asked of
-only, so a deep term costs memory linear in its size.  `sx` is the sort key
-for sequent normalization.
+the same object and `==`/`hash` are identity.  A node is built over nodes
+that exist already, so no node in the table sits above a new one: a
+successor chain is looked up from the bottom to the first missing level,
+and the levels above it are made without lookups.  The table holds its
+nodes weakly; a node nothing else refers to is freed, and with it whatever
+was memoised on it (its classification).  Free and all variables (`fv`,
+`av`) are computed at construction.  The canonical s-expression `sx` is
+rendered on first use, without recursion, and cached on the node it was
+asked of only, so a deep term costs memory linear in its size.  `sx` is the
+sort key for sequent normalization.
 
 A document (a proof or a graph) is converted with one memo: a dict that
 holds, for each kind of value ("formula", "term", and calculus's
@@ -349,13 +352,20 @@ def numeral(k: int) -> Term:
 
 
 def _succs(t: Term, k: int) -> Term:
-    """t under k successors; the table lookups are inlined, as numerals are
-    most of what is read from a ground proof."""
+    """t under k successors.  Numerals are most of what is read from a
+    ground proof, so the table lookups are inlined, and they stop at the
+    first successor not in the table (see the module docstring)."""
     get = _TABLE.get
-    for _ in range(k):
+    while k:
         ref = get((Succ, t))
         up = ref and ref()
-        t = Succ(t) if up is None else up
+        if up is None:
+            break
+        t, k = up, k - 1
+    for _ in range(k):
+        up = _make(Succ, (Succ, t), t.fv, t.av)
+        _set(up, "arg", t)
+        t = up
     return t
 
 

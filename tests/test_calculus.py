@@ -41,6 +41,7 @@ from cyclarith import (
     parse_proof,
     parse_sequent,
     premises_of,
+    prove_ground_atom,
     render_proof,
     walk,
 )
@@ -337,6 +338,22 @@ def test_shared_reading_matches_unshared_reference_on_corpus_and_mutants():
         seen.add(want[0])
         assert _outcome(parse_proof, text) == want, text
     assert seen == {"proof", "error"}
+
+
+def _node_fields(root):
+    return [(n.id, n.sequent, n.rule, n.vars, len(n.children)) for n in walk(root)]
+
+
+def test_shared_reading_matches_unshared_reference_on_ground_proofs():
+    # numerals are read as chain tokens; these proofs are mostly numerals
+    texts = [entry.text + "\n" for seed in (1, 2, 3) for entry in build_corpus(seed)
+             if entry.name.startswith("ground_")]
+    assert len(texts) >= 15
+    # every k to 20, then every fifth: the reference reader takes 5 s on all k <= 40
+    texts += [render_proof(prove_ground_atom(Add(numeral(k), numeral(k)), numeral(2 * k)))
+              for k in [*range(21), 25, 30, 35, 40]]
+    for text in texts:
+        assert _node_fields(parse_proof(text)) == _node_fields(_reference_proof(text))
 
 
 @pytest.mark.parametrize("text, message", [

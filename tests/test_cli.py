@@ -223,6 +223,12 @@ def test_eval_deep_equation(capsys):
     assert (rc, out.strip(), err) == (0, "true", "")
 
 
+def test_eval_deep_open_equation(capsys):
+    text = "(eq " + "(add " * 25000 + "x" + " 0)" * 25000 + " x)"
+    rc, out, err = _run(capsys, ["eval", text, "--assign", "x=1"])
+    assert (rc, out, err) == (0, "true\n", "")
+
+
 @pytest.mark.parametrize("target", ["zz", "n4"])
 def test_unravel_bad_back_link(capsys, tmp_path, corpus_dir, target):
     # a dangling back-link, and a back leaf n4 that targets itself

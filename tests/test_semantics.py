@@ -28,10 +28,12 @@ from cyclarith import (
     eval_term,
     extract_all,
     numeral,
+    parse_formula,
     parse_proof,
     sequent_truth,
 )
 from cyclarith.cli import build_corpus
+from cyclarith.semantics import CLOSURE_DEPTH
 
 import reference_semantics as ref
 from conftest import random_formula, random_quantifier_free, random_term
@@ -256,3 +258,48 @@ def test_deep_terms_evaluate_without_recursion():
         assert eval_formula(Neq(Mul(deep, V(x)), deep), {}, 8) is TV.TRUE
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_deep_open_terms_evaluate_without_recursion():
+    depth = 2000
+    t = V(x)
+    for _ in range(depth):
+        t = Add(t, Zero())
+    phi = parse_formula("(eq " + "(add " * depth + "x" + " 0)" * depth + " x)")
+    assert phi == Eq(t, V(x))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for env in ({}, {x: 3}):
+            assert eval_formula(phi, env, 8) is TV.TRUE
+        assert eval_formula(Neq(Mul(t, Succ(V(y))), Add(V(x), V(y))), {x: 2, y: 1}, 8) is TV.TRUE
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _deep_term(rng, depth):
+    """An open term with `depth` add/mul levels down its left spine, small
+    enough in value for every assignment of x and y into 0..2."""
+    t = rng.choice([V(x), V(y), Succ(V(x))])
+    for _ in range(depth):
+        side = rng.choice([V(y), numeral(rng.randrange(2)), Add(V(x), V(y))])
+        if rng.random() < 0.1:
+            t = Mul(t, numeral(1))
+        else:
+            t = Add(side, t) if rng.random() < 0.5 else Add(t, side)
+        if rng.random() < 0.2:
+            t = Succ(t)
+    return t
+
+
+def test_terms_around_the_closure_depth_match_reference():
+    rng = random.Random(31)
+    table = {}
+    for depth in range(CLOSURE_DEPTH - 2, CLOSURE_DEPTH + 3):
+        for _ in range(4):
+            t, u = _deep_term(rng, depth), _deep_term(rng, rng.randrange(3))
+            for phi in (Eq(t, u), Le(u, t), AllLe(z, u, Le(Add(V(z), u), t))):
+                for env in all_assignments([x, y], 2):
+                    want = ref.eval_formula(phi, dict(env), 4)
+                    assert eval_formula(phi, env, 4) is want, (depth, env)
+                    assert eval_formula(phi, env, 4, table) is want, (depth, env)

@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
+from cyclarith import Add, numeral, prove_ground_atom, render_proof
 from cyclarith.cli import build_corpus
-from cyclarith.sexpr import (_SHARED_TOKEN, BLOCK_DEPTH, QuotedString, SexprError, parse,
-                             parse_many, render, render_pretty)
+from cyclarith.sexpr import (_SHARED_TOKEN, _TOKEN, BLOCK_DEPTH, CHAIN_RUN, QuotedString,
+                             SexprError, parse, parse_many, render, render_pretty)
 
 import reference_sexpr
 
@@ -143,27 +144,34 @@ def test_reader_matches_reference_on_random_inputs():
 _PIECES = ["(", ")", '"', '"x y"', '\\', ";c\n", " ", "\n", "atom", "0"]
 
 
-@functools.cache
-def _mutated_corpus_texts():
-    rng = random.Random(11)
-    texts = [t for t in _corpus_texts() if len(t) < 3000]
+def _mutants(texts, pieces, token, seed, count):
+    """count seeded mutants of texts, each split by the regex token and
+    edited one to three times: a token deleted, one of pieces inserted or
+    put in a token's place, or a token copied."""
+    rng = random.Random(seed)
     out = []
-    for _ in range(1000):
+    for _ in range(count):
         text = rng.choice(texts)
-        tokens = re.findall(r'[()]|"[^"]*"|[^()"\s]+|\s+', text)
+        tokens = re.findall(token, text)
         for _ in range(rng.randrange(1, 4)):
             i = rng.randrange(len(tokens))
             roll = rng.randrange(4)
             if roll == 0:
                 del tokens[i]
             elif roll == 1:
-                tokens.insert(i, rng.choice(_PIECES))
+                tokens.insert(i, rng.choice(pieces))
             elif roll == 2:
-                tokens[i] = rng.choice(_PIECES)
+                tokens[i] = rng.choice(pieces)
             else:
                 tokens.insert(i, tokens[rng.randrange(len(tokens))])
         out.append("".join(tokens))
     return out
+
+
+@functools.cache
+def _mutated_corpus_texts():
+    texts = [t for t in _corpus_texts() if len(t) < 3000]
+    return _mutants(texts, _PIECES, r'[()]|"[^"]*"|[^()"\s]+|\s+', 11, 1000)
 
 
 def test_reader_matches_reference_on_mutated_corpus_files():
@@ -290,6 +298,18 @@ def test_blocks_match_reference_around_the_depth_bound():
     assert cases > 400
 
 
+_GROUND_PIECES = ["(s ", "(s", "( s ", "(s\n", ")", "))", " )", "(", "s", "0", " ", ";c\n", '"']
+
+
+@functools.cache
+def _mutated_ground_texts():
+    """Mutants of small `k+k = 2k` ground proofs, whose numerals are read as
+    chain tokens; `(s ` is one token, so that it can move."""
+    texts = [render_proof(prove_ground_atom(Add(numeral(k), numeral(k)), numeral(2 * k)))
+             for k in range(1, 4)]
+    return _mutants(texts, _GROUND_PIECES, r'\(s\s|[()]|[^()\s]+|\s+', 13, 300)
+
+
 def test_shared_read_error_offsets_match_plain_read_on_mutated_corpus_files():
     errors = 0
     for text in _mutated_corpus_texts():
@@ -297,6 +317,13 @@ def test_shared_read_error_offsets_match_plain_read_on_mutated_corpus_files():
         assert _outcome(_parse_shared, text) == want, text
         errors += want[0] == "error"
     assert errors > 300
+    ground_errors = 0
+    for text in _mutated_ground_texts():
+        want = _outcome(reference_sexpr.parse, text)
+        assert _outcome(parse, text) == want, text
+        assert _outcome(_parse_shared, text) == want, text
+        ground_errors += want[0] == "error"
+    assert 100 < ground_errors < 300
 
 
 def _flat(value):
@@ -346,3 +373,80 @@ def test_equal_blocks_spaced_differently_read_as_one_object():
     v = _parse_shared('((a b) "q" (a  b) ((a b) "r") ((a b) "r"))')
     assert v[0] is v[2] is v[3][0] is v[4][0]
     assert v[3] is not v[4]
+
+
+# --- chain tokens ----------------------------------------------------------
+
+_CHAIN_OPENS = ["(s ", "(s  ", "(s\t", "(s\n", "(s \r\n ", "( s ", "(s)", "(s )"]
+_CHAIN_INNER = ["0", "x", "s", "a;b", "(add x y)", "(s)", "()", '"q (s 0))"', ";c (s 0)\n",
+                "", " "]
+_CHAIN_SPACE = ["", "", " ", "\t", "\n"]
+_CHAIN_TAIL = ["", "", "", "", " ", " x", ")", " )", " (s 0)", " ;c", ";c\n)", '"', "(", "(s "]
+
+
+def _chain_text(rng):
+    """A successor chain with mixed whitespace and an odd open now and then,
+    something or nothing inside, a close count off by up to two, and
+    sometimes trailing input or an enclosing list."""
+    opens = _CHAIN_OPENS if rng.random() < 0.3 else _CHAIN_OPENS[:5]
+    pieces = [rng.choice(opens) for _ in range(rng.randrange(1, 10))]
+    depth = sum(not piece.endswith(")") for piece in pieces)
+    text = "".join(pieces) + rng.choice(_CHAIN_INNER)
+    closes = depth + rng.choice((-2, -1, 0, 0, 0, 0, 1, 2))
+    text += "".join(rng.choice(_CHAIN_SPACE) + ")" for _ in range(max(0, closes)))
+    text += rng.choice(_CHAIN_TAIL)
+    if rng.random() < 0.3:
+        text = rng.choice(["(f ", "(f ;c\n ", "("]) + text + rng.choice([")", " z)", ""])
+    return text
+
+
+def test_chain_tokens_match_reference():
+    rng = random.Random(19)
+    seen = {"value": 0, "error": 0}
+    long_chains = 0
+    for _ in range(5000):
+        text = _chain_text(rng)
+        want = _outcome(reference_sexpr.parse, text)
+        assert _outcome(parse, text) == want, text
+        assert _outcome(_parse_shared, text) == want, text
+        assert _outcome(parse_many, text) == _outcome(reference_sexpr.parse_many, text), text
+        seen[want[0]] += 1
+        long_chains += any(t.count("(") >= CHAIN_RUN for t in _TOKEN.findall(text))
+        if want[0] == "value" and '"' not in text:
+            by_text = {}
+            for v in _lists(_parse_shared(text)):
+                assert by_text.setdefault(render(v), v) is v, text
+    assert min(seen.values()) > 1000 and long_chains > 2500
+
+
+def test_a_chain_token_and_a_block_read_one_list_as_one_object():
+    chain = "(s " * CHAIN_RUN + "0" + ")" * CHAIN_RUN
+    # ';' keeps the outer list from being a block, so its chains are tokens
+    text = f"(a ;c\n {chain} (b {chain}) ( s {chain}) (s {chain} x) (b (s 0)))"
+    assert chain in _SHARED_TOKEN.findall(text)
+    assert _SHARED_TOKEN.findall(f"(s {chain} x)")[0] == "(s " + chain   # a partial chain
+    v = _parse_shared(text)
+    assert _shape(v) == _shape(parse(text))
+    assert v[1] is v[2][1] is v[3][1] is v[4][1]
+    assert v[5][1] is _lists(v[1])[-1]
+    # the block first, then the chain; and chains stay shared after a string
+    v = _parse_shared(f'(a ;c\n (b {chain}) "q" {chain} {chain})')
+    assert v[1][1] is v[3] is v[4]
+
+
+def test_deep_chains_are_a_few_tokens_and_read_without_recursion():
+    depth = 20000
+    limit = sys.getrecursionlimit()
+    for inner, want in (("0", "0"), ("(add x y)", ["add", "x", "y"])):
+        text = "(eq " + "(s " * depth + inner + ")" * depth + " 0)"
+        assert len(_TOKEN.findall(text)) <= 10
+        assert len(_SHARED_TOKEN.findall(text)) <= 10
+        for _ in range(depth):
+            want = ["s", want]
+        want = ["eq", want, "0"]
+        sys.setrecursionlimit(1000)
+        try:
+            assert _flat(parse(text)) == _flat(want)
+            assert _flat(_parse_shared(text)) == _flat(want)
+        finally:
+            sys.setrecursionlimit(limit)

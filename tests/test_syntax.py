@@ -308,3 +308,27 @@ def test_deep_equation_reads_evaluates_and_renders_without_recursion():
         gc.collect()
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_succs_extends_a_live_numeral_and_makes_each_new_level_once():
+    kept = numeral(10)
+    t = numeral(20)
+    for _ in range(10):
+        t = t.arg
+    assert t is kept
+    gc.collect()
+    gc.disable()
+    try:
+        base = V(Var("succs_probe"))
+        before = len(syntax._TABLE)
+        ten = syntax._succs(base, 10)
+        assert len(syntax._TABLE) == before + 10
+        twenty = syntax._succs(base, 20)
+        assert len(syntax._TABLE) == before + 20
+        # a chain made without lookups is found again while it lives
+        assert syntax._succs(base, 20) is twenty
+        assert syntax._succs(ten, 10) is twenty
+        assert Succ(twenty.arg) is twenty
+        assert len(syntax._TABLE) == before + 20
+    finally:
+        gc.enable()
