@@ -261,12 +261,25 @@ def parse_many(text: str):
 
 
 def render(value) -> str:
-    if isinstance(value, QuotedString):
-        body = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{body}"'
-    if isinstance(value, str):
-        return value
-    return "(" + " ".join(render(v) for v in value) + ")"
+    """Text of a value; an explicit stack, no recursion.  The stack holds
+    values to render and the plain strings between them."""
+    out = []
+    todo = [value]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, QuotedString):
+            body = v.replace("\\", "\\\\").replace('"', '\\"')
+            out.append(f'"{body}"')
+        elif isinstance(v, str):
+            out.append(v)
+        else:
+            out.append("(")
+            todo.append(")")
+            for i in range(len(v) - 1, -1, -1):
+                todo.append(v[i])
+                if i:
+                    todo.append(" ")
+    return "".join(out)
 
 
 def render_pretty(value, indent: int = 0) -> str:

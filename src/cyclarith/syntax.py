@@ -14,8 +14,13 @@ that exist already, so no node in the table sits above a new one: a
 successor chain is looked up from the bottom to the first missing level,
 and the levels above it are made without lookups.  The table holds its
 nodes weakly; a node nothing else refers to is freed, and with it whatever
-was memoised on it (its classification).  Free and all variables (`fv`,
-`av`) are computed at construction.  The canonical s-expression `sx` is
+was memoised on it: its classification, and its dual once `negate` has built
+it.  A formula holds its dual strongly and a dual its formula through a weak
+reference only, so neither keeps the pair alive and nodes still die by
+reference counting, never waiting for the cycle collector.  Free and all
+variables (`fv`, `av`) and, on formulas, whether they hold any sugar
+(`sugar`) are computed at construction, so `desugar` passes over sugar-free
+subformulas without walking them.  The canonical s-expression `sx` is
 rendered on first use, without recursion, and cached on the node it was
 asked of only, so a deep term costs memory linear in its size.  `sx` is the
 sort key for sequent normalization.
@@ -211,6 +216,7 @@ class _Binary(_Syn):
     __slots__ = ()
     __match_args__ = ("left", "right")
     _head = "?"
+    _joins = False      # and/or: holds sugar when either side does
 
     def __new__(cls, left, right):
         key = (cls, left, right)
@@ -220,6 +226,8 @@ class _Binary(_Syn):
             node = _make(cls, key, _union(left.fv, right.fv), _union(left.av, right.av))
             _set(node, "left", left)
             _set(node, "right", right)
+            if cls._joins:
+                _set(node, "sugar", left.sugar or right.sugar)
         return node
 
     def _unfold(self, out, todo):
@@ -238,7 +246,9 @@ class Mul(_Binary, Term):
 
 
 class Formula(_Syn):
-    __slots__ = ("_memo",)   # classification results, filled on demand
+    # _memo: classification results, filled on demand; _dual: see negate
+    __slots__ = ("_memo", "_dual")
+    sugar = False       # holds le, nle, all<= or ex<=; fixed at construction
 
 
 class Eq(_Binary, Formula):
@@ -254,6 +264,7 @@ class Neq(_Binary, Formula):
 class Le(_Binary, Formula):
     __slots__ = ("left", "right")
     _head = "(le "
+    sugar = True
 
 
 class NLe(_Binary, Formula):
@@ -261,22 +272,25 @@ class NLe(_Binary, Formula):
 
     __slots__ = ("left", "right")
     _head = "(nle "
+    sugar = True
 
 
 class And(_Binary, Formula):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "sugar")
     _head = "(and "
+    _joins = True
 
 
 class Or(_Binary, Formula):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "sugar")
     _head = "(or "
+    _joins = True
 
 
 class _Quant(Formula):
     """Unbounded quantifier over var; rendered `(head var body)`."""
 
-    __slots__ = ("var", "body")
+    __slots__ = ("var", "body", "sugar")
     __match_args__ = ("var", "body")
     _head = "?"
 
@@ -288,6 +302,7 @@ class _Quant(Formula):
             node = _make(cls, key, body.fv - {var}, body.av | {var})
             _set(node, "var", var)
             _set(node, "body", body)
+            _set(node, "sugar", body.sugar)
         return node
 
     def _unfold(self, out, todo):
@@ -311,6 +326,7 @@ class _Bounded(Formula):
     __slots__ = ("var", "bound", "body")
     __match_args__ = ("var", "bound", "body")
     _head = "?"
+    sugar = True
 
     def __new__(cls, var: Var, bound: Term, body: Formula):
         key = (cls, var.name, bound, body)
@@ -377,29 +393,72 @@ def all_vars(phi: Union[Term, Formula]) -> frozenset:
     return phi.av
 
 
+def _known_dual(phi) -> Formula | None:
+    """The memoised dual of phi, if it has one that is alive."""
+    try:
+        dual = phi._dual
+    except AttributeError:
+        return None
+    return dual() if dual.__class__ is weakref.ref else dual
+
+
 def negate(phi: Formula) -> Formula:
-    match phi:
-        case Eq(l, r):
-            return Neq(l, r)
-        case Neq(l, r):
-            return Eq(l, r)
-        case Le(l, r):
-            return NLe(l, r)
-        case NLe(l, r):
-            return Le(l, r)
-        case And(l, r):
-            return Or(negate(l), negate(r))
-        case Or(l, r):
-            return And(negate(l), negate(r))
-        case All(x, b):
-            return Ex(x, negate(b))
-        case Ex(x, b):
-            return All(x, negate(b))
-        case AllLe(x, t, b):
-            return ExLe(x, t, negate(b))
-        case ExLe(x, t, b):
-            return AllLe(x, t, negate(b))
-    raise TypeError(f"not a formula: {phi!r}")
+    """The dual formula: atoms flip, connectives and quantifiers swap.
+
+    An explicit stack, no recursion.  A dual once built is memoised on its
+    formula, and the formula on its dual through a weak reference only, so
+    either is found again by one attribute read and neither keeps the other
+    alive through its dual.
+    """
+    dual = _known_dual(phi)
+    if dual is not None:
+        return dual
+    out: list = []          # duals of the formulas done, in postorder
+    todo: list = [phi]      # formulas to negate; (f,) builds f's dual from out
+    while todo:
+        f = todo.pop()
+        if f.__class__ is tuple:
+            f = f[0]
+            body = out.pop()
+            match f:
+                case And():
+                    dual = Or(out.pop(), body)
+                case Or():
+                    dual = And(out.pop(), body)
+                case All(x, _):
+                    dual = Ex(x, body)
+                case Ex(x, _):
+                    dual = All(x, body)
+                case AllLe(x, t, _):
+                    dual = ExLe(x, t, body)
+                case ExLe(x, t, _):
+                    dual = AllLe(x, t, body)
+        else:
+            dual = _known_dual(f)
+            if dual is not None:
+                out.append(dual)
+                continue
+            match f:
+                case Eq(l, r):
+                    dual = Neq(l, r)
+                case Neq(l, r):
+                    dual = Eq(l, r)
+                case Le(l, r):
+                    dual = NLe(l, r)
+                case NLe(l, r):
+                    dual = Le(l, r)
+                case And(l, r) | Or(l, r):
+                    todo += ((f,), r, l)
+                    continue
+                case All(_, b) | Ex(_, b) | AllLe(_, _, b) | ExLe(_, _, b):
+                    todo += ((f,), b)
+                    continue
+                case _:
+                    raise TypeError(f"not a formula: {f!r}")
+        _set(f, "_dual", dual)
+        _set(dual, "_dual", weakref.ref(f))
+        out.append(dual)
+    return out[0]
 
 
 def impl(phi: Formula, psi: Formula) -> Formula:
@@ -491,7 +550,12 @@ def fresh_for(*objs: Union[Term, Formula, Var]) -> FreshVars:
 
 
 def desugar(phi: Formula) -> Formula:
-    """Expand le/nle and the bounded quantifiers into the core language."""
+    """Expand le/nle and the bounded quantifiers into the core language; a
+    formula without them is returned as it is."""
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
+    if not phi.sugar:
+        return phi
     return _desugar(phi, fresh_for(phi))
 
 
@@ -506,9 +570,11 @@ def _nle_core(left: Term, right: Term, fv: FreshVars) -> Formula:
 
 
 def _desugar(phi: Formula, fv: FreshVars) -> Formula:
+    """phi expanded, with names from fv taken at its sugar nodes only, left
+    to right; subformulas without sugar are kept as they are."""
+    if not phi.sugar:
+        return phi
     match phi:
-        case Eq() | Neq():
-            return phi
         case Le(l, r):
             return _le_core(l, r, fv)
         case NLe(l, r):

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from cyclarith import Add, numeral, prove_ground_atom, render_proof
+from cyclarith import (Add, ParseError, numeral, parse_formula, parse_proof,
+                       prove_ground_atom, render_proof)
 from cyclarith.cli import build_corpus
 from cyclarith.sexpr import (_SHARED_TOKEN, _TOKEN, BLOCK_DEPTH, CHAIN_RUN, QuotedString,
                              SexprError, parse, parse_many, render, render_pretty)
@@ -206,6 +207,23 @@ def test_reader_is_iterative_in_depth():
         for _ in range(depth):
             [value] = value
         assert value == "x"
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_render_is_iterative_in_depth():
+    depth = 3000
+    chain = "(s " * depth + "0" + ")" * depth
+    text = f"(foo {chain} \"a \\\"q\\\"\")"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert render(parse(text)) == text
+        # error messages render the offending value
+        with pytest.raises(ParseError, match=r"^bad formula \(foo \(s \(s"):
+            parse_formula(f"(foo {chain} 0)")
+        with pytest.raises(ParseError, match=r"^bad rule \(rule bogus \(s \(s"):
+            parse_proof(f"(node :id n0 (seq (eq 0 0)) (rule bogus {chain}))")
     finally:
         sys.setrecursionlimit(limit)
 

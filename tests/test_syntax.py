@@ -46,6 +46,7 @@ from cyclarith.sexpr import parse
 from cyclarith.syntax import (FreshVars, all_vars, formula_from_sexpr, fresh_for,
                               term_from_sexpr)
 
+import reference_syntax
 from conftest import random_formula, random_term
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -271,6 +272,34 @@ def test_negate_involution_is_identity(phi):
     assert negate(negate(phi)) is phi
 
 
+def _agrees_with_reference(phi, dual_first):
+    """negate and desugar return the recursive reference's node, fresh names
+    included, whether a formula or its dual is negated first, and again on a
+    repeated call."""
+    dual = reference_syntax.negate(phi)
+    if dual_first:
+        assert negate(dual) is phi
+    assert negate(phi) is dual and negate(phi) is dual
+    assert negate(dual) is phi and negate(negate(phi)) is phi
+    for f in (phi, dual):
+        want = reference_syntax.desugar(f)
+        got = desugar(f)
+        assert got is want and got.sx == want.sx
+        assert desugar(f) is got and desugar(got) is got
+
+
+@_hc
+@given(_formulas, st.booleans())
+def test_negate_and_desugar_agree_with_the_recursive_reference(phi, dual_first):
+    _agrees_with_reference(phi, dual_first)
+
+
+def test_negate_and_desugar_agree_with_the_reference_on_random_formulas():
+    rng = random.Random(41)
+    for i in range(300):
+        _agrees_with_reference(random_formula(rng, 4), i % 2 == 1)
+
+
 def test_nodes_are_immutable():
     t = Add(V(x), Zero())
     with pytest.raises(AttributeError):
@@ -290,6 +319,43 @@ def test_intern_table_forgets_dropped_classified_formulas():
     del phi
     gc.collect()
     assert len(syntax._TABLE) == before
+
+
+def test_negated_and_desugared_formulas_die_without_the_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(syntax._TABLE)
+        a, b = Var("live_a"), Var("live_b")
+        phi = All(a, Or(ExLe(b, V(a), Le(V(b), numeral(3))), Eq(V(a), V(b))))
+        dual = negate(phi)
+        assert negate(dual) is phi
+        assert not desugar(negate(desugar(dual))).sugar
+        shown = phi.sx
+        # the dual does not keep its formula alive, nor the formula its dual
+        del phi
+        assert syntax._known_dual(dual) is None
+        assert negate(dual).sx == shown
+        del dual
+        assert len(syntax._TABLE) == before
+    finally:
+        gc.enable()
+
+
+def test_deep_conjunction_negates_and_desugars_without_recursion():
+    phi, want = Eq(V(x), ZERO), Neq(V(x), ZERO)
+    for k in range(2000):
+        phi = And(Eq(V(x), numeral(k % 3)), phi)
+        want = Or(Neq(V(x), numeral(k % 3)), want)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert negate(phi) is want
+        assert negate(want) is phi
+        assert parse_formula(want.sx) is want
+        assert desugar(phi) is phi and desugar(want) is want
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _numeral_text(k):
