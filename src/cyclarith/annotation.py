@@ -22,7 +22,7 @@ from typing import List
 
 from . import sexpr
 from .calculus import (AllRule, AndRule, ArgMismatch, CaseRule, CutRule,
-                       ProofNode, Rule, RULE_ARITY, fold_tree,
+                       ProofNode, Rule, RULE_ARITY, Sequent, fold_tree,
                        node_sequent_from_sexpr, vars_to_sexpr_str, walk)
 from .syntax import (And, CaptureError, Formula, PI, ParseError, SIGMA, V, is_in,
                      negate, substitute)

@@ -23,10 +23,11 @@ from .calculus import (Add0Rule, AddSRule, AllRule, AndRule, AssumeLeaf,
                        ProofNode, RefRule, RepRule, Rule, Sequent, WeakRule,
                        is_axiom, premises_of, render_proof, walk)
 from .checker import CyclicProof, validate
+from .derived import fresh_for
 from .semantics import eval_term
 from .syntax import (Add, All, AllLe, And, Eq, Ex, ExLe, Formula, Le, Mul,
                      NLe, Neq, Or, PI, Succ, Term, V, Var, ZERO, Zero,
-                     fresh_for, impl, is_in, negate, numeral, substitute)
+                     impl, is_in, negate, numeral, substitute)
 
 
 class PreError(Exception):

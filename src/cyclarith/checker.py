@@ -25,8 +25,6 @@ from .annotation import AnnotatedSequent, Mode, System, propagate
 from .calculus import (ArgMismatch, AssumeLeaf, AxiomLeaf, BackLeaf, CaseRule,
                        LEAF_KINDS, OpenLeaf, ProofNode, check_step, is_axiom,
                        node_map, parent_map, walk)
-from .semantics import (DEFAULT_CUTOFF, DEFAULT_VALUE_BOUND, TV,
-                        all_assignments, sequent_truth)
 from .syntax import ParseError
 
 
@@ -223,38 +221,6 @@ def _crosses_case_right(nodes, pth: List[str]) -> bool:
 
 def _vset(vs) -> str:
     return "{" + " ".join(sorted(v.name for v in vs)) + "}"
-
-
-# --- sampled soundness -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class SoundnessReport:
-    ok: bool
-    checked: int
-    hits: Tuple[Tuple[str, str, str], ...]  # (node id, assignment, note)
-
-
-def soundness_sample(proof: Union[CyclicProof, ProofNode],
-                     value_bound: int = DEFAULT_VALUE_BOUND,
-                     cutoff: int = DEFAULT_CUTOFF) -> SoundnessReport:
-    """Grid check: no node's sequent evaluates to false outright.
-
-    A false sequent under some assignment of the grid means the proof
-    claims something refutable, which a sound derivation never does when
-    its assumptions hold.  One compile table serves the whole walk.
-    """
-    root = proof.root if isinstance(proof, CyclicProof) else proof
-    hits: List[Tuple[str, str, str]] = []
-    checked = 0
-    table = {}
-    for node in walk(root):
-        fvs = sorted(node.sequent.fv)
-        for env in all_assignments(fvs, value_bound):
-            checked += 1
-            if sequent_truth(node.sequent, env, cutoff, table) is TV.FALSE:
-                shown = ",".join(f"{v.name}={env[v]}" for v in fvs)
-                hits.append((node.id, shown, node.sequent.sx))
-    return SoundnessReport(not hits, checked, tuple(hits))
 
 
 # --- report rendering ------------------------------------------------------------

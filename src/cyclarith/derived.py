@@ -1,0 +1,132 @@
+"""Notions defined over the syntax that no proof check needs.
+
+Validation reads `syntax` but never expands sugar, invents a name or asks
+for a formula's exact level, so these live outside the trusted core (see
+the package docstring):
+
+- `desugar` expands the ordering atoms `(le t u)`, `(nle t u)` and the
+  bounded quantifiers `(all<= x t f)`, `(ex<= x t f)` into the
+  quantifier/equation core, naming each new variable from the reserved
+  `$k` namespace;
+- `FreshVars` and `fresh_for` supply those names;
+- `classify` gives the least level of the arithmetical hierarchy a formula
+  lies in.
+"""
+
+from __future__ import annotations
+
+import itertools
+import re
+from typing import Iterable, Union
+
+from .syntax import (DELTA0, PI, SIGMA, Add, All, AllLe, And, Eq, Ex, Formula,
+                     Le, NLe, Neq, Or, Term, V, Var, is_in)
+
+RESERVED_PREFIX = "$"
+_RESERVED_RE = re.compile(re.escape(RESERVED_PREFIX) + r"(\d+)\Z")
+
+
+class FreshVars:
+    """Deterministic fresh-name supply over the reserved `$k` namespace."""
+
+    def __init__(self, avoid: Iterable[str] = ()):
+        self._used = set(avoid)
+        start = 0
+        for name in self._used:
+            m = _RESERVED_RE.match(name)
+            if m:
+                start = max(start, int(m.group(1)) + 1)
+        self._next = start
+
+    def take(self) -> Var:
+        name = f"{RESERVED_PREFIX}{self._next}"
+        self._next += 1
+        self._used.add(name)
+        return Var(name)
+
+
+def fresh_for(*objs: Union[Term, Formula, Var]) -> FreshVars:
+    names = set()
+    for obj in objs:
+        if isinstance(obj, Var):
+            names.add(obj.name)
+        else:
+            names.update(v.name for v in obj.av)
+    return FreshVars(names)
+
+
+def desugar(phi: Formula) -> Formula:
+    """Expand le/nle and the bounded quantifiers into the core language; a
+    formula without them is returned as it is."""
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
+    if not phi.sugar:
+        return phi
+    return _desugar(phi, fresh_for(phi))
+
+
+def _le_core(left: Term, right: Term, fv: FreshVars) -> Formula:
+    z = fv.take()
+    return Ex(z, Eq(Add(V(z), left), right))
+
+
+def _nle_core(left: Term, right: Term, fv: FreshVars) -> Formula:
+    z = fv.take()
+    return All(z, Neq(Add(V(z), left), right))
+
+
+def _desugar(phi: Formula, fv: FreshVars) -> Formula:
+    """phi expanded, with names from fv taken at its sugar nodes only, left
+    to right; subformulas without sugar are kept as they are.
+
+    An explicit stack, no recursion.  A node is visited in preorder, and a
+    bounded quantifier takes its name then, before its body; the expansions
+    are built in postorder on `out`.  A task (outer, x, inner, core) builds
+    outer(left, body) for a connective (x is None), outer(x, body) for a
+    quantifier, and outer(x, inner(core, body)) for a bounded quantifier,
+    core being its expanded bound.  Classes are tested by identity: a
+    `match` here made desugaring about 1.2x slower than the recursive walk.
+    """
+    out: list = []
+    todo: list = [phi]
+    while todo:
+        f = todo.pop()
+        cls = f.__class__
+        if cls is tuple:
+            outer, x, inner, core = f
+            body = out.pop()
+            if x is None:
+                body = outer(out.pop(), body)
+            elif inner is None:
+                body = outer(x, body)
+            else:
+                body = outer(x, inner(core, body))
+            out.append(body)
+        elif not f.sugar:
+            out.append(f)
+        elif cls is And or cls is Or:
+            todo += ((cls, None, None, None), f.right, f.left)
+        elif cls is All or cls is Ex:
+            todo += ((cls, f.var, None, None), f.body)
+        elif cls is Le:
+            out.append(_le_core(f.left, f.right, fv))
+        elif cls is NLe:
+            out.append(_nle_core(f.left, f.right, fv))
+        elif cls is AllLe:
+            todo += ((All, f.var, Or, _nle_core(V(f.var), f.bound, fv)), f.body)
+        else:   # ExLe, the last class that holds sugar
+            todo += ((Ex, f.var, And, _le_core(V(f.var), f.bound, fv)), f.body)
+    return out[0]
+
+
+def classify(phi: Formula) -> tuple:
+    """Minimal (kind, level); reports ("sigma", n) on a Sigma/Pi tie.
+
+    The search ends: a formula of quantifier depth d lies in Sigma_{d+1}.
+    Sigma_0 = Pi_0 = Delta0, so level 0 is found by the Sigma test.
+    """
+    for n in itertools.count():
+        if is_in(phi, SIGMA, n):
+            return (DELTA0, 0) if n == 0 else (SIGMA, n)
+        if is_in(phi, PI, n):
+            return (PI, n)

@@ -281,26 +281,3 @@ def render(value) -> str:
                     todo.append(" ")
     return "".join(out)
 
-
-def render_pretty(value, indent: int = 0) -> str:
-    """Render with one nested list per line; deterministic layout."""
-    pad = "  " * indent
-    if isinstance(value, str):
-        return pad + render(value)
-    if not any(isinstance(v, list) for v in value):
-        return pad + render(value)
-    head = [v for v in value]
-    lines = [pad + "("]
-    flat_prefix = []
-    rest_start = 0
-    for v in head:
-        if isinstance(v, list):
-            break
-        flat_prefix.append(render(v))
-        rest_start += 1
-    if flat_prefix:
-        lines[0] = pad + "(" + " ".join(flat_prefix)
-    for v in head[rest_start:]:
-        lines.append(render_pretty(v, indent + 1))
-    lines[-1] += ")"
-    return "\n".join(lines)

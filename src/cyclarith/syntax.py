@@ -3,8 +3,8 @@
 The language has equations and disequations as dual atoms and no negation
 connective: `negate` computes the dual formula syntactically.  The ordering
 atom `(le t u)` and its dual `(nle t u)`, and the bounded quantifiers
-`(all<= x t f)` / `(ex<= x t f)`, are sugar: `desugar` expands them into the
-quantifier/equation core.
+`(all<= x t f)` / `(ex<= x t f)`, are sugar over the quantifier/equation
+core; module `derived` expands them.
 
 Terms and formulas are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", 2006): a constructor returns the one live node with its class
@@ -19,11 +19,11 @@ it.  A formula holds its dual strongly and a dual its formula through a weak
 reference only, so neither keeps the pair alive and nodes still die by
 reference counting, never waiting for the cycle collector.  Free and all
 variables (`fv`, `av`) and, on formulas, whether they hold any sugar
-(`sugar`) are computed at construction, so `desugar` passes over sugar-free
-subformulas without walking them.  The canonical s-expression `sx` is
-rendered on first use, without recursion, and cached on the node it was
-asked of only, so a deep term costs memory linear in its size.  `sx` is the
-sort key for sequent normalization.
+(`sugar`) are computed at construction, so expanding sugar passes over
+sugar-free subformulas without walking them.  The canonical s-expression
+`sx` is rendered on first use, without recursion, and cached on the node it
+was asked of only, so a deep term costs memory linear in its size.  `sx` is
+the sort key for sequent normalization.
 
 A document (a proof or a graph) is converted with one memo: a dict that
 holds, for each kind of value ("formula", "term", and calculus's
@@ -42,7 +42,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, Union
+from typing import Dict, Union
 
 from . import sexpr
 
@@ -55,9 +55,7 @@ class CaptureError(Exception):
     """Substitution would move a variable of the replacement under a binder."""
 
 
-RESERVED_PREFIX = "$"
 _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$'.]*\Z")
-_RESERVED_RE = re.compile(re.escape(RESERVED_PREFIX) + r"(\d+)\Z")
 
 
 @dataclass(frozen=True, order=True)
@@ -389,10 +387,6 @@ def free_vars(phi: Union[Term, Formula]) -> frozenset:
     return phi.fv
 
 
-def all_vars(phi: Union[Term, Formula]) -> frozenset:
-    return phi.av
-
-
 def _known_dual(phi) -> Formula | None:
     """The memoised dual of phi, if it has one that is alive."""
     try:
@@ -520,80 +514,6 @@ def substitute(phi: Formula, x: Var, s: Term) -> Formula:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-class FreshVars:
-    """Deterministic fresh-name supply over the reserved `$k` namespace."""
-
-    def __init__(self, avoid: Iterable[str] = ()):
-        self._used = set(avoid)
-        start = 0
-        for name in self._used:
-            m = _RESERVED_RE.match(name)
-            if m:
-                start = max(start, int(m.group(1)) + 1)
-        self._next = start
-
-    def take(self) -> Var:
-        name = f"{RESERVED_PREFIX}{self._next}"
-        self._next += 1
-        self._used.add(name)
-        return Var(name)
-
-
-def fresh_for(*objs: Union[Term, Formula, Var]) -> FreshVars:
-    names = set()
-    for obj in objs:
-        if isinstance(obj, Var):
-            names.add(obj.name)
-        else:
-            names.update(v.name for v in obj.av)
-    return FreshVars(names)
-
-
-def desugar(phi: Formula) -> Formula:
-    """Expand le/nle and the bounded quantifiers into the core language; a
-    formula without them is returned as it is."""
-    if not isinstance(phi, Formula):
-        raise TypeError(f"not a formula: {phi!r}")
-    if not phi.sugar:
-        return phi
-    return _desugar(phi, fresh_for(phi))
-
-
-def _le_core(left: Term, right: Term, fv: FreshVars) -> Formula:
-    z = fv.take()
-    return Ex(z, Eq(Add(V(z), left), right))
-
-
-def _nle_core(left: Term, right: Term, fv: FreshVars) -> Formula:
-    z = fv.take()
-    return All(z, Neq(Add(V(z), left), right))
-
-
-def _desugar(phi: Formula, fv: FreshVars) -> Formula:
-    """phi expanded, with names from fv taken at its sugar nodes only, left
-    to right; subformulas without sugar are kept as they are."""
-    if not phi.sugar:
-        return phi
-    match phi:
-        case Le(l, r):
-            return _le_core(l, r, fv)
-        case NLe(l, r):
-            return _nle_core(l, r, fv)
-        case And(l, r):
-            return And(_desugar(l, fv), _desugar(r, fv))
-        case Or(l, r):
-            return Or(_desugar(l, fv), _desugar(r, fv))
-        case All(x, b):
-            return All(x, _desugar(b, fv))
-        case Ex(x, b):
-            return Ex(x, _desugar(b, fv))
-        case AllLe(x, t, b):
-            return All(x, Or(_nle_core(V(x), t, fv), _desugar(b, fv)))
-        case ExLe(x, t, b):
-            return Ex(x, And(_le_core(V(x), t, fv), _desugar(b, fv)))
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 # --- arithmetical hierarchy -------------------------------------------------
 
 DELTA0 = "delta0"
@@ -682,32 +602,6 @@ def _is_in(phi: Formula, kind: str, n: int) -> bool:
                 return is_in(b, PI, n)
             return is_in(phi, PI, n - 1)
     raise TypeError(f"not a formula: {phi!r}")
-
-
-def _quantifier_depth(phi: Formula) -> int:
-    match phi:
-        case Eq() | Neq() | Le() | NLe():
-            return 0
-        case And(l, r) | Or(l, r):
-            return max(_quantifier_depth(l), _quantifier_depth(r))
-        case All(_, b) | Ex(_, b) | AllLe(_, _, b) | ExLe(_, _, b):
-            return 1 + _quantifier_depth(b)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def classify(phi: Formula) -> tuple:
-    """Minimal (kind, level); reports ("sigma", n) on a Sigma/Pi tie."""
-    limit = _quantifier_depth(phi) + 1
-    for n in range(limit + 1):
-        s = is_in(phi, SIGMA, n)
-        p = is_in(phi, PI, n)
-        if n == 0 and (s or p):
-            return (DELTA0, 0)
-        if s:
-            return (SIGMA, n)
-        if p:
-            return (PI, n)
-    raise AssertionError(f"unclassifiable formula {phi.sx}")
 
 
 # --- parsing ----------------------------------------------------------------

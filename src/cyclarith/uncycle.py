@@ -30,6 +30,10 @@ an sSigma (forall)), an M-sequent outside the restriction class in spi and
 ssigma, and a cycle of M that avoids every (case) conclusion
 (compute_ranks). Ranks then decrease along every M-edge, and theta and
 zeta lie in the restriction class, by construction.
+
+The grid checks here, of a certificate's obligations and of every sequent
+of a proof (soundness_sample), are diagnostics over semantics' bounded
+evaluation; no validity judgement depends on them.
 """
 
 from __future__ import annotations
@@ -42,11 +46,12 @@ from . import sexpr
 from .annotation import AnnotatedSequent, Mode, System, propagate
 from .calculus import AllRule, BackLeaf, CaseRule, ProofNode, Sequent, walk
 from .checker import CyclicProof, _vset
+from .derived import desugar
 from .semantics import (DEFAULT_CUTOFF, DEFAULT_VALUE_BOUND, TV,
-                        all_assignments, eval_formula)
+                        all_assignments, eval_formula, sequent_truth)
 from .syntax import (And, All, AllLe, Add, BOT, Eq, Formula, Or, ParseError,
-                     Succ, TOP, V, Var, ZERO, desugar, formula_from_sexpr, iff,
-                     impl, negate, substitute)
+                     Succ, TOP, V, Var, ZERO, formula_from_sexpr, iff, impl,
+                     negate, substitute)
 
 
 class NoRootCycle:
@@ -348,28 +353,29 @@ def _induction(phi_root: Formula, zeta: Formula, z: Var) -> Tuple[Formula, Formu
 
 def extract_all(proof: Union[CyclicProof, ProofNode],
                 mode: Mode) -> List[Tuple[str, InductionCertificate]]:
-    """One certificate per maximal root-cycle component, outermost first."""
+    """One certificate per maximal root-cycle component, outermost first.
+
+    Components are met in preorder, without recursion: an explicit stack
+    holds the subtrees still to search, pushed in reverse so that they pop
+    in tree order.
+    """
     if isinstance(proof, ProofNode):
         proof = CyclicProof(proof)
     succ, pred = _digraph(proof)
     out: List[Tuple[str, InductionCertificate]] = []
-
-    def go(node: ProofNode) -> None:
+    todo = [proof.root]
+    while todo:
+        node = todo.pop()
         if isinstance(node.rule, BackLeaf):
-            return
+            continue
         m_set = _root_cycle(proof, pred, node.id)
         if isinstance(m_set, NoRootCycle):
-            for c in node.children:
-                go(c)
-            return
+            todo += reversed(node.children)
+            continue
         cert = _certificate(proof, succ, node, m_set, mode)
         out.append((node.id, cert))
-        for nid in cert.m_nodes:
-            for c in proof.nodes[nid].children:
-                if c.id not in m_set:
-                    go(c)
-
-    go(proof.root)
+        todo += reversed([c for nid in cert.m_nodes
+                          for c in proof.nodes[nid].children if c.id not in m_set])
     return out
 
 
@@ -411,6 +417,36 @@ def check_certificate_bounded(cert: InductionCertificate,
         checked.append(replace(ob, status=status))
     return CertificateCheck(not hits, replace(cert, obligations=tuple(checked)),
                             tuple(hits))
+
+
+@dataclass(frozen=True)
+class SoundnessReport:
+    ok: bool
+    checked: int
+    hits: Tuple[Tuple[str, str, str], ...]  # (node id, assignment, note)
+
+
+def soundness_sample(proof: Union[CyclicProof, ProofNode],
+                     value_bound: int = DEFAULT_VALUE_BOUND,
+                     cutoff: int = DEFAULT_CUTOFF) -> SoundnessReport:
+    """Grid check: no node's sequent evaluates to false outright.
+
+    A false sequent under some assignment of the grid means the proof
+    claims something refutable, which a sound derivation never does when
+    its assumptions hold.  One compile table serves the whole walk.
+    """
+    root = proof.root if isinstance(proof, CyclicProof) else proof
+    hits: List[Tuple[str, str, str]] = []
+    checked = 0
+    table = {}
+    for node in walk(root):
+        fvs = sorted(node.sequent.fv)
+        for env in all_assignments(fvs, value_bound):
+            checked += 1
+            if sequent_truth(node.sequent, env, cutoff, table) is TV.FALSE:
+                shown = ",".join(f"{v.name}={env[v]}" for v in fvs)
+                hits.append((node.id, shown, node.sequent.sx))
+    return SoundnessReport(not hits, checked, tuple(hits))
 
 
 def certificate_with_theta(cert: InductionCertificate,

@@ -10,7 +10,7 @@ connective, so keep their inputs shallow.
 
 from cyclarith import (Add, All, AllLe, And, Eq, Ex, ExLe, Le, NLe, Neq, Or,
                        V)
-from cyclarith.syntax import fresh_for
+from cyclarith.derived import fresh_for
 
 
 def negate(phi):

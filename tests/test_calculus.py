@@ -47,8 +47,8 @@ from cyclarith import (
 )
 from cyclarith.calculus import ArgMismatch, RULE_ARITY
 
-from cyclarith import (Mode, System, annotate_tree, erase, graph_of, is_annotated,
-                       prefix_equal, ravel, syntax, unravel, validate)
+from cyclarith import (Mode, System, annotate_tree, erase, extract_all, graph_of,
+                       is_annotated, prefix_equal, ravel, syntax, unravel, validate)
 from cyclarith.calculus import BackLeaf, node_map, proof_from_sexpr
 from cyclarith.cli import build_corpus
 from cyclarith.sexpr import SexprError
@@ -288,6 +288,7 @@ def test_deep_proof_parses_annotates_erases_and_checks_without_recursion():
         annotated = annotate_tree(root, frozenset({x}), sn0)
         assert is_annotated(annotated)
         assert validate(annotated, sn0).valid
+        assert extract_all(annotated, sn0) == []
         again = render_proof(annotated)
         assert render_proof(parse_proof(again)) == again
         assert render_proof(erase(annotated)) == text

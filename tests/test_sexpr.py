@@ -9,7 +9,7 @@ from cyclarith import (Add, ParseError, numeral, parse_formula, parse_proof,
                        prove_ground_atom, render_proof)
 from cyclarith.cli import build_corpus
 from cyclarith.sexpr import (_SHARED_TOKEN, _TOKEN, BLOCK_DEPTH, CHAIN_RUN, QuotedString,
-                             SexprError, parse, parse_many, render, render_pretty)
+                             SexprError, parse, parse_many, render)
 
 import reference_sexpr
 
@@ -78,15 +78,6 @@ def test_random_round_trips():
     for _ in range(300):
         v = _random_sexpr(rng, 4)
         assert parse(render(v)) == v
-        assert parse(render_pretty(v)) == v
-
-
-def test_render_pretty_indents():
-    out = render_pretty(["proof", ["node", "a"], ["node", "b"]])
-    lines = out.splitlines()
-    assert lines[0].startswith("(proof")
-    assert all(line.startswith("  ") for line in lines[1:])
-    assert parse(out) == ["proof", ["node", "a"], ["node", "b"]]
 
 
 # --- differential tests against the recursive reader it replaced ----------

@@ -43,8 +43,8 @@ from cyclarith import (
 )
 from cyclarith import TV, ZERO, eval_formula, syntax
 from cyclarith.sexpr import parse
-from cyclarith.syntax import (FreshVars, all_vars, formula_from_sexpr, fresh_for,
-                              term_from_sexpr)
+from cyclarith.derived import FreshVars, fresh_for
+from cyclarith.syntax import formula_from_sexpr, term_from_sexpr
 
 import reference_syntax
 from conftest import random_formula, random_term
@@ -73,7 +73,7 @@ def test_structural_equality():
 def test_free_vars():
     phi = All(x, Eq(V(x), V(y)))
     assert free_vars(phi) == frozenset([y])
-    assert all_vars(phi) == frozenset([x, y])
+    assert phi.av == frozenset([x, y])
     assert free_vars(Ex(y, phi)) == frozenset()
     assert free_vars(Add(V(x), V(z))) == frozenset([x, z])
 
@@ -344,9 +344,13 @@ def test_negated_and_desugared_formulas_die_without_the_collector():
 
 def test_deep_conjunction_negates_and_desugars_without_recursion():
     phi, want = Eq(V(x), ZERO), Neq(V(x), ZERO)
+    # a chain that ends in sugar is walked all the way down to it
+    sugared, core = Le(V(x), V(y)), reference_syntax.desugar(Le(V(x), V(y)))
     for k in range(2000):
         phi = And(Eq(V(x), numeral(k % 3)), phi)
         want = Or(Neq(V(x), numeral(k % 3)), want)
+        sugared = And(Eq(V(x), numeral(k % 3)), sugared)
+        core = And(Eq(V(x), numeral(k % 3)), core)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -354,6 +358,7 @@ def test_deep_conjunction_negates_and_desugars_without_recursion():
         assert negate(want) is phi
         assert parse_formula(want.sx) is want
         assert desugar(phi) is phi and desugar(want) is want
+        assert desugar(sugared) is core
     finally:
         sys.setrecursionlimit(limit)
 
