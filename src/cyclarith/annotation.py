@@ -22,8 +22,8 @@ from typing import List
 
 from . import sexpr
 from .calculus import (AllRule, AndRule, ArgMismatch, CaseRule, CutRule,
-                       ProofNode, Rule, RULE_ARITY, Sequent, fold_tree,
-                       node_sequent_from_sexpr, vars_to_sexpr_str, walk)
+                       ProofNode, Rule, Sequent, fold_tree,
+                       node_sequent_from_sexpr, node_sequent_to_sexpr_str, walk)
 from .syntax import (And, CaptureError, Formula, PI, ParseError, SIGMA, V, is_in,
                      negate, substitute)
 
@@ -64,7 +64,7 @@ class AnnotatedSequent:
 
     @property
     def sx(self) -> str:
-        return f"(aseq {self.sequent.sx} {vars_to_sexpr_str(self.vars)})"
+        return node_sequent_to_sexpr_str(self.sequent, self.vars)
 
     def __repr__(self):
         return self.sx
@@ -73,7 +73,7 @@ class AnnotatedSequent:
 def parse_aseq(text: str) -> AnnotatedSequent:
     value = sexpr.parse(text)
     if not isinstance(value, list) or not value or value[0] != "aseq":
-        raise ParseError(f"bad annotated sequent {sexpr.render(value)}")
+        raise ParseError(f"bad annotated sequent {sexpr.excerpt(value)}")
     return AnnotatedSequent(*node_sequent_from_sexpr(value))
 
 
@@ -104,7 +104,7 @@ def propagate(conclusion: AnnotatedSequent, r: Rule, mode: Mode) -> List[frozens
         else:
             ok = all(mode.in_restriction(f) for f in seq)
         return [EMPTY, vs | {r.var} if ok else EMPTY]
-    return [vs] * RULE_ARITY[r.name]
+    return [vs] * r.premises
 
 
 def annotate_tree(root: ProofNode, root_vars, mode: Mode) -> ProofNode:

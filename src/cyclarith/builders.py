@@ -38,6 +38,17 @@ def _plain(proof: Union[ProofNode, CyclicProof]) -> ProofNode:
     return proof.root if isinstance(proof, CyclicProof) else proof
 
 
+def _validated(tree: ProofNode, x: Var, mode: Mode, what: str) -> CyclicProof:
+    """tree annotated from {x} and validated in mode; PreError names each
+    violation as node:tag when it is invalid."""
+    out = CyclicProof(annotate_tree(tree, frozenset({x}), mode))
+    report = validate(out, mode)
+    if not report.valid:
+        raise PreError(f"{what} failed validation: "
+                       + "; ".join(f"{v.node_id}:{v.tag}" for v in report.violations))
+    return out
+
+
 def relabel_proof(root: ProofNode, prefix: str) -> ProofNode:
     """Copy with every node id (and back-reference target) prefixed."""
     done: Dict[str, ProofNode] = {}
@@ -290,13 +301,7 @@ def induction_schema_proof(phi: Formula, x: Var, n: int) -> CyclicProof:
                 ProofNode("n3", s3, weak, (
                     ProofNode("n4", s4, BackLeaf("n0"), ()),)),
                 sigma1,)),)),))
-    mode = Mode(System.SN, n)
-    out = CyclicProof(annotate_tree(tree, frozenset({x}), mode))
-    report = validate(out, mode)
-    if not report.valid:
-        raise PreError("schema proof failed validation: "
-                       + "; ".join(v.tag for v in report.violations))
-    return out
+    return _validated(tree, x, Mode(System.SN, n), "schema proof")
 
 
 # --- induction as a rule ---------------------------------------------------------
@@ -352,12 +357,7 @@ def induction_rule_proof(base: Union[ProofNode, CyclicProof],
             ProofNode("r2", keep, weak, (
                 ProofNode("r3", back_seq, BackLeaf("r0"), ()),)),
             relabel_proof(erase(s_root), "s."),)),))
-    out = CyclicProof(annotate_tree(tree, frozenset({x}), mode))
-    report = validate(out, mode)
-    if not report.valid:
-        raise PreError("assembled proof failed validation: "
-                       + "; ".join(f"{v.node_id}:{v.tag}" for v in report.violations))
-    return out
+    return _validated(tree, x, mode, "assembled proof")
 
 
 def step_from_assumption(phi: Formula, x: Var,
@@ -412,6 +412,21 @@ def induction_rule_via_assumptions(phi: Formula, x: Var,
 
 # --- ready-made corpus proofs ----------------------------------------------------
 
+def _rule_add_left() -> CyclicProof:
+    """Induction-rule instance for 0+x = x with hand-rolled sub-proofs."""
+    x = Var("x")
+    phi = Eq(Add(ZERO, V(x)), V(x))
+    base = prove_ground_atom(Add(ZERO, ZERO), ZERO)
+    phisx = substitute(phi, x, Succ(V(x)))
+    # 0+s(x) = s(0+x) lets (rep) trade the goal for the hypothesis
+    step = _chain(Sequent([negate(phi), phisx]), [
+        AddSRule(ZERO, V(x)),
+        RepRule(Add(ZERO, Succ(V(x))), Succ(V(_HOLE)), _HOLE,
+                Add(ZERO, V(x)), V(x)),
+    ], "c")
+    return induction_rule_proof(base, step, phi, x, 0)
+
+
 def two_loops_proof() -> Tuple[CyclicProof, Mode]:
     """A conjunction of two independently cycling induction instances.
 
@@ -422,20 +437,12 @@ def two_loops_proof() -> Tuple[CyclicProof, Mode]:
     phi1 = Eq(Add(ZERO, V(x)), V(x))
     phi2 = Eq(Add(V(x), ZERO), V(x))
     base = prove_ground_atom(Add(ZERO, ZERO), ZERO)
-
-    # 0+s(x) = s(0+x) lets (rep) trade the goal for the hypothesis
-    phi1sx = substitute(phi1, x, Succ(V(x)))
-    step1 = _chain(Sequent([negate(phi1), phi1sx]), [
-        AddSRule(ZERO, V(x)),
-        RepRule(Add(ZERO, Succ(V(x))), Succ(V(_HOLE)), _HOLE,
-                Add(ZERO, V(x)), V(x)),
-    ], "c")
     phi2sx = substitute(phi2, x, Succ(V(x)))
     step2 = _chain(Sequent([negate(phi2), phi2sx]), [
         Add0Rule(Succ(V(x))),
     ], "c")
 
-    loop1 = induction_rule_proof(base, step1, phi1, x, 0)
+    loop1 = _rule_add_left()
     loop2 = induction_rule_proof(base, step2, phi2, x, 0)
     conj = And(phi1, phi2)
     root = Sequent([conj])
@@ -445,12 +452,7 @@ def two_loops_proof() -> Tuple[CyclicProof, Mode]:
         relabel_proof(erase(loop1.root), "p."),
         relabel_proof(erase(loop2.root), "q."),))
     mode = Mode(System.SN, 0)
-    out = CyclicProof(annotate_tree(tree, frozenset({x}), mode))
-    report = validate(out, mode)
-    if not report.valid:
-        raise PreError("two-loop proof failed validation: "
-                       + "; ".join(v.tag for v in report.violations))
-    return out, mode
+    return _validated(tree, x, mode, "two-loop proof"), mode
 
 
 def forall_cycle_proof() -> Tuple[CyclicProof, Mode]:
@@ -498,12 +500,7 @@ def forall_cycle_proof() -> Tuple[CyclicProof, Mode]:
                     step2,)),)),
             step1,)),))
     mode = Mode(System.SN, 0, frozenset({a0, hyp}))
-    out = CyclicProof(annotate_tree(tree, frozenset({x}), mode))
-    report = validate(out, mode)
-    if not report.valid:
-        raise PreError("eigenvariable loop failed validation: "
-                       + "; ".join(v.tag for v in report.violations))
-    return out, mode
+    return _validated(tree, x, mode, "eigenvariable loop"), mode
 
 
 # --- finite truncations of the case cascade --------------------------------------
@@ -586,20 +583,6 @@ def _rand_pi1(rng: random.Random, x: Var) -> Formula:
     for v in reversed(prefix):
         phi = All(v, phi)
     return phi
-
-
-def _rule_add_left() -> CyclicProof:
-    """Induction-rule instance for 0+x = x with hand-rolled sub-proofs."""
-    x = Var("x")
-    phi = Eq(Add(ZERO, V(x)), V(x))
-    base = prove_ground_atom(Add(ZERO, ZERO), ZERO)
-    phisx = substitute(phi, x, Succ(V(x)))
-    step = _chain(Sequent([negate(phi), phisx]), [
-        AddSRule(ZERO, V(x)),
-        RepRule(Add(ZERO, Succ(V(x))), Succ(V(_HOLE)), _HOLE,
-                Add(ZERO, V(x)), V(x)),
-    ], "c")
-    return induction_rule_proof(base, step, phi, x, 0)
 
 
 def build_corpus(seed: int = 0) -> List[CorpusEntry]:

@@ -160,7 +160,7 @@ def sequent_from_sexpr(value, memo: dict = None) -> Sequent:
     seq = seen.get(id(value))
     if seq is None:
         if not isinstance(value, list) or not value or value[0] != "seq":
-            raise ParseError(f"bad sequent {sexpr.render(value)}")
+            raise ParseError(f"bad sequent {sexpr.excerpt(value)}")
         seq = seen[id(value)] = Sequent([formula_from_sexpr(v, memo) for v in value[1:]])
     return seq
 
@@ -169,57 +169,47 @@ def sequent_from_sexpr(value, memo: dict = None) -> Sequent:
 
 @dataclass(frozen=True)
 class Rule:
+    """A rule application or a leaf.  Each subclass declares its schema
+    once: its `name` in the file format, its field `kinds`, one letter per
+    field in declaration order (f formula, t term, v variable, s sequent,
+    i node id), and its number of `premises`.  Reading, rendering and
+    RULE_ARITY follow from these.  A subclass without premises is a leaf,
+    written (name args...); the others are written (rule name args...)."""
     name = "?"
-
-    def args_sexpr(self) -> list:
-        return []
+    kinds = ""
+    premises = 0
 
 
 @dataclass(frozen=True)
 class AndRule(Rule):
     principal: Formula
-    name = "and"
-
-    def args_sexpr(self):
-        return [self.principal.sx]
+    name, kinds, premises = "and", "f", 2
 
 
 @dataclass(frozen=True)
 class OrRule(Rule):
     principal: Formula
-    name = "or"
-
-    def args_sexpr(self):
-        return [self.principal.sx]
+    name, kinds, premises = "or", "f", 1
 
 
 @dataclass(frozen=True)
 class AllRule(Rule):
     principal: Formula
     var: Var  # eigenvariable
-    name = "all"
-
-    def args_sexpr(self):
-        return [self.principal.sx, self.var.name]
+    name, kinds, premises = "all", "fv", 1
 
 
 @dataclass(frozen=True)
 class ExRule(Rule):
     principal: Formula
     witness: Term
-    name = "ex"
-
-    def args_sexpr(self):
-        return [self.principal.sx, self.witness.sx]
+    name, kinds, premises = "ex", "ft", 1
 
 
 @dataclass(frozen=True)
 class RefRule(Rule):
     term: Term
-    name = "ref"
-
-    def args_sexpr(self):
-        return [self.term.sx]
+    name, kinds, premises = "ref", "t", 1
 
 
 @dataclass(frozen=True)
@@ -229,10 +219,7 @@ class RepRule(Rule):
     var: Var  # hole of the pattern u0 != u1
     t0: Term
     t1: Term
-    name = "rep"
-
-    def args_sexpr(self):
-        return [self.u0.sx, self.u1.sx, self.var.name, self.t0.sx, self.t1.sx]
+    name, kinds, premises = "rep", "ttvtt", 1
 
     def instance(self, t: Term) -> Formula:
         return Neq(subst_term(self.u0, self.var, t),
@@ -242,76 +229,52 @@ class RepRule(Rule):
 @dataclass(frozen=True)
 class Add0Rule(Rule):
     term: Term
-    name = "add0"
-
-    def args_sexpr(self):
-        return [self.term.sx]
+    name, kinds, premises = "add0", "t", 1
 
 
 @dataclass(frozen=True)
 class AddSRule(Rule):
     term: Term
     arg: Term
-    name = "adds"
-
-    def args_sexpr(self):
-        return [self.term.sx, self.arg.sx]
+    name, kinds, premises = "adds", "tt", 1
 
 
 @dataclass(frozen=True)
 class Mult0Rule(Rule):
     term: Term
-    name = "mult0"
-
-    def args_sexpr(self):
-        return [self.term.sx]
+    name, kinds, premises = "mult0", "t", 1
 
 
 @dataclass(frozen=True)
 class MultSRule(Rule):
     term: Term
     arg: Term
-    name = "mults"
-
-    def args_sexpr(self):
-        return [self.term.sx, self.arg.sx]
+    name, kinds, premises = "mults", "tt", 1
 
 
 @dataclass(frozen=True)
 class PredRule(Rule):
     t0: Term
     t1: Term
-    name = "pred"
-
-    def args_sexpr(self):
-        return [self.t0.sx, self.t1.sx]
+    name, kinds, premises = "pred", "tt", 1
 
 
 @dataclass(frozen=True)
 class CaseRule(Rule):
     var: Var
-    name = "case"
-
-    def args_sexpr(self):
-        return [self.var.name]
+    name, kinds, premises = "case", "v", 2
 
 
 @dataclass(frozen=True)
 class WeakRule(Rule):
     delta: Sequent
-    name = "weak"
-
-    def args_sexpr(self):
-        return [self.delta.sx]
+    name, kinds, premises = "weak", "s", 1
 
 
 @dataclass(frozen=True)
 class CutRule(Rule):
     formula: Formula
-    name = "cut"
-
-    def args_sexpr(self):
-        return [self.formula.sx]
+    name, kinds, premises = "cut", "f", 2
 
 
 @dataclass(frozen=True)
@@ -322,7 +285,7 @@ class AxiomLeaf(Rule):
 @dataclass(frozen=True)
 class AssumeLeaf(Rule):
     formula: Formula
-    name = "assume"
+    name, kinds = "assume", "f"
 
 
 @dataclass(frozen=True)
@@ -333,17 +296,16 @@ class OpenLeaf(Rule):
 @dataclass(frozen=True)
 class BackLeaf(Rule):
     target: str
-    name = "back"
+    name, kinds = "back", "i"
 
 
-LEAF_KINDS = (AxiomLeaf, AssumeLeaf, OpenLeaf, BackLeaf)
-
-RULE_ARITY = {
-    "and": 2, "case": 2, "cut": 2,
-    "or": 1, "all": 1, "ex": 1, "ref": 1, "rep": 1, "add0": 1, "adds": 1,
-    "mult0": 1, "mults": 1, "pred": 1, "weak": 1,
-    "axiom": 0, "assume": 0, "open": 0, "back": 0,
-}
+RULE_KINDS = (AndRule, OrRule, AllRule, ExRule, RefRule, RepRule, Add0Rule,
+              AddSRule, Mult0Rule, MultSRule, PredRule, CaseRule, WeakRule,
+              CutRule, AxiomLeaf, AssumeLeaf, OpenLeaf, BackLeaf)
+LEAF_KINDS = tuple(k for k in RULE_KINDS if not k.premises)
+RULE_ARITY = {k.name: k.premises for k in RULE_KINDS}
+_LEAF_HEADS = {k.name: k for k in LEAF_KINDS}
+_RULE_NAMES = {k.name: k for k in RULE_KINDS if k.premises}
 
 
 def is_axiom(seq: Sequent) -> Optional[str]:
@@ -516,75 +478,51 @@ def parent_map(root: ProofNode) -> Dict[str, Optional[str]]:
 
 # --- parsing and rendering -----------------------------------------------------
 
+def _node_id(value, memo) -> str:
+    """A back-link's target, an atom; rule_from_sexpr reports any other
+    value as a bad rule."""
+    if not isinstance(value, str):
+        raise ValueError("a node id is an atom")
+    return value
+
+
+_READ_ARG = {
+    "f": formula_from_sexpr, "t": term_from_sexpr, "s": sequent_from_sexpr,
+    "v": lambda value, memo: ident_var(value), "i": _node_id,
+}
+
+
 def rule_from_sexpr(value, memo: dict = None) -> Rule:
-    if not isinstance(value, list) or not value:
-        raise ParseError(f"bad rule {sexpr.render(value)}")
-    head = value[0]
-    rest = value[1:]
-    if head == "axiom" and not rest:
-        return AxiomLeaf()
-    if head == "assume" and len(rest) == 1:
-        return AssumeLeaf(formula_from_sexpr(rest[0], memo))
-    if head == "open" and not rest:
-        return OpenLeaf()
-    if head == "back" and len(rest) == 1 and isinstance(rest[0], str):
-        return BackLeaf(rest[0])
-    if head != "rule" or not rest:
-        raise ParseError(f"bad rule {sexpr.render(value)}")
-    name, args = rest[0], rest[1:]
+    """The rule or leaf of value; its arguments are read left to right."""
+    cls = args = None
+    if isinstance(value, list) and value and isinstance(value[0], str):
+        if value[0] != "rule":
+            cls, args = _LEAF_HEADS.get(value[0]), value[1:]
+        elif len(value) > 1 and isinstance(value[1], str):
+            cls, args = _RULE_NAMES.get(value[1]), value[2:]
+    if cls is None or len(args) != len(cls.kinds):
+        raise ParseError(f"bad rule {sexpr.excerpt(value)}")
     try:
-        if name == "and" and len(args) == 1:
-            return AndRule(formula_from_sexpr(args[0], memo))
-        if name == "or" and len(args) == 1:
-            return OrRule(formula_from_sexpr(args[0], memo))
-        if name == "all" and len(args) == 2:
-            return AllRule(formula_from_sexpr(args[0], memo), ident_var(args[1]))
-        if name == "ex" and len(args) == 2:
-            return ExRule(formula_from_sexpr(args[0], memo), term_from_sexpr(args[1], memo))
-        if name == "ref" and len(args) == 1:
-            return RefRule(term_from_sexpr(args[0], memo))
-        if name == "rep" and len(args) == 5:
-            return RepRule(term_from_sexpr(args[0], memo), term_from_sexpr(args[1], memo),
-                           ident_var(args[2]), term_from_sexpr(args[3], memo),
-                           term_from_sexpr(args[4], memo))
-        if name == "add0" and len(args) == 1:
-            return Add0Rule(term_from_sexpr(args[0], memo))
-        if name == "adds" and len(args) == 2:
-            return AddSRule(term_from_sexpr(args[0], memo), term_from_sexpr(args[1], memo))
-        if name == "mult0" and len(args) == 1:
-            return Mult0Rule(term_from_sexpr(args[0], memo))
-        if name == "mults" and len(args) == 2:
-            return MultSRule(term_from_sexpr(args[0], memo), term_from_sexpr(args[1], memo))
-        if name == "pred" and len(args) == 2:
-            return PredRule(term_from_sexpr(args[0], memo), term_from_sexpr(args[1], memo))
-        if name == "case" and len(args) == 1:
-            return CaseRule(ident_var(args[0]))
-        if name == "weak" and len(args) == 1:
-            return WeakRule(sequent_from_sexpr(args[0], memo))
-        if name == "cut" and len(args) == 1:
-            return CutRule(formula_from_sexpr(args[0], memo))
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    raise ParseError(f"bad rule {sexpr.render(value)}")
+        return cls(*[_READ_ARG[k](a, memo) for k, a in zip(cls.kinds, args)])
+    except ValueError:  # from _node_id
+        raise ParseError(f"bad rule {sexpr.excerpt(value)}") from None
 
 
 def rule_to_sexpr_str(r: Rule) -> str:
-    if isinstance(r, AxiomLeaf):
-        return "(axiom)"
-    if isinstance(r, AssumeLeaf):
-        return f"(assume {r.formula.sx})"
-    if isinstance(r, OpenLeaf):
-        return "(open)"
-    if isinstance(r, BackLeaf):
-        return f"(back {r.target})"
-    args = r.args_sexpr()
-    return "(rule " + r.name + "".join(" " + a for a in args) + ")"
+    # a frozen dataclass sets its fields in declaration order, so __dict__
+    # lists them in the order of r.kinds
+    out = ["(rule " + r.name if r.premises else "(" + r.name]
+    for k, a in zip(r.kinds, r.__dict__.values()):
+        out.append(a if k == "i" else a.name if k == "v" else a.sx)
+    return " ".join(out) + ")"
 
 
-def vars_to_sexpr_str(vs: frozenset) -> str:
-    return "(vars" + "".join(" " + v.name for v in sorted(vs)) + ")"
+def node_sequent_to_sexpr_str(seq: Sequent, vs: Optional[frozenset]) -> str:
+    """(seq f ...) when vs is None, else (aseq (seq f ...) (vars x ...));
+    node_sequent_from_sexpr inverts it."""
+    if vs is None:
+        return seq.sx
+    return f"(aseq {seq.sx} (vars" + "".join(" " + v.name for v in sorted(vs)) + "))"
 
 
 def node_sequent_from_sexpr(
@@ -595,7 +533,7 @@ def node_sequent_from_sexpr(
         return sequent_from_sexpr(value, memo), None
     if len(value) != 3 or not isinstance(value[2], list) or not value[2] \
             or value[2][0] != "vars":
-        raise ParseError(f"bad annotated sequent {sexpr.render(value)}")
+        raise ParseError(f"bad annotated sequent {sexpr.excerpt(value)}")
     return (sequent_from_sexpr(value[1], memo),
             frozenset(ident_var(a) for a in value[2][1:]))
 
@@ -613,7 +551,7 @@ def _node_from_sexpr(value, memo: dict) -> ProofNode:
     def visit(value):
         if not isinstance(value, list) or len(value) < 4 or value[0] != "node" \
                 or value[1] != ":id":
-            raise ParseError(f"bad proof node {sexpr.render(value)[:80]}")
+            raise ParseError(f"bad proof node {sexpr.excerpt(value)}")
         label = value[2]
         if not isinstance(label, str) or isinstance(label, list) or not label:
             raise ParseError("node id must be an atom")
@@ -624,9 +562,9 @@ def _node_from_sexpr(value, memo: dict) -> ProofNode:
 
     def build(head, children) -> ProofNode:
         label, seq, rule, vs = head
-        if len(children) != RULE_ARITY[rule.name]:
+        if len(children) != rule.premises:
             raise ParseError(f"node {label}: ({rule.name}) takes "
-                             f"{RULE_ARITY[rule.name]} premises, got {len(children)}")
+                             f"{rule.premises} premises, got {len(children)}")
         return ProofNode(label, seq, rule, children, vs)
 
     return fold_tree(value, visit, build)
@@ -650,13 +588,9 @@ def render_proof(root: ProofNode) -> str:
             out[-1] += ")"
             continue
         pad = "  " * depth
-        head = f"{pad}(node :id {node.id}"
-        if node.vars is None:
-            head += f" {node.sequent.sx}"
-        else:
-            head += f" (aseq {node.sequent.sx} {vars_to_sexpr_str(node.vars)})"
-        head += f" {rule_to_sexpr_str(node.rule)}"
-        out.append(head)
+        out.append(f"{pad}(node :id {node.id} "
+                   f"{node_sequent_to_sexpr_str(node.sequent, node.vars)} "
+                   f"{rule_to_sexpr_str(node.rule)}")
         stack.append((None, depth, False))
         for child in reversed(node.children):
             stack.append((child, depth + 1, True))

@@ -252,7 +252,7 @@ def report_from_sexpr(value) -> ValidationReport:
     stats = ProofStats(0, 0, ())
     for item in value[1:]:
         if not isinstance(item, list) or not item:
-            raise ParseError(f"bad report entry {sexpr.render(item)}")
+            raise ParseError(f"bad report entry {sexpr.excerpt(item)}")
         try:
             if item[0] == "verdict":
                 verdict = item[1]
@@ -266,7 +266,7 @@ def report_from_sexpr(value) -> ValidationReport:
                                    int(fields["backlinks"][0]),
                                    tuple(int(k) for k in fields.get("cycles", ())))
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad report entry {sexpr.render(item)}") from exc
+            raise ParseError(f"bad report entry {sexpr.excerpt(item)}") from exc
     if verdict not in ("valid", "invalid"):
         raise ParseError("report lacks a verdict")
     return ValidationReport(verdict, tuple(violations), stats)

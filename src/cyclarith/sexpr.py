@@ -281,3 +281,8 @@ def render(value) -> str:
                     todo.append(" ")
     return "".join(out)
 
+
+def excerpt(value) -> str:
+    """The first 80 characters of render(value): reader errors quote the
+    value they reject, and a deep value would fill a line of its own."""
+    return render(value)[:80]

@@ -608,7 +608,7 @@ def _is_in(phi: Formula, kind: str, n: int) -> bool:
 
 def ident_var(atom) -> Var:
     if not isinstance(atom, str) or isinstance(atom, list):
-        raise ParseError(f"expected a variable, got {sexpr.render(atom)}")
+        raise ParseError(f"expected a variable, got {sexpr.excerpt(atom)}")
     if atom == "0" or not _IDENT_RE.match(atom):
         raise ParseError(f"bad variable name {atom!r}")
     return Var(atom)
@@ -682,7 +682,7 @@ def _from_sexpr(value, formula: bool, memo: dict = None):
             head = v[0]
             form = _FORMULA_FORMS.get(head) if isinstance(head, str) else None
             if form is None or len(v) != form[1]:
-                raise ParseError(f"bad formula {sexpr.render(v)}")
+                raise ParseError(f"bad formula {sexpr.excerpt(v)}")
             make, _, args = form
             todo.append((None, make, len(args), 0, formulas, id(v)))
             for i in range(len(args), 0, -1):
@@ -707,7 +707,7 @@ def _from_sexpr(value, formula: bool, memo: dict = None):
             raise ParseError("empty term")
         head = v[0]
         if len(v) != 3 or not (head == "add" or head == "mul"):
-            raise ParseError(f"bad term {sexpr.render(v)}")
+            raise ParseError(f"bad term {sexpr.excerpt(v)}")
         todo += ((None, Add if head == "add" else Mul, 2, k, terms, key),
                  (False, v[2]), (False, v[1]))
     return out[0]

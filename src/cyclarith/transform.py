@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from . import sexpr
-from .annotation import AnnotatedSequent, Mode, is_plain
-from .calculus import (BackLeaf, LEAF_KINDS, OpenLeaf, ProofNode, RULE_ARITY,
-                       Rule, Sequent, fold_tree, node_sequent_from_sexpr,
+from .annotation import Mode, is_plain
+from .calculus import (BackLeaf, LEAF_KINDS, OpenLeaf, ProofNode, Rule, Sequent,
+                       fold_tree, node_sequent_from_sexpr, node_sequent_to_sexpr_str,
                        rule_from_sexpr, rule_to_sexpr_str, walk)
 from .checker import CyclicProof, Violation, validate
 from .syntax import ParseError
@@ -46,7 +46,7 @@ class RegularProofGraph:
         for n in nodes.values():
             if isinstance(n.rule, BackLeaf):
                 raise ValueError(f"{n.id}: back leaves have no place in a graph")
-            want = RULE_ARITY[n.rule.name]
+            want = n.rule.premises
             if len(n.children) != want:
                 raise ValueError(f"{n.id}: rule {n.rule.name} needs "
                                  f"{want} children, has {len(n.children)}")
@@ -200,10 +200,7 @@ def prefix_equal(a: ProofNode, b: ProofNode) -> bool:
 def render_graph(g: RegularProofGraph) -> str:
     lines = ["(graph", f"  (root {g.root})"]
     for gn in g.nodes.values():
-        if gn.vars is None:
-            seq = gn.sequent.sx
-        else:
-            seq = AnnotatedSequent(gn.sequent, gn.vars).sx
+        seq = node_sequent_to_sexpr_str(gn.sequent, gn.vars)
         kids = "".join(f" {c}" for c in gn.children)
         lines.append(f"  (gnode :id {gn.id} {seq} {rule_to_sexpr_str(gn.rule)}"
                      f" (children{kids}))")
@@ -218,12 +215,12 @@ def graph_from_sexpr(value) -> RegularProofGraph:
     memo: dict = {}   # the document's memo (see the syntax module docstring)
     for item in value[1:]:
         if not isinstance(item, list) or not item:
-            raise ParseError(f"bad graph entry {sexpr.render(item)}")
+            raise ParseError(f"bad graph entry {sexpr.excerpt(item)}")
         if item[0] == "root" and len(item) == 2 and isinstance(item[1], str):
             root = item[1]
         elif item[0] == "gnode":
             if len(item) != 6 or item[1] != ":id" or not isinstance(item[2], str):
-                raise ParseError(f"bad gnode {sexpr.render(item)}")
+                raise ParseError(f"bad gnode {sexpr.excerpt(item)}")
             nid = item[2]
             if nid in nodes:
                 raise ParseError(f"duplicate node id {nid}")
@@ -233,10 +230,10 @@ def graph_from_sexpr(value) -> RegularProofGraph:
             if not isinstance(kidsform, list) or not kidsform \
                     or kidsform[0] != "children" \
                     or not all(isinstance(c, str) for c in kidsform[1:]):
-                raise ParseError(f"bad children list {sexpr.render(item)}")
+                raise ParseError(f"bad children list {sexpr.excerpt(item)}")
             nodes[nid] = GNode(nid, seq, vs, rule, tuple(kidsform[1:]))
         else:
-            raise ParseError(f"bad graph entry {sexpr.render(item)}")
+            raise ParseError(f"bad graph entry {sexpr.excerpt(item)}")
     if root is None:
         raise ParseError("graph lacks a root")
     try:

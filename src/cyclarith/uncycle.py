@@ -515,7 +515,7 @@ def certificate_from_sexpr(value) -> InductionCertificate:
     fields: Dict[str, object] = {"obligations": [], "edges": [], "notes": []}
     for item in value[1:]:
         if not isinstance(item, list) or not item:
-            raise ParseError(f"bad certificate entry {sexpr.render(item)}")
+            raise ParseError(f"bad certificate entry {sexpr.excerpt(item)}")
         try:
             head = item[0]
             if head == "obligation":
@@ -534,7 +534,7 @@ def certificate_from_sexpr(value) -> InductionCertificate:
             else:
                 fields[head] = item[1:]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad certificate entry {sexpr.render(item)}") from exc
+            raise ParseError(f"bad certificate entry {sexpr.excerpt(item)}") from exc
     try:
         theta = formula_from_sexpr(fields["theta"][0])
         zeta = formula_from_sexpr(fields["zeta"][0])

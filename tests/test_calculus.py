@@ -1,6 +1,8 @@
 import gc
 import random
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from cyclarith import (
     AllRule,
     And,
     AndRule,
+    AssumeLeaf,
     AxiomLeaf,
     BackLeaf,
     CaseRule,
@@ -38,6 +41,7 @@ from cyclarith import (
     check_tree,
     is_axiom,
     numeral,
+    parse_graph,
     parse_proof,
     parse_sequent,
     premises_of,
@@ -45,7 +49,9 @@ from cyclarith import (
     render_proof,
     walk,
 )
-from cyclarith.calculus import ArgMismatch, RULE_ARITY
+from cyclarith import calculus, sexpr
+from cyclarith.calculus import (ArgMismatch, RULE_ARITY, rule_from_sexpr,
+                                rule_to_sexpr_str)
 
 from cyclarith import (Mode, System, annotate_tree, erase, extract_all, graph_of,
                        is_annotated, prefix_equal, ravel, syntax, unravel, validate)
@@ -406,3 +412,55 @@ def test_parse_proof_keeps_nothing_alive_after_the_call():
     del root
     gc.collect()
     assert len(syntax._TABLE) == before
+
+
+# --- the rule table ----------------------------------------------------------
+
+
+def _every_rule_and_leaf():
+    rng = random.Random(5)
+    rules = [make_rule_instance(rng, name)[1] for name in RULE_NAMES]
+    return rules + [AxiomLeaf(), AssumeLeaf(Eq(V(x), Zero())), OpenLeaf(), BackLeaf("n0")]
+
+
+def test_every_rule_and_leaf_kind_round_trips():
+    rules = _every_rule_and_leaf()
+    assert {r.name for r in rules} == set(RULE_ARITY)
+    for r in rules:
+        text = rule_to_sexpr_str(r)
+        back = rule_from_sexpr(sexpr.parse(text))
+        assert back == r and type(back) is type(r)
+        assert rule_to_sexpr_str(back) == text
+
+
+def test_one_argument_too_many_or_too_few_is_a_bad_rule():
+    for r in _every_rule_and_leaf():
+        value = sexpr.parse(rule_to_sexpr_str(r))
+        shapes = [value + ["x"]]
+        if len(value) > (2 if value[0] == "rule" else 1):
+            shapes.append(value[:-1])
+        for shape in shapes:
+            with pytest.raises(ParseError, match=r"^bad rule "):
+                rule_from_sexpr(shape)
+
+
+@pytest.mark.parametrize("rule", ["(rule axiom)", "(and (eq 0 0))", "(rule (x) (eq 0 0))",
+                                  "((x) (eq 0 0))", "(rule)", "(back (x))", "x"])
+def test_malformed_rules_are_parse_errors_in_proofs_and_graphs(rule):
+    with pytest.raises(ParseError, match=r"^bad rule "):
+        rule_from_sexpr(sexpr.parse(rule))
+    with pytest.raises(ParseError, match=r"^bad rule "):
+        parse_proof(f"(node :id n0 (seq (eq 0 0)) {rule})")
+    with pytest.raises(ParseError, match=r"^bad rule "):
+        parse_graph(f"(graph (root n0) (gnode :id n0 (seq (eq 0 0)) {rule} (children)))")
+
+
+def test_readme_and_module_docstring_name_exactly_the_rules():
+    inferences = sorted(name for name, premises in RULE_ARITY.items() if premises)
+    leaves = sorted(name for name, premises in RULE_ARITY.items() if not premises)
+    assert sorted(re.findall(r"^ +\(rule ([^ <]+)", calculus.__doc__, re.M)) == inferences
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert sorted(re.search(r"Rule names: `([^`]*)`", readme)[1].split()) == inferences
+    listed = re.search(r"with leaves (.*?)\.\n", readme, re.S)[1]
+    assert sorted(re.findall(r"`\((\w+)", listed)) == leaves
+    assert "`(assume f)`" in listed

@@ -180,6 +180,15 @@ def test_eval_nested_too_deep(capsys):
     assert err.startswith("parse error: bad formula ((((")
 
 
+def test_eval_error_message_cuts_a_deep_value(capsys):
+    depth = 30000
+    rc, out, err = _run(capsys, ["eval", "(foo " + "(s " * depth + "0" + ")" * depth + " 0)"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("parse error: bad formula (foo (s (s")
+    assert len(err.encode()) < 1024
+
+
 def test_prove_ground(capsys, tmp_path):
     out_file = tmp_path / "g.prf"
     rc = main(["prove-ground", "(eq (add (s 0) (s 0)) (s (s 0)))", "-o", str(out_file)])

@@ -36,6 +36,7 @@ from cyclarith import (
     validate,
 )
 from cyclarith.builders import build_corpus
+from cyclarith.calculus import RULE_ARITY
 from cyclarith.uncycle import (BOT, EDGE_TAGS, KINDS, NO_ROOT_CYCLE, NoRootCycle, TOP, _digraph,
                                compute_ranks)
 
@@ -98,6 +99,11 @@ def test_schema_cert_edge_tags(schema_cert):
         ("n4", "n0", "link"),
     )
     assert set(EDGE_TAGS.values()) == {"A", "B", "C", "D", "E", "F", "G", "H", "link"}
+
+
+def test_every_inference_rule_has_an_edge_tag():
+    inferences = {name for name, premises in RULE_ARITY.items() if premises}
+    assert set(EDGE_TAGS) == inferences | {"back"}
 
 
 def test_schema_cert_bounded_check(schema_cert):
