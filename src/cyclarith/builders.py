@@ -27,7 +27,7 @@ from .derived import fresh_for
 from .semantics import eval_term
 from .syntax import (Add, All, AllLe, And, Eq, Ex, ExLe, Formula, Le, Mul,
                      NLe, Neq, Or, PI, Succ, Term, V, Var, ZERO, Zero,
-                     impl, is_in, negate, numeral, substitute)
+                     _succs, impl, is_in, negate, numeral, substitute)
 
 
 class PreError(Exception):
@@ -138,12 +138,16 @@ GROUND_WIDTH = 6
 
 
 def _redex(term: Term) -> Optional[Tuple[Tuple[int, ...], Term, Rule]]:
-    """Innermost-leftmost arithmetic redex: (path, contractum, rule)."""
+    """Innermost-leftmost arithmetic redex: (path, contractum, rule).
+
+    A path steps 0 or 1 into the left or right of an addition or a
+    multiplication, and 0 into a successor, so a chain of depth k
+    contributes k zeros and is crossed in one step."""
     if isinstance(term, Succ):
-        hit = _redex(term.arg)
+        hit = _redex(term.base)
         if hit:
             path, dst, r = hit
-            return (0,) + path, dst, r
+            return (0,) * term.depth + path, dst, r
         return None
     if isinstance(term, (Add, Mul)):
         for i, sub in ((0, term.left), (1, term.right)):
@@ -166,24 +170,26 @@ def _redex(term: Term) -> Optional[Tuple[Tuple[int, ...], Term, Rule]]:
 
 
 def _at(term: Term, path: Tuple[int, ...]) -> Term:
-    for i in path:
+    """The subterm at a path of _redex, which crosses each chain whole."""
+    i = 0
+    while i < len(path):
         if isinstance(term, Succ):
-            term = term.arg
+            term, i = term.base, i + term.depth
         else:
-            term = term.left if i == 0 else term.right
+            term, i = term.left if path[i] == 0 else term.right, i + 1
     return term
 
 
-def _plug(term: Term, path: Tuple[int, ...], repl: Term) -> Term:
-    if not path:
+def _plug(term: Term, path: Tuple[int, ...], repl: Term, i: int = 0) -> Term:
+    """term with its subterm at path[i:], a path of _redex, replaced by repl."""
+    if i == len(path):
         return repl
-    i, rest = path[0], path[1:]
     if isinstance(term, Succ):
-        return Succ(_plug(term.arg, rest, repl))
+        return _succs(_plug(term.base, path, repl, i + term.depth), term.depth)
     kind = Add if isinstance(term, Add) else Mul
-    if i == 0:
-        return kind(_plug(term.left, rest, repl), term.right)
-    return kind(term.left, _plug(term.right, rest, repl))
+    if path[i] == 0:
+        return kind(_plug(term.left, path, repl, i + 1), term.right)
+    return kind(term.left, _plug(term.right, path, repl, i + 1))
 
 
 def prove_ground_atom(t: Term, u: Term) -> ProofNode:
@@ -201,6 +207,10 @@ def prove_ground_atom(t: Term, u: Term) -> ProofNode:
     therefore holds at most GROUND_WIDTH formulas, however large the terms,
     and the rendered proof grows quadratically in the numerals' size, not
     cubically.
+
+    A redex is found, read and replaced by crossing each successor chain in
+    one step, so a rewrite costs the add/mul nesting of the term, not the
+    size of its numerals, and nothing recurses once per successor.
     """
     if t.fv or u.fv:
         raise PreError(f"ground atom needs closed terms: {t.sx} / {u.sx}")

@@ -72,8 +72,8 @@ def eval_term(t: Term, env: Dict[Var, int]) -> int:
             values.append(op(values.pop(), right) + k)
             continue
         k = 0
-        while isinstance(t, Succ):
-            t, k = t.arg, k + 1
+        if isinstance(t, Succ):
+            t, k = t.base, t.depth
         if isinstance(t, Zero):
             values.append(k)
         elif isinstance(t, V):
@@ -100,8 +100,8 @@ def _term_code(t: Term, depth: int = 0) -> Callable[[Env], int]:
         names = [(v, v.name) for v in t.fv]
         return lambda e: eval_term(t, {v: e.get(name, 0) for v, name in names})
     k = 0
-    while isinstance(t, Succ):
-        t, k = t.arg, k + 1
+    if isinstance(t, Succ):
+        t, k = t.base, t.depth
     if isinstance(t, V):
         name = t.var.name
         return lambda e: e.get(name, 0) + k

@@ -9,21 +9,24 @@ core; module `derived` expands them.
 Terms and formulas are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", 2006): a constructor returns the one live node with its class
 and children, looked up in an intern table, so structurally equal nodes are
-the same object and `==`/`hash` are identity.  A node is built over nodes
-that exist already, so no node in the table sits above a new one: a
-successor chain is looked up from the bottom to the first missing level,
-and the levels above it are made without lookups.  The table holds its
-nodes weakly; a node nothing else refers to is freed, and with it whatever
-was memoised on it: its classification, and its dual once `negate` has built
-it.  A formula holds its dual strongly and a dual its formula through a weak
-reference only, so neither keeps the pair alive and nodes still die by
-reference counting, never waiting for the cycle collector.  Free and all
-variables (`fv`, `av`) and, on formulas, whether they hold any sugar
-(`sugar`) are computed at construction, so expanding sugar passes over
-sugar-free subformulas without walking them.  The canonical s-expression
-`sx` is rendered on first use, without recursion, and cached on the node it
-was asked of only, so a deep term costs memory linear in its size.  `sx` is
-the sort key for sequent normalization.
+the same object and `==`/`hash` are identity.  Numerals are the commonest
+terms of arithmetic, so a successor chain s^k(t), t not a successor, is one
+node: `base` t and `depth` k, interned under (Succ, t, k), one node and one
+table entry however long the chain.  `Succ(t)` and `_succs(t, k)` merge a
+chain argument into one longer chain, and `arg` is the interned chain one
+successor shorter, so a chain still matches and steps as nested successors;
+code that walks terms jumps a chain at once through `base` and `depth`.  The
+table holds its nodes weakly; a node nothing else refers to is freed, and
+with it whatever was memoised on it: its classification, and its dual once
+`negate` has built it.  A formula holds its dual strongly and a dual its
+formula through a weak reference only, so neither keeps the pair alive and
+nodes still die by reference counting, never waiting for the cycle
+collector.  Free and all variables (`fv`, `av`) and, on formulas, whether
+they hold any sugar (`sugar`) are computed at construction, so expanding
+sugar passes over sugar-free subformulas without walking them.  The
+canonical s-expression `sx` is rendered on first use, without recursion, and
+cached on the node it was asked of only, so a deep term costs memory linear
+in its size.  `sx` is the sort key for sequent normalization.
 
 A document (a proof or a graph) is converted with one memo: a dict that
 holds, for each kind of value ("formula", "term", and calculus's
@@ -186,26 +189,25 @@ class V(Term):
 
 
 class Succ(Term):
-    __slots__ = ("arg",)
+    """A whole successor chain: `base` (never a Succ) under `depth` >= 1
+    successors, so a numeral is one node however large."""
+
+    __slots__ = ("base", "depth")
     __match_args__ = ("arg",)
 
     def __new__(cls, arg: Term):
-        key = (cls, arg)
-        ref = _TABLE.get(key)
-        node = ref and ref()
-        if node is None:
-            node = _make(cls, key, arg.fv, arg.av)
-            _set(node, "arg", arg)
-        return node
+        return _succs(arg, 1)
+
+    @property
+    def arg(self) -> Term:
+        """The chain one successor shorter."""
+        return _succs(self.base, self.depth - 1)
 
     def _unfold(self, out, todo):
-        # a successor chain opens and closes in one step
-        t, k = self, 0
-        while t.__class__ is Succ and t._sx is None:
-            t, k = t.arg, k + 1
+        k = self.depth
         out.append("(s " * k)
         todo.append(")" * k)
-        todo.append(t)
+        todo.append(self.base)
 
 
 class _Binary(_Syn):
@@ -366,21 +368,19 @@ def numeral(k: int) -> Term:
 
 
 def _succs(t: Term, k: int) -> Term:
-    """t under k successors.  Numerals are most of what is read from a
-    ground proof, so the table lookups are inlined, and they stop at the
-    first successor not in the table (see the module docstring)."""
-    get = _TABLE.get
-    while k:
-        ref = get((Succ, t))
-        up = ref and ref()
-        if up is None:
-            break
-        t, k = up, k - 1
-    for _ in range(k):
-        up = _make(Succ, (Succ, t), t.fv, t.av)
-        _set(up, "arg", t)
-        t = up
-    return t
+    """t under k successors: a chain under t merges into one node."""
+    if not k:
+        return t
+    if t.__class__ is Succ:
+        t, k = t.base, t.depth + k
+    key = (Succ, t, k)
+    ref = _TABLE.get(key)
+    node = ref and ref()
+    if node is None:
+        node = _make(Succ, key, t.fv, t.av)
+        _set(node, "base", t)
+        _set(node, "depth", k)
+    return node
 
 
 def free_vars(phi: Union[Term, Formula]) -> frozenset:
@@ -469,8 +469,8 @@ def subst_term(t: Term, x: Var, s: Term) -> Term:
     match t:
         case V(v):
             return s if v == x else t
-        case Succ(a):
-            return Succ(subst_term(a, x, s))
+        case Succ():
+            return _succs(subst_term(t.base, x, s), t.depth)
         case Add(a, b):
             return Add(subst_term(a, x, s), subst_term(b, x, s))
         case Mul(a, b):
@@ -610,7 +610,7 @@ def ident_var(atom) -> Var:
     if not isinstance(atom, str) or isinstance(atom, list):
         raise ParseError(f"expected a variable, got {sexpr.excerpt(atom)}")
     if atom == "0" or not _IDENT_RE.match(atom):
-        raise ParseError(f"bad variable name {atom!r}")
+        raise ParseError(f"bad variable name {atom[:80]!r}")
     return Var(atom)
 
 
@@ -671,7 +671,7 @@ def _from_sexpr(value, formula: bool, memo: dict = None):
                 elif v == "bot":
                     out.append(BOT)
                 else:
-                    raise ParseError(f"bad formula {v!r}")
+                    raise ParseError(f"bad formula {v[:80]!r}")
                 continue
             node = formulas.get(id(v))
             if node is not None:

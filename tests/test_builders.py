@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -289,3 +290,16 @@ def test_ground_atom_weakens_only_spent_formulas():
     assert [type(n.rule).__name__ for n in walk(g)] == \
         ["RefRule", "Add0Rule", "RepRule", "WeakRule", "AxiomLeaf"]
     assert check_tree(g) == []
+
+
+def test_deep_ground_proof_builds_and_validates_under_the_default_limit():
+    # k+k = 2k at k=1200 in memory only: the file would be quadratic in k
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        goal = Eq(Add(numeral(1200), numeral(1200)), numeral(2400))
+        proof = prove_ground_atom(goal.left, goal.right)
+        assert proof.sequent == Sequent([goal])
+        assert validate(proof, Mode(System.SN, 0), plain=True).valid
+    finally:
+        sys.setrecursionlimit(limit)

@@ -189,6 +189,24 @@ def test_eval_error_message_cuts_a_deep_value(capsys):
     assert len(err.encode()) < 1024
 
 
+def test_eval_error_message_cuts_a_long_atom(capsys):
+    rc, out, err = _run(capsys, ["eval", "a" * 5000])
+    assert (rc, out, err) == (2, "", "parse error: bad formula '" + "a" * 80 + "'\n")
+    rc, out, err = _run(capsys, ["eval", "(all 1" + "a" * 5000 + " (eq 0 0))"])
+    assert (rc, out, err) == (2, "", "parse error: bad variable name '1" + "a" * 79 + "'\n")
+
+
+def test_eval_deep_conjunction_and_quantifier_nest(capsys):
+    n = 3000
+    conj = "(and (eq x x) " * n + "{}" + ")" * n
+    assert _run(capsys, ["eval", conj.format("(eq x 0)"), "--assign", "x=0"]) == (0, "true\n", "")
+    assert _run(capsys, ["eval", conj.format("(eq x (s 0))"), "--assign", "x=0"]) == \
+        (0, "false\n", "")
+    nest = "(all y " * n + "{}" + ")" * n
+    assert _run(capsys, ["eval", nest.format("(eq y y)")]) == (0, "unknown\n", "")
+    assert _run(capsys, ["eval", nest.format("(le (s 0) y)")]) == (0, "false\n", "")
+
+
 def test_prove_ground(capsys, tmp_path):
     out_file = tmp_path / "g.prf"
     rc = main(["prove-ground", "(eq (add (s 0) (s 0)) (s (s 0)))", "-o", str(out_file)])

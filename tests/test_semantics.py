@@ -91,6 +91,30 @@ def test_eval_term_random_against_python():
         assert eval_term(t, env) == _py_term(t, env)
 
 
+def _chained_term(rng, depth):
+    """A random term whose every level sits under a chain of up to 40
+    successors, built one successor at a time."""
+    if depth == 0:
+        t = random_term(rng, 0)
+    else:
+        t = rng.choice([Add, Mul])(_chained_term(rng, depth - 1),
+                                   _chained_term(rng, depth - 1))
+    for _ in range(rng.randrange(41)):
+        t = Succ(t)
+    return t
+
+
+def test_eval_term_of_long_chains_against_python():
+    rng = random.Random(33)
+    for _ in range(200):
+        t = _chained_term(rng, rng.randrange(3))
+        env = {v: rng.randrange(5) for v in t.fv}
+        want = _py_term(t, env)
+        assert eval_term(t, env) == want
+        # the compiled evaluator reads the chain through _term_code
+        assert eval_formula(Eq(t, numeral(want)), env, 4) is TV.TRUE
+
+
 def test_eval_quantifier_free_random():
     # on quantifier-free formulas the three-valued semantics is classical
     rng = random.Random(32)

@@ -381,7 +381,7 @@ def test_deep_equation_reads_evaluates_and_renders_without_recursion():
         sys.setrecursionlimit(limit)
 
 
-def test_succs_extends_a_live_numeral_and_makes_each_new_level_once():
+def test_succs_extends_a_live_numeral_and_makes_one_node_per_chain():
     kept = numeral(10)
     t = numeral(20)
     for _ in range(10):
@@ -393,13 +393,74 @@ def test_succs_extends_a_live_numeral_and_makes_each_new_level_once():
         base = V(Var("succs_probe"))
         before = len(syntax._TABLE)
         ten = syntax._succs(base, 10)
-        assert len(syntax._TABLE) == before + 10
+        assert len(syntax._TABLE) == before + 1
         twenty = syntax._succs(base, 20)
-        assert len(syntax._TABLE) == before + 20
-        # a chain made without lookups is found again while it lives
+        assert len(syntax._TABLE) == before + 2
+        # each chain is interned whole and found again while it lives
         assert syntax._succs(base, 20) is twenty
         assert syntax._succs(ten, 10) is twenty
         assert Succ(twenty.arg) is twenty
-        assert len(syntax._TABLE) == before + 20
+        assert len(syntax._TABLE) == before + 2
     finally:
         gc.enable()
+
+
+# --- successor chains -------------------------------------------------------
+
+_HOLE = Var("$hole")
+_bases = st.one_of(st.just(ZERO), _names.map(V), st.builds(Add, _terms, _terms),
+                   st.builds(Mul, _terms, _terms))
+
+
+def _chains_are_canonical(t):
+    """Every chain in t has a base that is not a successor and depth >= 1."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Succ):
+            assert type(t.base) is not Succ and t.depth >= 1, t.sx
+            todo.append(t.base)
+        elif isinstance(t, (Add, Mul)):
+            todo += (t.left, t.right)
+
+
+@_hc
+@given(_bases, st.integers(0, 30), st.integers(0, 30))
+def test_every_way_to_build_a_chain_gives_the_same_node(base, j, k):
+    want = syntax._succs(base, j + k)
+    _chains_are_canonical(want)
+    stepwise = base
+    for _ in range(j + k):
+        stepwise = Succ(stepwise)
+    assert stepwise is want
+    assert syntax._succs(syntax._succs(base, j), k) is want
+    if base is ZERO:
+        assert numeral(j + k) is want
+    assert parse_term(want.sx) is want
+    assert want.sx == "(s " * (j + k) + base.sx + ")" * (j + k)
+    down = want
+    for _ in range(k):
+        match down:
+            case Succ(a):
+                down = a
+    assert down is syntax._succs(base, j)
+    # a variable inside a chain, replaced by a chain or by anything else
+    assert syntax.subst_term(syntax._succs(V(_HOLE), j), _HOLE,
+                             syntax._succs(base, k)) is want
+    inner = syntax.subst_term(syntax._succs(Add(V(_HOLE), ZERO), k), _HOLE,
+                              syntax._succs(base, j))
+    assert inner is syntax._succs(Add(syntax._succs(base, j), ZERO), k)
+    _chains_are_canonical(inner)
+
+
+def test_reading_a_deep_equation_adds_a_constant_number_of_entries():
+    text = f"(eq (add {_numeral_text(15000)} {_numeral_text(15000)}) {_numeral_text(30000)})"
+    gc.collect()
+    before = len(syntax._TABLE)
+    phi = parse_formula(text)
+    # two numerals, the sum and the equation: nothing per level
+    assert len(syntax._TABLE) - before <= 4
+    assert phi.right.depth == 30000 and phi.left.left.base is ZERO
+    del phi
+    gc.collect()
+    assert len(syntax._TABLE) == before
