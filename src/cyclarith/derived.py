@@ -9,18 +9,17 @@ the package docstring):
   quantifier/equation core, naming each new variable from the reserved
   `$k` namespace;
 - `FreshVars` and `fresh_for` supply those names;
-- `classify` gives the least level of the arithmetical hierarchy a formula
-  lies in.
+- `classify` names the least class of the arithmetical hierarchy a formula
+  lies in, from the levels it got at construction.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Iterable, Union
 
 from .syntax import (DELTA0, PI, SIGMA, Add, All, AllLe, And, Eq, Ex, Formula,
-                     Le, NLe, Neq, Or, Term, V, Var, is_in)
+                     Le, NLe, Neq, Or, Term, V, Var)
 
 RESERVED_PREFIX = "$"
 _RESERVED_RE = re.compile(re.escape(RESERVED_PREFIX) + r"(\d+)\Z")
@@ -120,13 +119,10 @@ def _desugar(phi: Formula, fv: FreshVars) -> Formula:
 
 
 def classify(phi: Formula) -> tuple:
-    """Minimal (kind, level); reports ("sigma", n) on a Sigma/Pi tie.
-
-    The search ends: a formula of quantifier depth d lies in Sigma_{d+1}.
-    Sigma_0 = Pi_0 = Delta0, so level 0 is found by the Sigma test.
-    """
-    for n in itertools.count():
-        if is_in(phi, SIGMA, n):
-            return (DELTA0, 0) if n == 0 else (SIGMA, n)
-        if is_in(phi, PI, n):
-            return (PI, n)
+    """Minimal (kind, level): (DELTA0, 0), or the lesser of the formula's
+    least Sigma and Pi levels (`sigma`, `pi`), reported as SIGMA on a tie."""
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
+    if phi.pi < phi.sigma:
+        return (PI, phi.pi)
+    return (SIGMA, phi.sigma) if phi.sigma else (DELTA0, 0)

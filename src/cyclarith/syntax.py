@@ -17,16 +17,17 @@ chain argument into one longer chain, and `arg` is the interned chain one
 successor shorter, so a chain still matches and steps as nested successors;
 code that walks terms jumps a chain at once through `base` and `depth`.  The
 table holds its nodes weakly; a node nothing else refers to is freed, and
-with it whatever was memoised on it: its classification, and its dual once
-`negate` has built it.  A formula holds its dual strongly and a dual its
-formula through a weak reference only, so neither keeps the pair alive and
-nodes still die by reference counting, never waiting for the cycle
-collector.  Free and all variables (`fv`, `av`) and, on formulas, whether
-they hold any sugar (`sugar`) are computed at construction, so expanding
-sugar passes over sugar-free subformulas without walking them.  The
-canonical s-expression `sx` is rendered on first use, without recursion, and
-cached on the node it was asked of only, so a deep term costs memory linear
-in its size.  `sx` is the sort key for sequent normalization.
+with it its dual, once `negate` has built it.  A formula holds its dual
+strongly and a dual its formula through a weak reference only, so neither
+keeps the pair alive and nodes still die by reference counting, never
+waiting for the cycle collector.  Free and all variables (`fv`, `av`) and,
+on formulas, whether they hold any sugar (`sugar`) and their least levels in
+the arithmetical hierarchy (`sigma`, `pi`) are computed at construction from
+the children's, so expanding sugar passes over sugar-free subformulas
+without walking them and `is_in` is one comparison.  The canonical
+s-expression `sx` is rendered on first use, without recursion, and cached on
+the node it was asked of only, so a deep term costs memory linear in its
+size.  `sx` is the sort key for sequent normalization.
 
 A document (a proof or a graph) is converted with one memo: a dict that
 holds, for each kind of value ("formula", "term", and calculus's
@@ -216,7 +217,7 @@ class _Binary(_Syn):
     __slots__ = ()
     __match_args__ = ("left", "right")
     _head = "?"
-    _joins = False      # and/or: holds sugar when either side does
+    _joins = False      # and/or: sugar and levels come from both sides
 
     def __new__(cls, left, right):
         key = (cls, left, right)
@@ -228,6 +229,8 @@ class _Binary(_Syn):
             _set(node, "right", right)
             if cls._joins:
                 _set(node, "sugar", left.sugar or right.sugar)
+                _set(node, "sigma", max(left.sigma, right.sigma))
+                _set(node, "pi", max(left.pi, right.pi))
         return node
 
     def _unfold(self, out, todo):
@@ -246,9 +249,16 @@ class Mul(_Binary, Term):
 
 
 class Formula(_Syn):
-    # _memo: classification results, filled on demand; _dual: see negate
-    __slots__ = ("_memo", "_dual")
+    """`sigma` and `pi` are the least n with the formula in Sigma_n and in
+    Pi_n (see `is_in`), fixed at construction: atoms are Delta0, level 0 in
+    both; and/or take the greater level of their two sides; an existential
+    is Sigma at its body's Sigma level, at least 1, and Pi one level higher,
+    dually a universal; a bounded quantifier over a Delta0 body is Delta0,
+    and otherwise levelled like its unbounded counterpart."""
+
+    __slots__ = ("_dual",)  # see negate
     sugar = False       # holds le, nle, all<= or ex<=; fixed at construction
+    sigma = pi = 0
 
 
 class Eq(_Binary, Formula):
@@ -276,23 +286,37 @@ class NLe(_Binary, Formula):
 
 
 class And(_Binary, Formula):
-    __slots__ = ("left", "right", "sugar")
+    __slots__ = ("left", "right", "sugar", "sigma", "pi")
     _head = "(and "
     _joins = True
 
 
 class Or(_Binary, Formula):
-    __slots__ = ("left", "right", "sugar")
+    __slots__ = ("left", "right", "sugar", "sigma", "pi")
     _head = "(or "
     _joins = True
+
+
+def _set_levels(node: Formula, exists: bool, body: Formula) -> None:
+    """Set the levels of an unbounded quantifier over body (see `Formula`);
+    a Delta0 body counts as level 1."""
+    if exists:
+        n = max(1, body.sigma)
+        _set(node, "sigma", n)
+        _set(node, "pi", n + 1)
+    else:
+        n = max(1, body.pi)
+        _set(node, "sigma", n + 1)
+        _set(node, "pi", n)
 
 
 class _Quant(Formula):
     """Unbounded quantifier over var; rendered `(head var body)`."""
 
-    __slots__ = ("var", "body", "sugar")
+    __slots__ = ("var", "body", "sugar", "sigma", "pi")
     __match_args__ = ("var", "body")
     _head = "?"
+    _exists = False
 
     def __new__(cls, var: Var, body: Formula):
         key = (cls, var.name, body)
@@ -303,6 +327,7 @@ class _Quant(Formula):
             _set(node, "var", var)
             _set(node, "body", body)
             _set(node, "sugar", body.sugar)
+            _set_levels(node, cls._exists, body)
         return node
 
     def _unfold(self, out, todo):
@@ -318,14 +343,16 @@ class All(_Quant):
 class Ex(_Quant):
     __slots__ = ()
     _head = "(ex "
+    _exists = True
 
 
 class _Bounded(Formula):
     """Bounded quantifier: the variable must not occur in the bound term."""
 
-    __slots__ = ("var", "bound", "body")
+    __slots__ = ("var", "bound", "body", "sigma", "pi")
     __match_args__ = ("var", "bound", "body")
     _head = "?"
+    _exists = False
     sugar = True
 
     def __new__(cls, var: Var, bound: Term, body: Formula):
@@ -339,6 +366,11 @@ class _Bounded(Formula):
             _set(node, "var", var)
             _set(node, "bound", bound)
             _set(node, "body", body)
+            if body.sigma:
+                _set_levels(node, cls._exists, body)
+            else:       # Delta0 over a Delta0 body
+                _set(node, "sigma", 0)
+                _set(node, "pi", 0)
         return node
 
     def _unfold(self, out, todo):
@@ -354,6 +386,7 @@ class AllLe(_Bounded):
 class ExLe(_Bounded):
     __slots__ = ()
     _head = "(ex<= "
+    _exists = True
 
 
 ZERO = Zero()
@@ -463,55 +496,55 @@ def iff(phi: Formula, psi: Formula) -> Formula:
     return And(impl(phi, psi), impl(psi, phi))
 
 
-def subst_term(t: Term, x: Var, s: Term) -> Term:
-    if x not in t.fv:
-        return t
-    match t:
-        case V(v):
-            return s if v == x else t
-        case Succ():
-            return _succs(subst_term(t.base, x, s), t.depth)
-        case Add(a, b):
-            return Add(subst_term(a, x, s), subst_term(b, x, s))
-        case Mul(a, b):
-            return Mul(subst_term(a, x, s), subst_term(b, x, s))
-    return t
-
-
 def substitute(phi: Formula, x: Var, s: Term) -> Formula:
-    """Replace free occurrences of x by s; raise CaptureError on capture."""
-    if x not in phi.fv:
-        return phi
-    match phi:
-        case Eq(l, r):
-            return Eq(subst_term(l, x, s), subst_term(r, x, s))
-        case Neq(l, r):
-            return Neq(subst_term(l, x, s), subst_term(r, x, s))
-        case Le(l, r):
-            return Le(subst_term(l, x, s), subst_term(r, x, s))
-        case NLe(l, r):
-            return NLe(subst_term(l, x, s), subst_term(r, x, s))
-        case And(l, r):
-            return And(substitute(l, x, s), substitute(r, x, s))
-        case Or(l, r):
-            return Or(substitute(l, x, s), substitute(r, x, s))
-        case All(y, b):
-            if y in s.av:
-                raise CaptureError(f"substituting {s.sx} for {x.name} captures {y.name}")
-            return All(y, substitute(b, x, s))
-        case Ex(y, b):
-            if y in s.av:
-                raise CaptureError(f"substituting {s.sx} for {x.name} captures {y.name}")
-            return Ex(y, substitute(b, x, s))
-        case AllLe(y, t, b):
-            if y in s.av:
-                raise CaptureError(f"substituting {s.sx} for {x.name} captures {y.name}")
-            return AllLe(y, subst_term(t, x, s), substitute(b, x, s))
-        case ExLe(y, t, b):
-            if y in s.av:
-                raise CaptureError(f"substituting {s.sx} for {x.name} captures {y.name}")
-            return ExLe(y, subst_term(t, x, s), substitute(b, x, s))
-    raise TypeError(f"not a formula: {phi!r}")
+    """Replace free occurrences of x by s in a formula or a term; raise
+    CaptureError when a binder of the replacement's variables has x free
+    below it.
+
+    An explicit stack, no recursion.  Nodes without x free are kept as they
+    are and a successor chain is crossed in one step.  Binders are visited
+    in preorder, left to right, so the capture reported is the first a
+    recursive walk would meet; the results are built in postorder on `out`.
+    A task (node,) rebuilds node from the results of its children.
+    """
+    out: list = []
+    todo: list = [phi]
+    while todo:
+        f = todo.pop()
+        if f.__class__ is tuple:
+            f = f[0]
+            last = out.pop()
+            match f:
+                case Succ():
+                    last = _succs(last, f.depth)
+                case _Binary():
+                    last = f.__class__(out.pop(), last)
+                case _Quant():
+                    last = f.__class__(f.var, last)
+                case _Bounded():
+                    last = f.__class__(f.var, out.pop(), last)
+            out.append(last)
+        elif x not in f.fv:
+            out.append(f)
+        else:
+            match f:
+                case V():
+                    out.append(s)
+                case Succ():
+                    todo += ((f,), f.base)
+                case _Binary(left, right):
+                    todo += ((f,), right, left)
+                case _Quant(y, body) | _Bounded(y, _, body):
+                    if y in s.av:
+                        raise CaptureError(
+                            f"substituting {s.sx} for {x.name} captures {y.name}")
+                    todo += ((f,), body)
+                    if isinstance(f, _Bounded):
+                        todo.append(f.bound)
+    return out[0]
+
+
+subst_term = substitute     # the same walk, named for terms
 
 
 # --- arithmetical hierarchy -------------------------------------------------
@@ -521,87 +554,28 @@ SIGMA = "sigma"
 PI = "pi"
 
 
-def _memo(phi: Formula) -> dict:
-    """The classification memo of a formula node; it dies with the node."""
-    try:
-        return phi._memo
-    except AttributeError:
-        memo = {}
-        _set(phi, "_memo", memo)
-        return memo
-
-
-def _is_delta0(phi: Formula) -> bool:
-    if not isinstance(phi, Formula):
-        return False
-    memo = _memo(phi)
-    got = memo.get(DELTA0)
-    if got is None:
-        match phi:
-            case Eq() | Neq() | Le() | NLe():
-                got = True
-            case And(l, r) | Or(l, r):
-                got = _is_delta0(l) and _is_delta0(r)
-            case AllLe(_, _, b) | ExLe(_, _, b):
-                got = _is_delta0(b)
-            case _:
-                got = False
-        memo[DELTA0] = got
-    return got
-
-
 def is_in(phi: Formula, kind: str, n: int = 0) -> bool:
     """Syntactic membership in Delta0 / Sigma_n / Pi_n.
 
     Sigma_{n+1} is generated from Pi_n by existential quantifiers and the
     positive connectives, dually for Pi_{n+1}; Sigma_0 = Pi_0 = Delta0.
     Bounded quantifiers preserve Delta0; outside Delta0 they classify like
-    their unbounded counterparts.
+    their unbounded counterparts.  Each class contains the one below, so
+    membership compares n with the least level the formula got at
+    construction (see `Formula`).  Delta0 ignores n; a non-formula lies in
+    no class, and only level 0 may be asked of it.
     """
     if kind == DELTA0:
-        return _is_delta0(phi)
+        return isinstance(phi, Formula) and not phi.sigma
     if kind not in (SIGMA, PI):
         raise ValueError(f"unknown class kind {kind!r}")
     if n < 0:
         raise ValueError("negative level")
-    if n == 0:
-        return _is_delta0(phi)
     if not isinstance(phi, Formula):
-        raise TypeError(f"not a formula: {phi!r}")
-    memo = _memo(phi)
-    got = memo.get((kind, n))
-    if got is None:
-        got = memo[kind, n] = _is_in(phi, kind, n)
-    return got
-
-
-def _is_in(phi: Formula, kind: str, n: int) -> bool:
-    match phi:
-        case Eq() | Neq() | Le() | NLe():
-            return True
-        case And(l, r) | Or(l, r):
-            return is_in(l, kind, n) and is_in(r, kind, n)
-        case Ex(_, b):
-            if kind == SIGMA:
-                return is_in(b, SIGMA, n)
-            return is_in(phi, SIGMA, n - 1)
-        case All(_, b):
-            if kind == PI:
-                return is_in(b, PI, n)
-            return is_in(phi, PI, n - 1)
-        case ExLe(_, _, b):
-            if _is_delta0(phi):
-                return True
-            if kind == SIGMA:
-                return is_in(b, SIGMA, n)
-            return is_in(phi, SIGMA, n - 1)
-        case AllLe(_, _, b):
-            if _is_delta0(phi):
-                return True
-            if kind == PI:
-                return is_in(b, PI, n)
-            return is_in(phi, PI, n - 1)
-    raise TypeError(f"not a formula: {phi!r}")
+        if n:
+            raise TypeError(f"not a formula: {phi!r}")
+        return False
+    return (phi.sigma if kind == SIGMA else phi.pi) <= n
 
 
 # --- parsing ----------------------------------------------------------------

@@ -1,20 +1,26 @@
 import dataclasses
+import sys
 
 import pytest
 
 from cyclarith import (
     Add,
     All,
+    And,
+    AndRule,
     AxiomLeaf,
     BackLeaf,
+    CaseRule,
     CyclicProof,
     Eq,
     Mode,
     Neq,
+    OpenLeaf,
     ParseError,
     ProofNode,
     RefRule,
     Sequent,
+    Succ,
     System,
     V,
     Var,
@@ -25,6 +31,7 @@ from cyclarith import (
     check_tree,
     erase,
     induction_schema_proof,
+    numeral,
     parse_report,
     render_report,
     soundness_sample,
@@ -198,3 +205,36 @@ def test_plain_tree_check_shares_the_leaf_judgement():
         [("Tree", f"not an axiom: {s.sx}")]
     assert check_tree(ProofNode("n0", s, BackLeaf("n0"))) == \
         [Violation("n0", "Tree", "back leaves are not allowed in a plain proof")]
+
+
+def _conjunction(t, depth):
+    """depth conjunctions of (eq t k), k = 0, 1, 2 in turn, nested right."""
+    phi = Eq(t, Zero())
+    for k in range(depth):
+        phi = And(Eq(t, numeral(k % 3)), phi)
+    return phi
+
+
+def _open(node_id, formula, vs):
+    return ProofNode(node_id, Sequent([formula]), OpenLeaf(), (), frozenset(vs))
+
+
+@pytest.mark.parametrize("step", ["and", "case"])
+def test_deep_conjunction_validates_without_recursion(step):
+    phi = _conjunction(V(x), 3000)
+    if step == "and":
+        kids = (_open("n1", phi.left, ()), _open("n2", phi.right, ()))
+        root = ProofNode("n0", Sequent([phi]), AndRule(phi), kids, frozenset())
+    else:
+        kids = (_open("n1", _conjunction(Zero(), 3000), ()),
+                _open("n2", _conjunction(Succ(V(x)), 3000), {x}))
+        root = ProofNode("n0", Sequent([phi]), CaseRule(x), kids, frozenset())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        report = validate(root, SN0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.verdict == "invalid"
+    assert [(v.node_id, v.tag) for v in report.violations] == \
+        [("n1", "OpenLeaf"), ("n2", "OpenLeaf")]

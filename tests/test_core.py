@@ -1,8 +1,12 @@
-"""The trusted core (see the package docstring) imports only itself.
+"""The trusted core (see the package docstring) imports only itself, and
+none of its functions calls itself.
 
 Imports are read from each core module's source with `ast`, so an import
 made inside a function, or one that another module happens to have loaded
-already, counts the same as one at the top.
+already, counts the same as one at the top.  Calls are read the same way,
+so a core walk that recursed once per level of its input, and so failed on
+deep input under the default recursion limit, is found without building
+such an input.
 """
 
 import ast
@@ -62,6 +66,66 @@ def test_outside_imports_are_found():
     assert _outside_imports(source) == [
         "cyclarith.semantics", "hypothesis", "cyclarith.builders",
         "cyclarith.derived", "cyclarith.uncycle"]
+
+
+def _self_reaching(source: str):
+    """The functions of a source that reach themselves in its call graph,
+    sorted by name.
+
+    The graph is over the source's own function names: a call `f(...)`,
+    `self.f(...)` or `cls.f(...)` is an edge to every function named f, and
+    a nested function's calls count for the function around it too.  Calls
+    through other objects are not edges, nor is indexing: `sexpr._Blocks`
+    recurses from `__missing__` through `self[...]`, which this cannot see,
+    and is bounded there by BLOCK_DEPTH.
+    """
+    defs = [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    calls = {d.name: set() for d in defs}
+    for d in defs:
+        for node in ast.walk(d):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                name = f.id
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                    and f.value.id in ("self", "cls"):
+                name = f.attr
+            else:
+                continue
+            if name in calls:
+                calls[d.name].add(name)
+    bad = []
+    for name in sorted(calls):
+        seen, todo = set(), list(calls[name])
+        while todo:
+            callee = todo.pop()
+            if callee not in seen:
+                seen.add(callee)
+                todo += calls[callee]
+        if name in seen:
+            bad.append(name)
+    return bad
+
+
+@pytest.mark.parametrize("name", CORE)
+def test_core_functions_do_not_recurse(name):
+    path = Path(cyclarith.__file__).parent / f"{name}.py"
+    assert _self_reaching(path.read_text()) == []
+
+
+def test_self_reaching_functions_are_found():
+    source = ("def walk(t):\n    return [walk(c) for c in t]\n"
+              "def even(n):\n    return n == 0 or odd(n - 1)\n"
+              "def odd(n):\n    return n != 0 and even(n - 1)\n"
+              "def outer(t):\n    def inner(u):\n        return outer(u)\n"
+              "    return inner(t)\n"
+              "class Node:\n    def size(self):\n        return 1 + self.size()\n"
+              "    def count(self, f):\n        return self.items.count(f)\n"
+              "    def __new__(cls):\n        return object.__new__(cls)\n"
+              "def caller():\n    return walk([]) + even(2)\n")
+    assert _self_reaching(source) == ["even", "inner", "odd", "outer", "size", "walk"]
 
 
 def test_core_dataclass_annotations_resolve():

@@ -16,6 +16,7 @@ from cyclarith import (
     Ex,
     ExLe,
     Le,
+    Mode,
     Mul,
     NLe,
     Neq,
@@ -24,6 +25,7 @@ from cyclarith import (
     ParseError,
     SIGMA,
     Succ,
+    System,
     V,
     Var,
     Zero,
@@ -47,7 +49,7 @@ from cyclarith.derived import FreshVars, fresh_for
 from cyclarith.syntax import formula_from_sexpr, term_from_sexpr
 
 import reference_syntax
-from conftest import random_formula, random_term
+from conftest import VAR_POOL, random_formula, random_term
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -300,6 +302,63 @@ def test_negate_and_desugar_agree_with_the_reference_on_random_formulas():
         _agrees_with_reference(random_formula(rng, 4), i % 2 == 1)
 
 
+def _same_node_or_capture(run, reference):
+    """run() returns reference()'s node, or both raise the same CaptureError."""
+    try:
+        want = reference()
+    except CaptureError as exc:
+        with pytest.raises(CaptureError) as got:
+            run()
+        assert str(got.value) == str(exc)
+        return False
+    assert run() is want
+    return True
+
+
+def _levels_and_substitution_agree(phi, t, x, s):
+    """is_in, classify, substitute and subst_term give the recursive
+    reference's answers; False when the substitution into phi captures."""
+    for kind in (DELTA0, SIGMA, PI):
+        for n in range(6):
+            assert is_in(phi, kind, n) == reference_syntax.is_in(phi, kind, n)
+    assert classify(phi) == reference_syntax.classify(phi)
+    assert syntax.subst_term(t, x, s) is reference_syntax.subst_term(t, x, s)
+    return _same_node_or_capture(lambda: substitute(phi, x, s),
+                                 lambda: reference_syntax.substitute(phi, x, s))
+
+
+@_hc
+@given(_formulas, _terms, _names, _terms)
+def test_levels_and_substitution_agree_with_the_recursive_reference(phi, t, x, s):
+    _levels_and_substitution_agree(phi, t, x, s)
+
+
+def test_levels_and_substitution_agree_with_the_reference_on_random_formulas():
+    rng = random.Random(43)
+    outcomes = set()
+    for _ in range(400):
+        phi, t = random_formula(rng, 4), random_term(rng, 3)
+        x, s = rng.choice(VAR_POOL), random_term(rng, 2)
+        outcomes.add(_levels_and_substitution_agree(phi, t, x, s))
+    # both a successful rebuild and a capture were compared
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("check", [is_in, reference_syntax.is_in])
+def test_is_in_outside_its_domain(check):
+    t = Add(V(x), Zero())
+    for n in (-1, 0, 3):
+        assert check(t, DELTA0, n) is False and check(None, DELTA0, n) is False
+    for kind in (SIGMA, PI):
+        assert check(t, kind, 0) is False
+        with pytest.raises(TypeError):
+            check(t, kind, 1)
+        with pytest.raises(ValueError):
+            check(Eq(V(x), V(y)), kind, -1)
+    with pytest.raises(ValueError):
+        check(Eq(V(x), V(y)), "delta1")
+
+
 def test_nodes_are_immutable():
     t = Add(V(x), Zero())
     with pytest.raises(AttributeError):
@@ -359,6 +418,19 @@ def test_deep_conjunction_negates_and_desugars_without_recursion():
         assert parse_formula(want.sx) is want
         assert desugar(phi) is phi and desugar(want) is want
         assert desugar(sugared) is core
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deep_quantifier_nest_classifies_without_recursion():
+    phi = Eq(V(x), V(y))
+    for k in range(3000):
+        phi = Ex(x, phi) if k % 2 == 0 else All(y, phi)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert classify(phi) == (PI, 3000)
+        assert Mode(System.SN, 5).in_restriction(phi) is False
     finally:
         sys.setrecursionlimit(limit)
 
