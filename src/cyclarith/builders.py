@@ -137,59 +137,61 @@ _HOLE = Var("$0")
 GROUND_WIDTH = 6
 
 
-def _redex(term: Term) -> Optional[Tuple[Tuple[int, ...], Term, Rule]]:
-    """Innermost-leftmost arithmetic redex: (path, contractum, rule).
+def _redex(term: Term) -> Optional[Tuple[Tuple[int, ...], Term, Term, Rule]]:
+    """Innermost-leftmost arithmetic redex: (path, redex, contractum, rule).
 
     A path steps 0 or 1 into the left or right of an addition or a
-    multiplication, and 0 into a successor, so a chain of depth k
-    contributes k zeros and is crossed in one step."""
-    if isinstance(term, Succ):
-        hit = _redex(term.base)
-        if hit:
-            path, dst, r = hit
-            return (0,) * term.depth + path, dst, r
-        return None
-    if isinstance(term, (Add, Mul)):
-        for i, sub in ((0, term.left), (1, term.right)):
-            hit = _redex(sub)
-            if hit:
-                path, dst, r = hit
-                return (i,) + path, dst, r
-        l, r = term.left, term.right
-        if isinstance(term, Add):
-            if isinstance(r, Zero):
-                return (), l, Add0Rule(l)
-            if isinstance(r, Succ):
-                return (), Succ(Add(l, r.arg)), AddSRule(l, r.arg)
+    multiplication, and 0 through a whole successor chain.  A postorder
+    walk with an explicit stack, no recursion: the first addition or
+    multiplication it finishes whose right side is 0 or a successor is the
+    redex."""
+    spine: list = []    # the terms above t, from the top
+    steps: list = []    # the step taken below each, so the path to t
+    t = term
+    while True:
+        while True:                         # down the leftmost path
+            cls = t.__class__
+            if cls is not Succ and cls is not Add and cls is not Mul:
+                break
+            spine.append(t)
+            steps.append(0)
+            t = t.base if cls is Succ else t.left
+        while True:                         # up to the next right side
+            if not spine:
+                return None
+            t = spine.pop()
+            step = steps.pop()
+            if t.__class__ is Succ:
+                continue
+            if not step:
+                spine.append(t)
+                steps.append(1)
+                t = t.right
+                break
+            l, r = t.left, t.right
+            if r.__class__ is Zero or r.__class__ is Succ:
+                path = tuple(steps)
+                if t.__class__ is Add:
+                    if r.__class__ is Zero:
+                        return path, t, l, Add0Rule(l)
+                    return path, t, Succ(Add(l, r.arg)), AddSRule(l, r.arg)
+                if r.__class__ is Zero:
+                    return path, t, ZERO, Mult0Rule(l)
+                return path, t, Add(Mul(l, r.arg), l), MultSRule(l, r.arg)
+
+
+def _plug(term: Term, path: Tuple[int, ...], repl: Term) -> Term:
+    """term with its subterm at path, a path of _redex, replaced by repl."""
+    spine = []
+    for step in path:
+        spine.append(term)
+        term = term.base if isinstance(term, Succ) else term.right if step else term.left
+    for t, step in zip(reversed(spine), reversed(path)):
+        if isinstance(t, Succ):
+            repl = _succs(repl, t.depth)
         else:
-            if isinstance(r, Zero):
-                return (), ZERO, Mult0Rule(l)
-            if isinstance(r, Succ):
-                return (), Add(Mul(l, r.arg), l), MultSRule(l, r.arg)
-    return None
-
-
-def _at(term: Term, path: Tuple[int, ...]) -> Term:
-    """The subterm at a path of _redex, which crosses each chain whole."""
-    i = 0
-    while i < len(path):
-        if isinstance(term, Succ):
-            term, i = term.base, i + term.depth
-        else:
-            term, i = term.left if path[i] == 0 else term.right, i + 1
-    return term
-
-
-def _plug(term: Term, path: Tuple[int, ...], repl: Term, i: int = 0) -> Term:
-    """term with its subterm at path[i:], a path of _redex, replaced by repl."""
-    if i == len(path):
-        return repl
-    if isinstance(term, Succ):
-        return _succs(_plug(term.base, path, repl, i + term.depth), term.depth)
-    kind = Add if isinstance(term, Add) else Mul
-    if path[i] == 0:
-        return kind(_plug(term.left, path, repl, i + 1), term.right)
-    return kind(term.left, _plug(term.right, path, repl, i + 1))
+            repl = t.__class__(t.left, repl) if step else t.__class__(repl, t.right)
+    return repl
 
 
 def prove_ground_atom(t: Term, u: Term) -> ProofNode:
@@ -208,9 +210,9 @@ def prove_ground_atom(t: Term, u: Term) -> ProofNode:
     and the rendered proof grows quadratically in the numerals' size, not
     cubically.
 
-    A redex is found, read and replaced by crossing each successor chain in
-    one step, so a rewrite costs the add/mul nesting of the term, not the
-    size of its numerals, and nothing recurses once per successor.
+    A redex is found and replaced by crossing each successor chain in one
+    step, so a rewrite costs the add/mul nesting of the term, not the size
+    of its numerals; both walks use explicit stacks, so neither recurses.
     """
     if t.fv or u.fv:
         raise PreError(f"ground atom needs closed terms: {t.sx} / {u.sx}")
@@ -223,8 +225,7 @@ def prove_ground_atom(t: Term, u: Term) -> ProofNode:
             hit = _redex(inner)
             if hit is None:
                 return f
-            path, dst, arith = hit
-            src = _at(inner, path)
+            path, src, dst, arith = hit
             rules.append(arith)  # puts src != dst into the sequent
             pat = _plug(inner, path, V(_HOLE))
             done = _plug(inner, path, dst)

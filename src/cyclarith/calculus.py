@@ -17,8 +17,8 @@ checker.validate, which checks plain finite trees and cyclic proofs alike.
 parse_proof reads a file once: the reader takes a shallow list that the
 file repeats, such as a sequent a premise copies from its conclusion, as
 one token and reads its text once, and a numeral four or more deep as one
-token whose lists come from a memo of chains by depth (see sexpr), it
-shares equal sublists, and proof_from_sexpr converts with one memo for the
+token and one value, decoded once per read (see sexpr), it shares equal
+sublists, and proof_from_sexpr converts with one memo for the
 document (see syntax), in which sequents are kept under their own kind,
 "sequent", beside formulas and terms.  A formula that a premise repeats
 from its conclusion is then converted once, and a back-link leaf's

@@ -1,8 +1,9 @@
 """Minimal s-expression reader and writer.
 
-Values are nested Python lists whose leaves are atom strings.  Double-quoted
-strings are supported for free-text payloads (violation messages); they parse
-to a `QuotedString` so that atoms and strings round-trip unambiguously.
+Values are nested Python lists whose leaves are atom strings and successor
+chains (`Chain`, below).  Double-quoted strings are supported for free-text
+payloads (violation messages); they parse to a `QuotedString` so that atoms
+and strings round-trip unambiguously.
 
 The reader splits the text into tokens with one regular expression and
 builds the lists in a single loop with an explicit stack, so its time is
@@ -40,16 +41,20 @@ whitespace, the atom after them, if any, and the closes after that as one
 chain token, and a run of at least `CHAIN_RUN` closes, such as the one that
 ends a chain around a list, `(s (s ... (add x y)))`, as one token too.
 These are tried first, so no block starts with such a run, and they are
-possessive, so a chain is matched in one pass however deep it is.  A whole
-chain, an atom with at least as many closes as opens, becomes its nested
-list at once; in a shared read it comes from a per-read chain memo, atom ->
-chain lists by depth, whose every new level goes through the table of
-shared lists, so it is the object a block or a `(`...`)` read of that list
-gives.  A partial chain, one around a list or followed by more items,
-pushes the lists it leaves open as single `(` tokens would.  A block's
-inner text is split without chain tokens, since a chain token can close
-fewer lists than it opens.  The closes of one token can pass the end of a
-value, so a read that fails is done again without chain tokens, and the
+possessive, so a chain is matched in one pass however deep it is.  A
+per-read dict decodes each distinct chain or close-run token once, into
+the lists it leaves open, the value it puts in the innermost of them and
+the lists it closes after that.  The levels a chain token closes around its
+atom are one value, a `Chain` of the atom and the depth, not a list per
+successor: a Chain equals, and renders as, the nested lists it stands for,
+and one read makes one Chain per distinct chain, so the table of shared
+lists still identifies equal lists.  A whole numeral is thus one token and
+one value however deep it is.  A partial chain, one around a list or
+followed by more items, pushes the lists it leaves open as single `(`
+tokens would.  A block's inner text is split without chain tokens, since a
+chain token can close fewer lists than it opens, so a chain inside a block
+is read as its nested lists.  The closes of one token can pass the end of
+a value, so a read that fails is done again without chain tokens, and the
 error of that read, message and offset, is the one raised.
 """
 
@@ -125,24 +130,64 @@ class _Blocks(dict):
         return items
 
 
-class _Chains(dict):
-    """Atom -> its successor chains by depth, [atom, (s atom), (s (s atom)),
-    ...], for one shared read; each new level goes through `shared`."""
+class Chain:
+    """A whole successor chain as one value: `depth` >= 1 successors over
+    the atom `base`.  It stands for the nested lists (s (s ... base)): it
+    equals them and renders as their text.  One read makes one Chain per
+    distinct chain."""
 
-    def __init__(self, shared: dict):
+    __slots__ = ("base", "depth")
+
+    def __init__(self, base: str, depth: int):
+        self.base = base
+        self.depth = depth
+
+    def __eq__(self, other):
+        k = self.depth
+        while k and isinstance(other, list) and len(other) == 2 and other[0] == "s":
+            other, k = other[1], k - 1
+        if other.__class__ is Chain:
+            return other.depth == k and other.base == self.base
+        return not k and isinstance(other, str) and other == self.base
+
+    def __hash__(self):
+        return hash((self.base, self.depth))
+
+    def __repr__(self):
+        return f"Chain({self.base!r}, {self.depth})"
+
+
+_CHAIN_ATOM = re.compile(rf'[ \t\r\n]*+({_ATOM})?+')
+
+
+class _Runs(dict):
+    """Chain or close-run token text -> (opens, value, closes), for one
+    read: the lists the token leaves open, the value it puts in the
+    innermost of them (the Chain of the levels it closes around its atom,
+    the bare atom if it closes none, None without an atom) and the lists
+    it closes after that; None for a block that starts like a chain, such
+    as (s x).  Each distinct token is decoded once, and equal chains are
+    one Chain."""
+
+    def __init__(self):
         super().__init__()
-        self.shared = shared
+        self.chains: dict = {}     # (atom, depth) -> its Chain
 
-    def __missing__(self, atom: str) -> list:
-        levels = self[atom] = [atom]
-        return levels
-
-    def chain(self, atom: str, depth: int):
-        levels = self[atom]
-        while len(levels) <= depth:
-            key = ("s", levels[-1])
-            levels.append(self.shared.setdefault(key, _Shared(key)))
-        return levels[depth]
+    def __missing__(self, tok: str) -> tuple | None:
+        if tok[0] == "(" and not _CHAIN_START.match(tok):
+            self[tok] = None
+            return None
+        opens, value, closes = 0, None, tok.count(")")
+        if tok[0] == "(":
+            opens = tok.count("(")
+            atom = _CHAIN_ATOM.match(tok, tok.rindex("(") + 2)[1]
+            if atom:
+                whole = min(opens, closes)
+                opens, closes = opens - whole, closes - whole
+                value = atom if not whole else \
+                    self.chains.setdefault((atom, whole), Chain(atom, whole))
+        got = self[tok] = (opens, value, closes)
+        return got
 
 
 def _error(message: str, text: str, token: re.Pattern, tokens: list,
@@ -179,7 +224,7 @@ def _scan(text: str, once: bool, share: bool, chains: bool):
     rest = iter(tokens)
     shared: dict = {}      # tuple of a list's items -> the list
     blocks = _Blocks(shared) if share else None
-    numerals = _Chains(shared) if share else None
+    runs = _Runs()
     values: list = []
     stack: list = []       # the lists enclosing `items`
     items = values         # the list that receives the next value
@@ -199,8 +244,7 @@ def _scan(text: str, once: bool, share: bool, chains: bool):
         elif tok[0] in '(;")':
             if tok[0] == ";":
                 continue
-            if tok[0] == "(" and not (chains and tok[1] == "s" and tok[2] in " \t\r\n"
-                                      and _CHAIN_START.match(tok)):
+            if tok[0] == "(" and not (chains and tok[1] == "s"):
                 items.append(blocks[tok])   # a block; shared reads only
             elif tok[0] == '"':
                 if len(tok) == 1:
@@ -210,26 +254,16 @@ def _scan(text: str, once: bool, share: bool, chains: bool):
                     body = _ESCAPE.sub(r"\1", body)
                 items.append(QuotedString(body))
                 share = False
+            elif (run := runs[tok]) is None:    # a block that starts like a chain
+                items.append(blocks[tok])
             else:
-                # a run of closes, or a chain: n opens, an atom or none and
-                # the closes; its innermost `whole` levels close around the
-                # atom, the other opens stay open, the other closes close
-                closes = tok.count(")")
-                if tok[0] == "(":
-                    n = tok.count("(")
-                    atom = tok[tok.rindex("(") + 2:].strip(" \t\r\n)")
-                    whole = min(n, closes) if atom else 0
-                    for _ in range(n - whole):
-                        stack.append(items)
-                        items = _Shared(("s",)) if share else ["s"]
-                    if atom:
-                        if numerals is None:
-                            for _ in range(whole):
-                                atom = ["s", atom]
-                            items.append(atom)
-                        else:
-                            items.append(numerals.chain(atom, whole))
-                    closes -= whole
+                # a run of closes, or a chain (see _Runs)
+                opens, value, closes = run
+                for _ in range(opens):
+                    stack.append(items)
+                    items = _Shared(("s",)) if share else ["s"]
+                if value is not None:
+                    items.append(value)
                 for _ in range(closes):
                     if not stack:
                         raise _error("unmatched ')'", text, token, tokens, rest)
@@ -272,6 +306,8 @@ def render(value) -> str:
             out.append(f'"{body}"')
         elif isinstance(v, str):
             out.append(v)
+        elif v.__class__ is Chain:
+            out.append(f"{'(s ' * v.depth}{v.base}{')' * v.depth}")
         else:
             out.append("(")
             todo.append(")")

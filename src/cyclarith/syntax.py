@@ -27,7 +27,9 @@ the children's, so expanding sugar passes over sugar-free subformulas
 without walking them and `is_in` is one comparison.  The canonical
 s-expression `sx` is rendered on first use, without recursion, and cached on
 the node it was asked of only, so a deep term costs memory linear in its
-size.  `sx` is the sort key for sequent normalization.
+size.  `sx` is the sort key for sequent normalization.  The reader hands a
+numeral over as one value (`sexpr.Chain`), which becomes its node in one
+step.
 
 A document (a proof or a graph) is converted with one memo: a dict that
 holds, for each kind of value ("formula", "term", and calculus's
@@ -49,6 +51,7 @@ from dataclasses import dataclass
 from typing import Dict, Union
 
 from . import sexpr
+from .sexpr import Chain
 
 
 class ParseError(Exception):
@@ -614,8 +617,9 @@ def _from_sexpr(value, formula: bool, memo: dict = None):
     is the one a recursive descent would raise; nodes are built in postorder
     on `out`.  A task is (is_formula, value) to read, or (None, constructor,
     argument count, successors to wrap the result in, memo table, id of the
-    value) to build.  memo is a document's memo (see the module docstring);
-    without one, a memo lives for this call only.
+    value) to build.  A term's (s ...) lists and the Chain they end in, if
+    any, become one successor chain.  memo is a document's memo (see the
+    module docstring); without one, a memo lives for this call only.
     """
     if memo is None:
         memo = {}
@@ -653,7 +657,7 @@ def _from_sexpr(value, formula: bool, memo: dict = None):
                 continue
             if not v:
                 raise ParseError("empty formula")
-            head = v[0]
+            head = v[0] if isinstance(v, list) else None    # else a Chain
             form = _FORMULA_FORMS.get(head) if isinstance(head, str) else None
             if form is None or len(v) != form[1]:
                 raise ParseError(f"bad formula {sexpr.excerpt(v)}")
@@ -673,6 +677,8 @@ def _from_sexpr(value, formula: bool, memo: dict = None):
             continue
         while isinstance(v, list) and len(v) == 2 and v[0] == "s":
             v, k = v[1], k + 1
+        if v.__class__ is Chain:
+            v, k = v.base, k + v.depth
         if isinstance(v, str):
             node = terms[key] = _succs(ZERO if v == "0" else V(ident_var(v)), k)
             out.append(node)

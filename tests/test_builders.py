@@ -39,6 +39,7 @@ from cyclarith import (
     validate,
     walk,
 )
+from cyclarith.builders import _plug, _redex
 from cyclarith.semantics import TV
 
 from conftest import random_pi1, random_quantifier_free
@@ -300,6 +301,57 @@ def test_deep_ground_proof_builds_and_validates_under_the_default_limit():
         goal = Eq(Add(numeral(1200), numeral(1200)), numeral(2400))
         proof = prove_ground_atom(goal.left, goal.right)
         assert proof.sequent == Sequent([goal])
+        assert validate(proof, Mode(System.SN, 0), plain=True).valid
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _recursive_redex(t):
+    """The recursive innermost-leftmost search that `_redex` replaced, with
+    the same paths: (path, redex) or None."""
+    if isinstance(t, Succ):
+        hit = _recursive_redex(t.base)
+        return hit and ((0,) + hit[0], hit[1])
+    if isinstance(t, (Add, Mul)):
+        for i, sub in ((0, t.left), (1, t.right)):
+            hit = _recursive_redex(sub)
+            if hit:
+                return (i,) + hit[0], hit[1]
+        if isinstance(t.right, (Zero, Succ)):
+            return (), t
+    return None
+
+
+def test_redex_and_plug_match_the_recursive_search_on_random_terms():
+    rng = random.Random(909)
+    hole = V(Var("$0"))
+    rewrites = 0
+    for _ in range(300):
+        t = _closed(rng, 3)
+        for _ in range(20):
+            hit = _redex(t)
+            want = _recursive_redex(t)
+            assert (hit and hit[:2]) == want, t.sx
+            if hit is None:
+                break
+            path, src, dst, _ = hit
+            pat = _plug(t, path, hole)
+            assert substitute(pat, hole.var, src) is t
+            t = _plug(t, path, dst)
+            rewrites += 1
+    assert rewrites > 2000
+
+
+def test_ground_atom_of_a_deep_add_nest_needs_no_recursion():
+    # (add 0 (add 0 ... (s 0))), 300 deep: each rewrite walks the nest
+    t = Succ(Zero())
+    for _ in range(300):
+        t = Add(Zero(), t)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        proof = prove_ground_atom(t, numeral(1))
+        assert proof.sequent == Sequent([Eq(t, numeral(1))])
         assert validate(proof, Mode(System.SN, 0), plain=True).valid
     finally:
         sys.setrecursionlimit(limit)

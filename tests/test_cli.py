@@ -413,3 +413,10 @@ def test_subcommands_keep_the_exit_code_contract_on_mutated_files(capsys, tmp_pa
         codes[cmd].add(rc)
     assert all(len(seen) >= 2 for seen in codes.values()), codes
     assert set().union(*codes.values()) == {0, 1, 2}, codes
+
+
+@pytest.mark.parametrize("head, want", [("eq", "true"), ("neq", "false")])
+def test_eval_deep_numeral_equation(capsys, head, want):
+    num = "(s " * 200000 + "0" + ")" * 200000
+    rc, out, err = _run(capsys, ["eval", f"({head} {num} {num})"])
+    assert (rc, out, err) == (0, want + "\n", "")

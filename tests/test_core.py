@@ -1,5 +1,6 @@
 """The trusted core (see the package docstring) imports only itself, and
-none of its functions calls itself.
+none of its functions calls itself; outside it, the functions that call
+themselves are listed, and the list may only shrink.
 
 Imports are read from each core module's source with `ast`, so an import
 made inside a function, or one that another module happens to have loaded
@@ -137,3 +138,23 @@ def test_core_dataclass_annotations_resolve():
     assert cyclarith.AnnotatedSequent in classes and cyclarith.Mode in classes
     for cls in classes:
         typing.get_type_hints(cls)
+
+
+# Functions outside the core that still reach themselves; each is a walk
+# that recurses once per level of its input.  The list may only shrink: a
+# new recursive function fails the test below, and so does one made
+# iterative without its name taken off here.
+RECURSIVE_OUTSIDE_THE_CORE = {
+    "builders": ["build", "go", "term"],
+    "semantics": ["_compile", "_term_code"],
+    "derived": [],
+    "transform": [],
+    "uncycle": [],
+    "cli": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECURSIVE_OUTSIDE_THE_CORE))
+def test_recursion_outside_the_core_only_shrinks(name):
+    path = Path(cyclarith.__file__).parent / f"{name}.py"
+    assert _self_reaching(path.read_text()) == RECURSIVE_OUTSIDE_THE_CORE[name]

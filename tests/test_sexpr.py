@@ -8,8 +8,9 @@ import pytest
 from cyclarith import (Add, ParseError, numeral, parse_formula, parse_proof,
                        prove_ground_atom, render_proof)
 from cyclarith.cli import build_corpus
-from cyclarith.sexpr import (_SHARED_TOKEN, _TOKEN, BLOCK_DEPTH, CHAIN_RUN, QuotedString,
-                             SexprError, parse, parse_many, render)
+from cyclarith.sexpr import (_SHARED_TOKEN, _TOKEN, BLOCK_DEPTH, CHAIN_RUN, Chain,
+                             QuotedString, SexprError, parse, parse_many, render)
+from cyclarith.syntax import term_from_sexpr
 
 import reference_sexpr
 
@@ -83,8 +84,19 @@ def test_random_round_trips():
 # --- differential tests against the recursive reader it replaced ----------
 
 
+def _nest(chain):
+    """The nested lists a Chain stands for, built fresh."""
+    value = chain.base
+    for _ in range(chain.depth):
+        value = ["s", value]
+    return value
+
+
 def _shape(value):
-    """Value with atoms and quoted strings told apart, for exact comparison."""
+    """Value with atoms and quoted strings told apart, and each Chain
+    expanded into its nest, for exact comparison."""
+    if isinstance(value, Chain):
+        value = _nest(value)
     if isinstance(value, list):
         return [_shape(v) for v in value]
     return ("q" if isinstance(value, QuotedString) else "a", str(value))
@@ -223,14 +235,25 @@ def test_render_is_iterative_in_depth():
 
 
 def _lists(value):
-    """Every list in value, outermost first."""
+    """Every list and every Chain in value, outermost first.  A Chain
+    stands for its whole nest, whose levels are no objects of their own."""
     out, todo = [], [value]
     while todo:
         v = todo.pop()
         if isinstance(v, list):
             out.append(v)
             todo.extend(v)
+        elif isinstance(v, Chain):
+            out.append(v)
     return out
+
+
+def _one_object_per_rendering(value, text):
+    """Equal lists of a shared read are one object, and so are equal Chains."""
+    by_text = {}
+    for v in _lists(value):
+        key = (isinstance(v, Chain), render(v))
+        assert by_text.setdefault(key, v) is v, text
 
 
 def _parse_shared(text):
@@ -250,10 +273,9 @@ def test_shared_read_matches_plain_read():
             continue
         plain = _lists(parse(text))
         assert len({id(v) for v in plain}) == len(plain)
-        lists = _lists(_parse_shared(text))
-        by_text = {}
-        for v in lists:
-            assert by_text.setdefault(render(v), v) is v, text
+        value = _parse_shared(text)
+        _one_object_per_rendering(value, text)
+        lists = _lists(value)
         shared_lists += len(lists) - len({id(v) for v in lists})
     assert shared_lists > 100
 
@@ -336,10 +358,13 @@ def test_shared_read_error_offsets_match_plain_read_on_mutated_corpus_files():
 
 
 def _flat(value):
-    """value as a list of "(", ")" and atoms, walked with an explicit stack."""
+    """value as a list of "(", ")" and atoms, walked with an explicit stack;
+    a Chain is walked as its nest, one level at a time."""
     out, todo = [], [value]
     while todo:
         v = todo.pop()
+        if isinstance(v, Chain):
+            v = ["s", Chain(v.base, v.depth - 1) if v.depth > 1 else v.base]
         if isinstance(v, list):
             out.append("(")
             todo.append(")")
@@ -422,9 +447,7 @@ def test_chain_tokens_match_reference():
         seen[want[0]] += 1
         long_chains += any(t.count("(") >= CHAIN_RUN for t in _TOKEN.findall(text))
         if want[0] == "value" and '"' not in text:
-            by_text = {}
-            for v in _lists(_parse_shared(text)):
-                assert by_text.setdefault(render(v), v) is v, text
+            _one_object_per_rendering(_parse_shared(text), text)
     assert min(seen.values()) > 1000 and long_chains > 2500
 
 
@@ -434,13 +457,20 @@ def test_a_chain_token_and_a_block_read_one_list_as_one_object():
     text = f"(a ;c\n {chain} (b {chain}) ( s {chain}) (s {chain} x) (b (s 0)))"
     assert chain in _SHARED_TOKEN.findall(text)
     assert _SHARED_TOKEN.findall(f"(s {chain} x)")[0] == "(s " + chain   # a partial chain
-    v = _parse_shared(text)
-    assert _shape(v) == _shape(parse(text))
-    assert v[1] is v[2][1] is v[3][1] is v[4][1]
-    assert v[5][1] is _lists(v[1])[-1]
+    for v in (parse(text), _parse_shared(text)):
+        assert _shape(v) == _shape(parse(text))
+        # the chain tokens, whole and partial, give one Chain
+        assert isinstance(v[1], Chain) and v[1] is v[4][1]
+        assert term_from_sexpr(v[1]) is numeral(CHAIN_RUN)
+        assert term_from_sexpr(v[5][1]) is numeral(1)
+    # inside blocks the chain is a nest, one object, that equals the Chain
+    # and converts to the same node
+    assert isinstance(v[2][1], list) and v[2][1] is v[3][1] and v[2][1] == v[1]
+    assert term_from_sexpr(v[2][1]) is term_from_sexpr(v[1])
     # the block first, then the chain; and chains stay shared after a string
-    v = _parse_shared(f'(a ;c\n (b {chain}) "q" {chain} {chain})')
-    assert v[1][1] is v[3] is v[4]
+    v = _parse_shared(f'(a ;c\n (b {chain}) "q" {chain} (s {chain} x))')
+    assert v[3] is v[4][1] and v[1][1] == v[3]
+    assert term_from_sexpr(v[1][1]) is term_from_sexpr(v[3])
 
 
 def test_deep_chains_are_a_few_tokens_and_read_without_recursion():
@@ -459,3 +489,16 @@ def test_deep_chains_are_a_few_tokens_and_read_without_recursion():
             assert _flat(_parse_shared(text)) == _flat(want)
         finally:
             sys.setrecursionlimit(limit)
+
+
+def test_a_chain_equals_the_nest_it_stands_for():
+    # the comment ends the chain token after three closes
+    three = parse("(s (s (s (s (s (s 0))) ;c\n)))")[1][1][1]
+    assert isinstance(three, Chain) and (three.base, three.depth) == ("0", 3)
+    assert three == ["s", ["s", ["s", "0"]]] == three
+    assert three == ["s", Chain("0", 2)] and three == Chain("0", 3)
+    assert hash(three) == hash(Chain("0", 3))
+    for other in (["s", ["s", "0"]], ["s", ["s", ["s", "x"]]], ["s", ["s", ["t", "0"]]],
+                  ["s", ["s", ["s", "0", "0"]]], Chain("0", 2), Chain("x", 3), "0", None):
+        assert three != other and other != three
+    assert render(three) == "(s (s (s 0)))"

@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,9 +45,12 @@ from cyclarith import (
     substitute,
 )
 from cyclarith import TV, ZERO, eval_formula, syntax
-from cyclarith.sexpr import parse
+from cyclarith.calculus import parse_proof, proof_from_sexpr
+from cyclarith.sexpr import CHAIN_RUN, SexprError, parse
 from cyclarith.derived import FreshVars, fresh_for
 from cyclarith.syntax import formula_from_sexpr, term_from_sexpr
+
+import reference_sexpr
 
 import reference_syntax
 from conftest import VAR_POOL, random_formula, random_term
@@ -536,3 +540,122 @@ def test_reading_a_deep_equation_adds_a_constant_number_of_entries():
     del phi
     gc.collect()
     assert len(syntax._TABLE) == before
+
+
+# --- successor chains read as one value -------------------------------------
+
+_CHAIN_INNER = ["0", "x", "y1", "(add x 0)", "(mul (s 0) y)", "(s (s (s (s x))))"]
+
+
+def _chain_text(rng):
+    """A successor chain 1-50 deep around an atom or a list; now and then
+    a bad atom or list inside, an item or a comment after some of its
+    closes, or one close too many or too few."""
+    depth = rng.randint(1, 50)
+    closes = [")"] * depth
+    roll = rng.random()
+    if roll < 0.02:
+        closes.insert(rng.randrange(depth), " z")
+    elif roll < 0.03:
+        closes.append(")")
+    elif roll < 0.04:
+        closes.pop()
+    elif roll < 0.12:
+        closes.insert(rng.randrange(depth), " ;c\n")    # ends the chain token
+    inner = rng.choice(["x!", "()"]) if rng.random() < 0.02 else rng.choice(_CHAIN_INNER)
+    return "(s " * depth + inner + "".join(closes)
+
+
+def _term_text(rng):
+    roll = rng.random()
+    if roll < 0.6:
+        return _chain_text(rng)
+    if roll < 0.8:
+        return f"(add {_chain_text(rng)} {_chain_text(rng)})"
+    return rng.choice(["0", "x", f"(mul {_chain_text(rng)} 0)"])
+
+
+def _formula_text(rng):
+    roll = rng.random()
+    if roll < 0.02:
+        return _chain_text(rng)                     # a chain as a formula
+    if roll < 0.04:
+        return f"(and {_chain_text(rng)} (eq 0 0))"
+    if roll < 0.2:
+        return f"(all x (eq {_term_text(rng)} x))"
+    head = rng.choice(["eq", "neq", "le", "nle"])
+    return f"({head} {_term_text(rng)} {_term_text(rng)})"
+
+
+def _trailing(rng, text):
+    roll = rng.random()
+    if roll < 0.03:
+        return text + " x"
+    if roll < 0.06:
+        return text + ")"
+    if roll < 0.1:
+        return text + " ; c"
+    return text
+
+
+def _proof_text(rng):
+    f, g = _formula_text(rng), _formula_text(rng)
+    return (f"(node :id n0 (seq {f}) (rule ref {_term_text(rng)})"
+            f" (node :id n1 (seq {g} {f}) (axiom)))")
+
+
+def _outcome_of(read, text):
+    try:
+        return ("value", read(text))
+    except ParseError as exc:
+        return ("error", str(exc))
+
+
+def _by_reference(convert):
+    """Read with the recursive reference reader, then convert; a reader
+    error is reported as the parse functions report it."""
+    def read(text):
+        try:
+            value = reference_sexpr.parse(text)
+        except SexprError as exc:
+            raise ParseError(str(exc)) from exc
+        return convert(value)
+    return read
+
+
+def test_chains_read_as_the_reference_reader_reads_them():
+    rng = random.Random(1515)
+    seen = {"value": 0, "error": 0}
+    deep = 0
+    for _ in range(1000):
+        for read, convert, text in (
+                (parse_term, term_from_sexpr, _term_text(rng)),
+                (parse_formula, formula_from_sexpr, _formula_text(rng)),
+                (parse_proof, proof_from_sexpr, _proof_text(rng))):
+            text = _trailing(rng, text)
+            got = _outcome_of(read, text)
+            want = _outcome_of(_by_reference(convert), text)
+            if want[0] == "value" and read is not parse_proof:
+                assert got[0] == "value" and got[1] is want[1], text
+            else:
+                assert got == want, text
+            seen[want[0]] += 1
+            deep += "(s " * CHAIN_RUN in text
+    assert min(seen.values()) > 500 and deep > 2000
+
+
+def test_deep_numeral_equation_reads_in_memory_linear_in_its_text():
+    # 200000-deep numerals: the text is 1.6 MB, and the read holds each
+    # chain as one token and one value, never a list per successor
+    text = f"(eq {_numeral_text(200000)} {_numeral_text(200000)})"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    tracemalloc.start()
+    try:
+        phi = parse_formula(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sys.setrecursionlimit(limit)
+    assert phi.left is phi.right is numeral(200000)
+    assert peak < 3 * len(text), (peak, len(text))
