@@ -4,9 +4,17 @@ Closed tautologies, ground arithmetic facts, the two canonical cyclic
 shapes (induction packaged as a schema instance and induction packaged as
 a rule application), a couple of ready-made corpus proofs, finite
 truncations of an infinite case cascade, and the seeded examples corpus
-built from all of these. Every constructor re-derives its sequents through
-premises_of, so a successful return is correct by construction; the cyclic
-builders additionally annotate and validate before returning.
+built from all of these.
+
+Each proof is written top-down as a spec, (id, rule, *subs), one sub per
+premise of the rule: a nested spec, or a finished ProofNode that must
+conclude that premise exactly.  _grow derives every sequent of a spec once,
+through premises_of, from the goal at its root, and checks each finished
+sub-proof and each axiom leaf on the way, so a successful return is correct
+by construction; the cyclic builders additionally annotate and validate
+before returning.  _grow runs on calculus.fold_tree and tautology builds its
+spec with one, so no builder recurses once per level of its input.  The one
+recursion left is the term generator of _rand_pi1, which is fixed at depth 1.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from .calculus import (Add0Rule, AddSRule, AllRule, AndRule, AssumeLeaf,
                        AxiomLeaf, BackLeaf, CaseRule, CutRule, ExRule,
                        Mult0Rule, MultSRule, OpenLeaf, OrRule, PredRule,
                        ProofNode, RefRule, RepRule, Rule, Sequent, WeakRule,
-                       is_axiom, premises_of, render_proof, walk)
+                       fold_tree, is_axiom, premises_of, render_proof, walk)
 from .checker import CyclicProof, validate
 from .derived import fresh_for
 from .semantics import eval_term
@@ -62,6 +70,35 @@ def relabel_proof(root: ProofNode, prefix: str) -> ProofNode:
     return done[root.id]
 
 
+def _grow(goal: Sequent, spec: tuple) -> ProofNode:
+    """The proof of goal that spec describes: (id, rule, *subs), each sub a
+    spec or a finished ProofNode.  Sequents are derived top-down through
+    premises_of, each once.  PreError when a finished sub-proof concludes
+    another sequent than its premise, an AxiomLeaf closes no axiom, or a
+    spec gives another number of subs than its rule has premises."""
+
+    def visit(item):
+        seq, sub = item
+        if isinstance(sub, ProofNode):
+            if sub.sequent != seq:
+                raise PreError(f"sub-proof {sub.id} concludes {sub.sequent.sx}, "
+                               f"wanted {seq.sx}")
+            return sub, ()
+        nid, rule, *subs = sub
+        if isinstance(rule, AxiomLeaf) and is_axiom(seq) is None:
+            raise PreError(f"{nid} is not an axiom: {seq.sx}")
+        prems = premises_of(seq, rule) if rule.premises else []
+        if len(subs) != len(prems):
+            raise PreError(f"{nid}: ({rule.name}) has {len(prems)} premises, "
+                           f"the spec gives {len(subs)}")
+        return (nid, seq, rule), tuple(zip(prems, subs))
+
+    def build(head, children):
+        return head if isinstance(head, ProofNode) else ProofNode(*head, children)
+
+    return fold_tree((goal, spec), visit, build)
+
+
 def _chain(goal: Sequent, rules: Sequence[Rule], prefix: str) -> ProofNode:
     """A single-branch proof: apply the rules top-down, close with an axiom."""
     seqs = [goal]
@@ -79,52 +116,43 @@ def _chain(goal: Sequent, rules: Sequence[Rule], prefix: str) -> ProofNode:
 # --- closed tautologies ----------------------------------------------------------
 
 def tautology(gamma: Sequent, phi: Formula) -> ProofNode:
-    """A finite proof of gamma, phi, negate(phi) by recursion on phi."""
+    """A finite proof of gamma, phi, negate(phi), by a fold over phi.
+
+    A conjunction and a disjunction split the disjunction, then the
+    conjunction, then weaken the stray literal, so each branch is again a
+    pure tautology goal; a quantifier eliminates the universal with a fresh
+    eigenvariable, taken in preorder, and feeds the same variable back as
+    the existential witness.  Ids count up in postorder: both branches of a
+    split before its four nodes."""
     counter = itertools.count()
     fresh = fresh_for(phi, *gamma)
 
-    def node(seq: Sequent, rule: Rule, *children: ProofNode) -> ProofNode:
-        return ProofNode(f"t{next(counter)}", seq, rule, children)
-
-    def go(gamma: Sequent, phi: Formula) -> ProofNode:
-        bar = negate(phi)
-        goal = gamma.add(phi, bar)
+    def visit(phi: Formula):
         if isinstance(phi, (Le, NLe, AllLe, ExLe)):
             raise PreError(f"no closing rule for {phi.sx}, desugar first")
         if isinstance(phi, (Eq, Neq)):
-            return node(goal, AxiomLeaf())
+            return (AxiomLeaf(),), ()
+        bar = negate(phi)
         if isinstance(phi, (And, Or)):
-            # split the disjunction, then the conjunction, then weaken the
-            # stray literal so each branch is again a pure tautology goal
             conj, disj = (phi, bar) if isinstance(phi, And) else (bar, phi)
-            [mid] = premises_of(goal, OrRule(disj))
-            left, right = premises_of(mid, AndRule(conj))
-            wl = WeakRule(Sequent([negate(conj.right)]))
-            wr = WeakRule(Sequent([negate(conj.left)]))
-            [lgoal] = premises_of(left, wl)
-            [rgoal] = premises_of(right, wr)
-            lsub = go(gamma, conj.left)
-            rsub = go(gamma, conj.right)
-            assert lsub.sequent == lgoal and rsub.sequent == rgoal
-            return node(goal, OrRule(disj),
-                        node(mid, AndRule(conj),
-                             node(left, wl, lsub),
-                             node(right, wr, rsub)))
-        # quantifiers: eliminate the universal with a fresh eigenvariable,
-        # feed the same variable back as the existential witness
+            return (OrRule(disj), AndRule(conj), WeakRule(Sequent([negate(conj.right)])),
+                    WeakRule(Sequent([negate(conj.left)]))), (conj.left, conj.right)
         univ, ext = (phi, bar) if isinstance(phi, All) else (bar, phi)
         z = fresh.take()
-        allr = AllRule(univ, z)
-        [mid] = premises_of(goal, allr)
-        exr = ExRule(ext, V(z))
-        [full] = premises_of(mid, exr)
-        wk = WeakRule(Sequent([ext]))
-        [subgoal] = premises_of(full, wk)
-        sub = go(gamma, substitute(univ.body, univ.var, V(z)))
-        assert sub.sequent == subgoal
-        return node(goal, allr, node(mid, exr, node(full, wk, sub)))
+        return (AllRule(univ, z), ExRule(ext, V(z)), WeakRule(Sequent([ext]))), \
+            (substitute(univ.body, univ.var, V(z)),)
 
-    return go(gamma, phi)
+    def build(rules, subs):
+        ids = [f"t{next(counter)}" for _ in rules]  # the top rule's last
+        if isinstance(rules[0], AxiomLeaf):
+            return ids[0], rules[0]
+        if isinstance(rules[0], AllRule):
+            allr, exr, weak = rules
+            return ids[2], allr, (ids[1], exr, (ids[0], weak, subs[0]))
+        orr, andr, wl, wr = rules
+        return ids[3], orr, (ids[2], andr, (ids[0], wl, subs[0]), (ids[1], wr, subs[1]))
+
+    return _grow(gamma.add(phi, negate(phi)), fold_tree(phi, visit, build))
 
 
 # --- ground arithmetic facts -----------------------------------------------------
@@ -289,29 +317,14 @@ def induction_schema_proof(phi: Formula, x: Var, n: int) -> CyclicProof:
     phi0 = substitute(phi, x, ZERO)
     phisx = substitute(phi, x, Succ(V(x)))
     psi = Ex(x, And(phi, negate(phisx)))
-    root = Sequent([negate(phi0), psi, phi])
-
-    case = CaseRule(x)
-    left, right = premises_of(root, case)
     sigma0 = relabel_proof(tautology(Sequent([psi]), phi0), "a.")
-    assert sigma0.sequent == left
-    exr = ExRule(psi, V(x))
-    [s2] = premises_of(right, exr)
-    andr = AndRule(And(phi, negate(phisx)))
-    s3, s5 = premises_of(s2, andr)
-    weak = WeakRule(Sequent([phisx]))
-    [s4] = premises_of(s3, weak)
-    assert s4 == root
     sigma1 = relabel_proof(tautology(Sequent([negate(phi0), psi]), phisx), "b.")
-    assert sigma1.sequent == s5
-
-    tree = ProofNode("n0", root, case, (
-        sigma0,
-        ProofNode("n1", right, exr, (
-            ProofNode("n2", s2, andr, (
-                ProofNode("n3", s3, weak, (
-                    ProofNode("n4", s4, BackLeaf("n0"), ()),)),
-                sigma1,)),)),))
+    tree = _grow(Sequent([negate(phi0), psi, phi]), (
+        "n0", CaseRule(x), sigma0,
+        ("n1", ExRule(psi, V(x)),
+         ("n2", AndRule(And(phi, negate(phisx))),
+          ("n3", WeakRule(Sequent([phisx])), ("n4", BackLeaf("n0"))),
+          sigma1))))
     return _validated(tree, x, Mode(System.SN, n), "schema proof")
 
 
@@ -324,9 +337,9 @@ def induction_rule_proof(base: Union[ProofNode, CyclicProof],
     """Close {phi} from proofs of {phi(0)} and {negate(phi), phi(s x)}.
 
     Case split on x, cut phi on the successor branch, weaken the kept side
-    back to {phi} and tie it to the root. The sub-proofs are validated on
-    their own first, then the assembly is annotated from {x} and validated
-    as a whole.
+    back to {phi} and tie it to the root. Once the sub-proofs conclude
+    their premises, each is validated on its own, then the assembly is
+    annotated from {x} and validated as a whole.
     """
     assumptions = frozenset(assumptions)
     if not is_in(phi, PI, n + 1):
@@ -335,39 +348,18 @@ def induction_rule_proof(base: Union[ProofNode, CyclicProof],
         raise PreError(f"{x.name} is not free in {phi.sx}")
     mode = Mode(System.SPI, n, assumptions)
     b_root, s_root = _plain(base), _plain(step)
-    phi0 = substitute(phi, x, ZERO)
     phisx = substitute(phi, x, Succ(V(x)))
-    if b_root.sequent != Sequent([phi0]):
-        raise PreError(f"base proof concludes {b_root.sequent.sx}, "
-                       f"wanted {Sequent([phi0]).sx}")
-    want = Sequent([negate(phi), phisx])
-    if s_root.sequent != want:
-        raise PreError(f"step proof concludes {s_root.sequent.sx}, "
-                       f"wanted {want.sx}")
+    tree = _grow(Sequent([phi]), (
+        "r0", CaseRule(x), relabel_proof(erase(b_root), "b."),
+        ("r1", CutRule(phi),
+         ("r2", WeakRule(Sequent([phisx])), ("r3", BackLeaf("r0"))),
+         relabel_proof(erase(s_root), "s."))))
     for label, sub in (("base", b_root), ("step", s_root)):
         checked = sub if is_annotated(sub) else annotate_tree(sub, frozenset(), mode)
         report = validate(checked, mode)
         if not report.valid:
             raise PreError(f"{label} proof invalid: "
                            + "; ".join(v.tag for v in report.violations))
-
-    root = Sequent([phi])
-    case = CaseRule(x)
-    left, right = premises_of(root, case)
-    assert left == b_root.sequent
-    cut = CutRule(phi)
-    keep, refute = premises_of(right, cut)
-    assert refute == s_root.sequent
-    weak = WeakRule(Sequent([phisx]))
-    [back_seq] = premises_of(keep, weak)
-    assert back_seq == root
-
-    tree = ProofNode("r0", root, case, (
-        relabel_proof(erase(b_root), "b."),
-        ProofNode("r1", right, cut, (
-            ProofNode("r2", keep, weak, (
-                ProofNode("r3", back_seq, BackLeaf("r0"), ()),)),
-            relabel_proof(erase(s_root), "s."),)),))
     return _validated(tree, x, mode, "assembled proof")
 
 
@@ -385,26 +377,13 @@ def step_from_assumption(phi: Formula, x: Var,
     hyp = All(x, impl(phi, phisx))
     extra = tuple(extra)
     target = Sequent([negate(phi), phisx]).add(*extra)
-
-    cut = CutRule(hyp)
-    with_hyp, against = premises_of(target, cut)
-    weak = WeakRule(target)
-    [only_hyp] = premises_of(with_hyp, weak)
     nhyp = negate(hyp)
-    exr = ExRule(nhyp, V(x))
-    [inst] = premises_of(against, exr)
-    andr = AndRule(nhyp.body)
-    a_l, a_r = premises_of(inst, andr)
     sub_l = relabel_proof(tautology(Sequent([phisx, nhyp, *extra]), phi), "p.")
-    assert sub_l.sequent == a_l
     sub_r = relabel_proof(tautology(Sequent([negate(phi), nhyp, *extra]), phisx), "q.")
-    assert sub_r.sequent == a_r
-
-    tree = ProofNode("h0", target, cut, (
-        ProofNode("h1", with_hyp, weak, (
-            ProofNode("h2", only_hyp, AssumeLeaf(hyp), ()),)),
-        ProofNode("h3", against, exr, (
-            ProofNode("h4", inst, andr, (sub_l, sub_r)),)),))
+    tree = _grow(target, (
+        "h0", CutRule(hyp),
+        ("h1", WeakRule(target), ("h2", AssumeLeaf(hyp))),
+        ("h3", ExRule(nhyp, V(x)), ("h4", AndRule(nhyp.body), sub_l, sub_r))))
     return tree, hyp
 
 
@@ -456,12 +435,9 @@ def two_loops_proof() -> Tuple[CyclicProof, Mode]:
     loop1 = _rule_add_left()
     loop2 = induction_rule_proof(base, step2, phi2, x, 0)
     conj = And(phi1, phi2)
-    root = Sequent([conj])
-    andr = AndRule(conj)
-    premises_of(root, andr)  # sanity: {phi1}, {phi2}
-    tree = ProofNode("w0", root, andr, (
-        relabel_proof(erase(loop1.root), "p."),
-        relabel_proof(erase(loop2.root), "q."),))
+    tree = _grow(Sequent([conj]), ("w0", AndRule(conj),
+                                   relabel_proof(erase(loop1.root), "p."),
+                                   relabel_proof(erase(loop2.root), "q.")))
     mode = Mode(System.SN, 0)
     return _validated(tree, x, mode, "two-loop proof"), mode
 
@@ -477,39 +453,20 @@ def forall_cycle_proof() -> Tuple[CyclicProof, Mode]:
     body = Eq(Add(V(x), V(y)), Add(V(y), V(x)))
     a = All(y, body)
     a0 = substitute(a, x, ZERO)
-
-    root = Sequent([a])
-    case = CaseRule(x)
-    left, right = premises_of(root, case)
-    base = ProofNode("a0", left, AssumeLeaf(a0), ())
-    cut = CutRule(a)
-    keep, refute = premises_of(right, cut)
-    step1, hyp = step_from_assumption(a, x)
-    step1 = relabel_proof(step1, "s.")
-    assert step1.sequent == refute
-
-    z = fresh_for(a, *right).take()
-    allr = AllRule(a, z)
-    [opened] = premises_of(keep, allr)
+    z = fresh_for(a).take()
     inst = substitute(body, y, V(z))
-    cut2 = CutRule(a)
-    keep2, refute2 = premises_of(opened, cut2)
+    step1, hyp = step_from_assumption(a, x)
     step2, _ = step_from_assumption(a, x, extra=[inst])
-    step2 = relabel_proof(step2, "t.")
-    assert step2.sequent == refute2
-    weak = WeakRule(opened)
-    [back_seq] = premises_of(keep2, weak)
-    assert back_seq == root
-
-    tree = ProofNode("f0", root, case, (
-        base,
-        ProofNode("f1", right, cut, (
-            ProofNode("f2", keep, allr, (
-                ProofNode("f3", opened, cut2, (
-                    ProofNode("f4", keep2, weak, (
-                        ProofNode("f5", back_seq, BackLeaf("f0"), ()),)),
-                    step2,)),)),
-            step1,)),))
+    # after (all), the branch holds a(s x) and the instance at z
+    opened = Sequent([substitute(a, x, Succ(V(x))), inst])
+    tree = _grow(Sequent([a]), (
+        "f0", CaseRule(x), ("a0", AssumeLeaf(a0)),
+        ("f1", CutRule(a),
+         ("f2", AllRule(a, z),
+          ("f3", CutRule(a),
+           ("f4", WeakRule(opened), ("f5", BackLeaf("f0"))),
+           relabel_proof(step2, "t."))),
+         relabel_proof(step1, "s."))))
     mode = Mode(System.SN, 0, frozenset({a0, hyp}))
     return _validated(tree, x, mode, "eigenvariable loop"), mode
 
@@ -529,28 +486,10 @@ def omega_truncation(proofs: Sequence[Union[ProofNode, CyclicProof]],
     roots = [_plain(p) for p in proofs]
     if roots and x not in phi.fv:
         raise PreError(f"{x.name} is not free in {phi.sx}")
-    for k, r in enumerate(roots):
-        want = gamma.add(substitute(phi, x, numeral(k)))
-        if r.sequent != want:
-            raise PreError(f"stage {k} concludes {r.sequent.sx}, wanted {want.sx}")
-
-    def shifted(k: int) -> Term:
-        t: Term = V(x)
-        for _ in range(k):
-            t = Succ(t)
-        return t
-
-    def build(k: int) -> ProofNode:
-        cur = gamma.add(substitute(phi, x, shifted(k)))
-        if k == len(roots):
-            return ProofNode(f"o{k}", cur, OpenLeaf(), ())
-        case = CaseRule(x)
-        zero, _succ = premises_of(cur, case)
-        left = relabel_proof(erase(roots[k]), f"k{k}.")
-        assert left.sequent == zero
-        return ProofNode(f"o{k}", cur, case, (left, build(k + 1)))
-
-    return build(0)
+    spec: tuple = (f"o{len(roots)}", OpenLeaf())
+    for k in range(len(roots) - 1, -1, -1):
+        spec = (f"o{k}", CaseRule(x), relabel_proof(erase(roots[k]), f"k{k}."), spec)
+    return _grow(gamma.add(phi), spec)
 
 
 # --- the examples corpus ---------------------------------------------------------

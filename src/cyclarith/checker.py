@@ -244,6 +244,11 @@ def render_report(report: ValidationReport, fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
+# The entries render_report writes, each with the fields it writes.
+_REPORT_FIELDS = {"verdict": set(), "violation": {"node", "tag", "message"},
+                  "stats": {"nodes", "backlinks", "cycles"}}
+
+
 def report_from_sexpr(value) -> ValidationReport:
     if not isinstance(value, list) or not value or value[0] != "report":
         raise ParseError("expected (report ...)")
@@ -254,14 +259,16 @@ def report_from_sexpr(value) -> ValidationReport:
         if not isinstance(item, list) or not item:
             raise ParseError(f"bad report entry {sexpr.excerpt(item)}")
         try:
-            if item[0] == "verdict":
+            head = item[0]
+            fields = {} if head == "verdict" else {e[0]: e[1:] for e in item[1:]}
+            if not fields.keys() <= _REPORT_FIELDS[head]:
+                raise ValueError(f"unknown field in {head}")
+            if head == "verdict":
                 verdict = item[1]
-            elif item[0] == "violation":
-                fields = {e[0]: e[1] for e in item[1:]}
-                violations.append(Violation(fields["node"], fields["tag"],
-                                            str(fields.get("message", ""))))
-            elif item[0] == "stats":
-                fields = {e[0]: e[1:] for e in item[1:]}
+            elif head == "violation":
+                violations.append(Violation(fields["node"][0], fields["tag"][0],
+                                            str(fields.get("message", [""])[0])))
+            else:
                 stats = ProofStats(int(fields["nodes"][0]),
                                    int(fields["backlinks"][0]),
                                    tuple(int(k) for k in fields.get("cycles", ())))

@@ -509,6 +509,13 @@ def _names(vs) -> str:
     return "".join(f" {v.name}" for v in vs)
 
 
+# The single-valued entries render_certificate writes, and the fields of
+# its obligations; obligation, edge-just and note entries may repeat.
+_CERTIFICATE_ENTRIES = {"level", "mode", "root", "m", "phi-root", "theta", "zeta",
+                        "fresh", "case-vars", "B", "C", "ranks"}
+_OBLIGATION_FIELDS = {"kind", "formula", "desugared", "status", "about"}
+
+
 def certificate_from_sexpr(value) -> InductionCertificate:
     if not isinstance(value, list) or not value or value[0] != "certificate":
         raise ParseError("expected (certificate ...)")
@@ -520,6 +527,8 @@ def certificate_from_sexpr(value) -> InductionCertificate:
             head = item[0]
             if head == "obligation":
                 sub = {e[0]: e[1:] for e in item[1:]}
+                if not sub.keys() <= _OBLIGATION_FIELDS:
+                    raise ValueError("unknown obligation field")
                 fields["obligations"].append(Obligation(
                     kind=sub["kind"][0],
                     formula=formula_from_sexpr(sub["formula"][0]),
@@ -531,8 +540,10 @@ def certificate_from_sexpr(value) -> InductionCertificate:
                 fields["edges"].append((u, v, tag))
             elif head == "note":
                 fields["notes"].append(str(item[1]))
-            else:
+            elif head in _CERTIFICATE_ENTRIES:
                 fields[head] = item[1:]
+            else:
+                raise ValueError(f"unknown entry {head}")
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ParseError(f"bad certificate entry {sexpr.excerpt(item)}") from exc
     try:

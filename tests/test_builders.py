@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 import sys
 
 import pytest
@@ -6,6 +8,9 @@ import pytest
 from cyclarith import (
     Add,
     All,
+    And,
+    AndRule,
+    AxiomLeaf,
     CyclicProof,
     Eq,
     Ex,
@@ -16,6 +21,7 @@ from cyclarith import (
     OpenLeaf,
     Or,
     PreError,
+    RefRule,
     Sequent,
     Succ,
     System,
@@ -39,7 +45,7 @@ from cyclarith import (
     validate,
     walk,
 )
-from cyclarith.builders import _plug, _redex
+from cyclarith.builders import _grow, _plug, _redex, build_corpus
 from cyclarith.semantics import TV
 
 from conftest import random_pi1, random_quantifier_free
@@ -355,3 +361,93 @@ def test_ground_atom_of_a_deep_add_nest_needs_no_recursion():
         assert validate(proof, Mode(System.SN, 0), plain=True).valid
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_grow_derives_each_sequent_from_the_goal():
+    goal = Sequent([Eq(Zero(), Zero())])
+    proof = _grow(goal, ("r0", RefRule(Zero()), ("r1", AxiomLeaf())))
+    assert [(n.id, n.sequent) for n in walk(proof)] == \
+        [("r0", goal), ("r1", goal.add(Neq(Zero(), Zero())))]
+    assert check_tree(proof) == []
+
+
+def test_grow_rejects_a_sub_proof_of_another_sequent():
+    zero, one = Eq(Zero(), Zero()), Eq(numeral(1), numeral(1))
+    sub = prove_ground_atom(Zero(), Zero())
+    want = f"sub-proof g0 concludes {Sequent([zero]).sx}, wanted {Sequent([one]).sx}"
+    with pytest.raises(PreError, match=re.escape(want)):
+        _grow(Sequent([And(zero, one)]), ("w0", AndRule(And(zero, one)), sub, sub))
+
+
+def test_grow_rejects_an_axiom_leaf_that_closes_nothing():
+    with pytest.raises(PreError, match="a0 is not an axiom"):
+        _grow(Sequent([Eq(V(x), Zero())]), ("a0", AxiomLeaf()))
+
+
+def test_grow_rejects_a_spec_with_the_wrong_number_of_subs():
+    goal = Sequent([Eq(Zero(), Zero())])
+    with pytest.raises(PreError, match="has 1 premises, the spec gives 0"):
+        _grow(goal, ("r0", RefRule(Zero())))
+    with pytest.raises(PreError, match="has 0 premises, the spec gives 1"):
+        _grow(goal.add(Neq(Zero(), Zero())), ("a0", AxiomLeaf(), ("a1", AxiomLeaf())))
+
+
+def test_rule_proof_rejects_a_step_proof_of_another_sequent():
+    phi = Eq(Add(Zero(), V(x)), V(x))
+    base = prove_ground_atom(Add(Zero(), Zero()), Zero())
+    wrong_step, _hyp = step_from_assumption(Eq(Add(V(x), Zero()), V(x)), x)
+    with pytest.raises(PreError, match="sub-proof s.h0 concludes"):
+        induction_rule_proof(base, wrong_step, phi, x, 0)
+
+
+def test_omega_truncation_rejects_a_stage_of_another_sequent():
+    phi = Eq(Add(Zero(), V(x)), V(x))
+    stages = [prove_ground_atom(Add(Zero(), numeral(k)), numeral(k)) for k in (0, 2, 2)]
+    with pytest.raises(PreError, match="sub-proof k1.g0 concludes"):
+        omega_truncation(stages, Sequent(), phi, x)
+
+
+def test_tautology_of_a_deep_formula_needs_no_recursion():
+    phi = Eq(V(x), V(y))
+    for i in range(1500):
+        phi = (And if i % 2 else Or)(phi, Neq(V(x), numeral(i % 3)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        proof = tautology(Sequent(), phi)
+        assert proof.sequent == Sequent([phi, negate(phi)])
+        assert check_tree(proof) == []
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_omega_truncation_of_many_stages_needs_no_recursion():
+    phi = Eq(V(x), V(x))
+    stages = [prove_ground_atom(numeral(k), numeral(k)) for k in range(1200)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        om = omega_truncation(stages, Sequent(), phi, x)
+        assert [i.node_id for i in check_tree(om)] == ["o1200"]
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# sha256 of build_corpus(seed), the corpora the benchmark is built from: a
+# builder change that moves them must update these and say why.
+CORPUS_SHA256 = {
+    1: "7aecc81ab7aa83194787caa7f72c322f493f77702184d4a82b335e11e9c90383",
+    2: "85ebc6471c3057d3f67c21f5f547b0133480d19561f3d2d96a8c654cf7e2e0f1",
+    3: "45c47245ba203a5660612a8c3b2f9d8f47f4c083b7b8943ad086720ac2a5b37a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_SHA256))
+def test_corpus_is_pinned(seed):
+    h = hashlib.sha256()
+    for e in build_corpus(seed):
+        h.update(f"{e.name}\n{e.kind} {e.system} {e.level}\n".encode())
+        for f in e.assume:
+            h.update((f.sx + "\n").encode())
+        h.update((e.text + "\n").encode())
+    assert h.hexdigest() == CORPUS_SHA256[seed]

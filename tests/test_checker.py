@@ -188,9 +188,13 @@ def test_soundness_sample_schema():
     "(report (verdict))",
     "(report (verdict valid) (stats (nodes)))",
     "(report (verdict valid) (violation x))",
+    "(report (foo) (verdict valid))",
+    "(report (s 0) (verdict valid))",
+    "(report (verdict valid) (violation (node n0) (tag X) (bogus 1)))",
+    "(report (verdict valid) (stats (nodes 1) (backlinks 0) (cycles) (bogus 1)))",
 ])
 def test_report_reader_rejects_malformed_entries(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="bad report entry"):
         parse_report(text)
 
 

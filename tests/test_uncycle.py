@@ -217,10 +217,20 @@ def test_corpus_extraction_smoke(cyclic_corpus):
     "(certificate (edge-just (a b)))",
     "(certificate (edge-just))",
     "(certificate (note))",
+    "(certificate (bogus 1))",
+    "(certificate (obligations 1))",
+    "(certificate (obligation (kind base) (formula (eq 0 0)) (desugared (eq 0 0)) (bogus 1)))",
 ])
 def test_certificate_reader_rejects_malformed_entries(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="bad certificate entry"):
         parse_certificate(text)
+
+
+def test_certificate_reader_rejects_an_added_entry(rule_cert):
+    txt = render_certificate(rule_cert)
+    assert txt.endswith(")")
+    with pytest.raises(ParseError, match=r"bad certificate entry \(bogus 1\)"):
+        parse_certificate(txt[:-1] + "\n  (bogus 1))")
 
 
 def test_extract_all_matches_extraction_of_each_component(cyclic_corpus):
