@@ -10,9 +10,9 @@ an invalid proof lists everything wrong with it, not just the first problem.
 
 validate is the package's only validity judgement: plain finite trees
 (plain=True), ravelled graphs and cyclic proofs all go through it, and
-_check_leaf is the only place a leaf is decided. uncycle relies on it for
-the back-link conditions and checks only what extraction itself needs (see
-that module's docstring).
+_check_leaf is the only place a leaf is decided. uncycle's extraction calls
+it once and refuses, with its report, every proof it rejects; it adds only
+the refusals validate does not decide (see that module's docstring).
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from . import sexpr
 from .annotation import Mode, System, annotate_tree, is_annotated, is_plain
 from .builders import CorpusEntry, PreError, build_corpus, prove_ground_atom
 from .calculus import ArgMismatch, parse_proof, render_proof
-from .checker import CyclicProof, render_report, validate
+from .checker import render_report, validate
 from .semantics import DEFAULT_CUTOFF, DEFAULT_VALUE_BOUND, eval_formula, eval_term
 from .syntax import (CaptureError, Eq, Neq, ParseError, formula_from_sexpr,
                      ident_var, negate, parse_formula)
@@ -71,9 +71,16 @@ def _assumptions(paths: Sequence[str]) -> frozenset:
     return frozenset(got)
 
 
+def _naturals(args, *flags: str) -> None:
+    """Reject a negative value of any of the named integer flags."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 0:
+            raise CliError(f"--{flag} must be >= 0, got {value}")
+
+
 def _mode(args) -> Mode:
-    if args.level < 0:
-        raise CliError(f"--level must be >= 0, got {args.level}")
+    _naturals(args, "level")
     return Mode(System(args.system), args.level, _assumptions(args.assume))
 
 
@@ -103,6 +110,7 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_unravel(args) -> int:
+    _naturals(args, "depth")
     root = parse_proof(_read(args.path))
     try:
         tree = unravel(root, args.depth)
@@ -125,16 +133,13 @@ def cmd_ravel(args) -> int:
 
 
 def cmd_uncycle(args) -> int:
+    _naturals(args, "bound", "cutoff")
     mode = _mode(args)
-    proof = CyclicProof(parse_proof(_read(args.path)))
-    report = validate(proof, mode)
-    if not report.valid:
-        print(render_report(report, args.format), file=sys.stderr)
-        return EXIT_FAIL
     try:
-        pairs = extract_all(proof, mode)
+        pairs = extract_all(parse_proof(_read(args.path)), mode)
     except ExtractionError as exc:
-        print(f"extraction failed: {exc}", file=sys.stderr)
+        print(f"extraction failed: {exc}" if exc.report is None
+              else render_report(exc.report, args.format), file=sys.stderr)
         return EXIT_FAIL
     failed = False
     certs = []
@@ -149,6 +154,7 @@ def cmd_uncycle(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _naturals(args, "cutoff")
     phi = parse_formula(args.formula)
     env = {}
     if args.assign:

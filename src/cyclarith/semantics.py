@@ -230,7 +230,12 @@ def sequent_truth(formulas: Iterable[Formula], env: Dict[Var, int],
 
 def all_assignments(variables: Sequence[Var],
                     bound: int) -> Iterator[Dict[Var, int]]:
-    """Every assignment of the given variables into {0..bound}."""
+    """Every assignment of the given variables into {0..bound}.
+
+    A negative bound raises ValueError at the call: it would give no
+    assignment at all, and a check over none holds vacuously."""
+    if bound < 0:
+        raise ValueError(f"negative value bound {bound}")
     variables = list(variables)
-    for values in itertools.product(range(bound + 1), repeat=len(variables)):
-        yield dict(zip(variables, values))
+    return (dict(zip(variables, values))
+            for values in itertools.product(range(bound + 1), repeat=len(variables)))

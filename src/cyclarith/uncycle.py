@@ -19,17 +19,14 @@ Proofs whose root lies on no cycle yield the NoRootCycle marker instead;
 extract_all recurses below such roots and emits one certificate per
 maximal root-cycle component, outermost first.
 
-Extraction takes the back-link conditions (targets, sequents, annotation
-and progress along each link) from checker.validate, and asks
-annotation.propagate rather than restating its restriction-class tests.
-It refuses, with ExtractionError, a proof that is not annotated, a root
-annotation that is empty or not carried by every M-node, a tree edge in M
-whose premise propagate does not give the root's annotation (so a cycle
-never loses its annotation through a class test, a (case) left premise or
-an sSigma (forall)), an M-sequent outside the restriction class in spi and
-ssigma, and a cycle of M that avoids every (case) conclusion
-(compute_ranks). Ranks then decrease along every M-edge, and theta and
-zeta lie in the restriction class, by construction.
+Extraction judges a proof's validity only through checker.validate, once
+per call: an invalid proof raises ExtractionError carrying validate's
+report. On a valid proof every M-node carries the root's non-empty
+annotation, and propagate keeps it on every edge inside M. Extraction then
+refuses, with ExtractionError and no report, only an M-sequent outside the
+restriction class in spi and ssigma, and a cycle of M that avoids every
+(case) conclusion (compute_ranks). Ranks then decrease along every M-edge,
+and theta and zeta lie in the restriction class, by construction.
 
 The grid checks here, of a certificate's obligations and of every sequent
 of a proof (soundness_sample), are diagnostics over semantics' bounded
@@ -43,9 +40,9 @@ from functools import reduce
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from . import sexpr
-from .annotation import AnnotatedSequent, Mode, System, propagate
+from .annotation import Mode, System
 from .calculus import AllRule, BackLeaf, CaseRule, ProofNode, Sequent, walk
-from .checker import CyclicProof, _vset
+from .checker import CyclicProof, validate
 from .derived import desugar
 from .semantics import (DEFAULT_CUTOFF, DEFAULT_VALUE_BOUND, TV,
                         all_assignments, eval_formula, sequent_truth)
@@ -72,7 +69,10 @@ NO_ROOT_CYCLE = NoRootCycle()
 
 
 class ExtractionError(Exception):
-    pass
+    """Extraction refused; report is validate's report when the proof is
+    invalid, and None for a refusal validate does not decide."""
+
+    report = None
 
 
 STATUS_UNCHECKED = "unchecked"
@@ -220,11 +220,10 @@ def compute_ranks(succ: Mapping[str, List[str]], m_nodes,
 def extract_certificate(proof: Union[CyclicProof, ProofNode], mode: Mode):
     """Certificate for the root cycle, or NoRootCycle.
 
-    The input should pass checker.validate: extraction checks only what the
-    module docstring lists.
+    Raises ExtractionError on a proof that validate judges invalid, and on
+    the refusals the module docstring lists.
     """
-    if isinstance(proof, ProofNode):
-        proof = CyclicProof(proof)
+    proof = _validated(proof, mode)
     succ, pred = _digraph(proof)
     m_set = _root_cycle(proof, pred, proof.root.id)
     if isinstance(m_set, NoRootCycle):
@@ -232,16 +231,23 @@ def extract_certificate(proof: Union[CyclicProof, ProofNode], mode: Mode):
     return _certificate(proof, succ, proof.root, m_set, mode)
 
 
+def _validated(proof: Union[CyclicProof, ProofNode], mode: Mode) -> CyclicProof:
+    """The proof, once validate accepts it; otherwise ExtractionError with
+    the report, its first violation as the message."""
+    if isinstance(proof, ProofNode):
+        proof = CyclicProof(proof)
+    report = validate(proof, mode)
+    if not report.valid:
+        v = report.violations[0]
+        exc = ExtractionError(f"{v.tag} at {v.node_id}: {v.message}")
+        exc.report = report
+        raise exc
+    return proof
+
+
 def _certificate(proof: CyclicProof, succ, root: ProofNode, m_set, mode: Mode):
     """The certificate of the root cycle m_set of root's subtree."""
     nodes = proof.nodes
-    n = mode.level
-    if root.vars is None:
-        raise ExtractionError("proof is not annotated")
-    root_vars = root.vars
-    if not root_vars:
-        raise ExtractionError(f"{root.id}: annotation on the cycle is empty")
-
     preorder_m: List[str] = []
     avoid = set()  # every name bound in the subtree stays clear of z
     for nd in walk(root):
@@ -249,13 +255,13 @@ def _certificate(proof: CyclicProof, succ, root: ProofNode, m_set, mode: Mode):
             preorder_m.append(nd.id)
         for f in nd.sequent:
             avoid |= f.av
-    for nid in preorder_m:
-        if nodes[nid].vars != root_vars:
-            raise ExtractionError(
-                f"{nid}: annotation differs from the root's")
 
     phis: Dict[str, Formula] = {}
     psis: Dict[str, Formula] = {}
+    tagged: List[Tuple[str, str, str]] = []
+    b_set = set()
+    c_ids: List[str] = []
+    case_vars: List[Var] = []
     for nid in preorder_m:
         phi_part, psi_part = split_sequent(nodes[nid].sequent, mode)
         if mode.system in (System.SPI, System.SSIGMA) and phi_part:
@@ -264,29 +270,12 @@ def _certificate(proof: CyclicProof, succ, root: ProofNode, m_set, mode: Mode):
                 f"{mode.system}")
         phis[nid] = negate(_disj(phi_part))
         psis[nid] = _disj(psi_part)
-
-    # every tree edge inside M must keep the root's annotation, as propagate
-    # decides it; back-link edges are checker.validate's
-    tagged: List[Tuple[str, str, str]] = []
-    for u in preorder_m:
-        r = nodes[u].rule
-        if isinstance(r, BackLeaf):
-            tagged.append((u, r.target, EDGE_TAGS["back"]))
-            continue
-        kept = propagate(AnnotatedSequent(nodes[u].sequent, root_vars), r, mode)
-        for child, vs in zip(nodes[u].children, kept):
-            if child.id in m_set:
-                if vs != root_vars:
-                    raise ExtractionError(
-                        f"{u}: ({r.name}) does not keep {_vset(root_vars)} "
-                        f"on the edge to {child.id}")
-                tagged.append((u, child.id, EDGE_TAGS[r.name]))
-
-    b_set = set()
-    c_ids: List[str] = []
-    case_vars: List[Var] = []
-    for nid in preorder_m:
         r = nodes[nid].rule
+        if isinstance(r, BackLeaf):
+            tagged.append((nid, r.target, EDGE_TAGS["back"]))
+            continue
+        tagged += [(nid, c.id, EDGE_TAGS[r.name])
+                   for c in nodes[nid].children if c.id in m_set]
         if isinstance(r, AllRule):
             b_set.add(r.var)
         elif isinstance(r, CaseRule):
@@ -299,68 +288,64 @@ def _certificate(proof: CyclicProof, succ, root: ProofNode, m_set, mode: Mode):
     for b in sorted(b_set, reverse=True):
         theta = All(b, theta)
     z = _fresh_named(avoid | b_set | set(case_vars) | theta.av)
-    zeta = _zeta(case_vars, z, theta)
-
     phi_root = phis[root.id]
-    trivial = phi_root == TOP
-    oblig: List[Obligation] = []
-
-    def add(kind, f, about):
-        oblig.append(Obligation(kind, f, desugar(f), STATUS_UNCHECKED, about))
-
-    base, step = _induction(phi_root, zeta, z)
-    add("base", base, (root.id,))
-    add("step", step, (root.id,))
-    for u, v, _tag in tagged:
-        add("side-equiv", iff(phis[u], phis[v]), (u, v))
-    for nid in preorder_m:
-        add("theta-gamma", impl(theta, impl(phis[nid], psis[nid])), (nid,))
-    add("root-discharge", impl(phi_root, psis[root.id]), (root.id,))
+    zeta, (base, step, *gammas) = _theta_parts(
+        theta, case_vars, z, phi_root, root.id,
+        [((nid,), impl(phis[nid], psis[nid])) for nid in preorder_m])
+    sides = [_obligation("side-equiv", iff(phis[u], phis[v]), (u, v))
+             for u, v, _tag in tagged]
+    discharge = _obligation("root-discharge", impl(phi_root, psis[root.id]),
+                            (root.id,))
 
     notes = ["obligation variables are read universally (closure over case "
              "variables and eigenvariables)"]
-    if mode.system is System.SSIGMA and n > 0:
+    if mode.system is System.SSIGMA and mode.level > 0:
         notes.append("bounded-quantifier normalization via the collection "
                      "schema is not applied")
 
     return InductionCertificate(
-        level=n, system=mode.system, root=root.id,
+        level=mode.level, system=mode.system, root=root.id,
         m_nodes=tuple(preorder_m), c_nodes=tuple(c_ids),
         b_vars=tuple(sorted(b_set)), case_vars=tuple(case_vars),
         fresh_z=z, theta=theta, zeta=zeta,
-        phi_root=phi_root, phi_root_trivial=trivial,
-        ranks=ranks, obligations=tuple(oblig), edge_tags=tuple(tagged),
-        notes=tuple(notes))
+        phi_root=phi_root, phi_root_trivial=phi_root == TOP,
+        ranks=ranks, obligations=(base, step, *sides, *gammas, discharge),
+        edge_tags=tuple(tagged), notes=tuple(notes))
 
 
-def _zeta(case_vars, z: Var, theta: Formula) -> Formula:
-    """forall y1<=z ... forall ym<=z (y1+...+ym = z -> theta)."""
+def _obligation(kind: str, f: Formula, about: Tuple[str, ...]) -> Obligation:
+    return Obligation(kind, f, desugar(f), STATUS_UNCHECKED, about)
+
+
+def _theta_parts(theta: Formula, case_vars, z: Var, phi_root: Formula,
+                 root_id: str, gammas) -> Tuple[Formula, List[Obligation]]:
+    """Everything that depends on theta: zeta(z), which is
+    forall y1<=z ... forall ym<=z (y1+...+ym = z -> theta), and the
+    obligations base and step of induction on z for zeta, then one
+    theta-gamma per (about, gamma) of gammas."""
     total = None
     for y in case_vars:
         total = V(y) if total is None else Add(total, V(y))
     zeta = impl(Eq(total, V(z)), theta)
     for y in reversed(case_vars):
         zeta = AllLe(y, V(z), zeta)
-    return zeta
-
-
-def _induction(phi_root: Formula, zeta: Formula, z: Var) -> Tuple[Formula, Formula]:
-    """The base and step obligations of induction on z for zeta."""
     zetasz = substitute(zeta, z, Succ(V(z)))
-    return (impl(phi_root, substitute(zeta, z, ZERO)),
-            impl(phi_root, All(z, impl(zeta, zetasz))))
+    return zeta, [
+        _obligation("base", impl(phi_root, substitute(zeta, z, ZERO)), (root_id,)),
+        _obligation("step", impl(phi_root, All(z, impl(zeta, zetasz))), (root_id,)),
+        *[_obligation("theta-gamma", impl(theta, gamma), about)
+          for about, gamma in gammas]]
 
 
 def extract_all(proof: Union[CyclicProof, ProofNode],
                 mode: Mode) -> List[Tuple[str, InductionCertificate]]:
     """One certificate per maximal root-cycle component, outermost first.
 
-    Components are met in preorder, without recursion: an explicit stack
-    holds the subtrees still to search, pushed in reverse so that they pop
-    in tree order.
+    Validates once, as extract_certificate does. Components are met in
+    preorder, without recursion: an explicit stack holds the subtrees still
+    to search, pushed in reverse so that they pop in tree order.
     """
-    if isinstance(proof, ProofNode):
-        proof = CyclicProof(proof)
+    proof = _validated(proof, mode)
     succ, pred = _digraph(proof)
     out: List[Tuple[str, InductionCertificate]] = []
     todo = [proof.root]
@@ -455,20 +440,14 @@ def certificate_with_theta(cert: InductionCertificate,
     z = cert.fresh_z
     if z in theta.fv:
         raise ValueError("replacement invariant captures the fresh variable")
-    zeta = _zeta(cert.case_vars, z, theta)
-    new = dict(zip(("base", "step"), _induction(cert.phi_root, zeta, z)))
-    out = []
-    for ob in cert.obligations:
-        if ob.kind in new:
-            f = new[ob.kind]
-        elif ob.kind == "theta-gamma":
-            f = Or(negate(theta), ob.formula.right)
-        else:
-            out.append(replace(ob, status=STATUS_UNCHECKED))
-            continue
-        out.append(Obligation(ob.kind, f, desugar(f), STATUS_UNCHECKED,
-                              ob.about))
-    return replace(cert, theta=theta, zeta=zeta, obligations=tuple(out))
+    zeta, rebuilt = _theta_parts(
+        theta, cert.case_vars, z, cert.phi_root, cert.root,
+        [(ob.about, ob.formula.right) for ob in cert.obligations
+         if ob.kind == "theta-gamma"])
+    new = {(ob.kind, ob.about): ob for ob in rebuilt}
+    out = tuple(new.get((ob.kind, ob.about), replace(ob, status=STATUS_UNCHECKED))
+                for ob in cert.obligations)
+    return replace(cert, theta=theta, zeta=zeta, obligations=out)
 
 
 # --- certificate file format ------------------------------------------------------

@@ -303,10 +303,21 @@ def test_check_plain_tree_uses_the_validator_leaf_messages(capsys, corpus_dir):
         [("Tree", "open leaves are not allowed")]
 
 
-def test_negative_level_is_a_usage_error(capsys, corpus_dir):
-    rc, out, err = _run(capsys, ["check", str(corpus_dir / "taut_00.prf"), "--level", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["check", "taut_00.prf", "--level", "-1"],
+    ["uncycle", "ind_schema_pi1.cyc", "--bound", "-1"],
+    ["uncycle", "ind_schema_pi1.cyc", "--cutoff", "-1"],
+    ["eval", "(eq x x)", "--cutoff", "-1"],
+    ["unravel", "ind_schema_pi1.cyc", "--depth", "-1"],
+])
+def test_negative_flags_are_usage_errors(capsys, corpus_dir, argv):
+    # a negative --bound would evaluate an open obligation at no grid point
+    # and call it bounded-true
+    if argv[0] != "eval":
+        argv = [argv[0], str(corpus_dir / argv[1]), *argv[2:]]
+    rc, out, err = _run(capsys, argv)
     assert (rc, out) == (2, "")
-    assert err == "error: --level must be >= 0, got -1\n"
+    assert err == f"error: {argv[-2]} must be >= 0, got -1\n"
 
 
 def test_parser_is_built_once_and_keeps_no_assumptions(capsys, corpus_dir):
@@ -337,6 +348,54 @@ def _strip_annotation(text, node_id):
             return sexpr.render(tree)
         stack.extend(node[5:])
     raise AssertionError(node_id)
+
+
+def _retarget(text, target):
+    from cyclarith import sexpr
+
+    tree = sexpr.parse(text)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node[4][0] == "back":
+            node[4][1] = target
+            return sexpr.render(tree)
+        stack.extend(node[5:])
+    raise AssertionError("no back leaf")
+
+
+def _drop_variable(text, node_id):
+    from cyclarith import sexpr
+
+    tree = sexpr.parse(text)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node[2] == node_id:
+            node[3][2] = node[3][2][:-1]
+            return sexpr.render(tree)
+        stack.extend(node[5:])
+    raise AssertionError(node_id)
+
+
+@pytest.mark.parametrize("fmt", ["text", "sexpr"])
+@pytest.mark.parametrize("name,flags,mutate", [
+    ("ind_schema_pi1.cyc", [], lambda t: _strip_annotation(t, "n2")),
+    ("ind_schema_pi1.cyc", [], lambda t: _drop_variable(t, "n0")),
+    ("ind_schema_pi1.cyc", [], lambda t: _retarget(t, "n2")),
+    ("ind_schema_pi1.cyc", [], lambda t: _retarget(t, "zz")),
+    ("two_loops.cyc", [], lambda t: _drop_variable(t, "q.r0")),
+    ("ind_rule_add0.cyc", ["--system", "spi"], lambda t: _retarget(t, "r1")),
+])
+def test_uncycle_of_an_invalid_proof_reports_what_check_reports(
+        capsys, tmp_path, corpus_dir, fmt, name, flags, mutate):
+    bad = tmp_path / "bad.cyc"
+    bad.write_text(mutate((corpus_dir / name).read_text()) + "\n")
+    flags = [*flags, "--format", fmt]
+    check = _run(capsys, ["check", str(bad), *flags])
+    uncycle = _run(capsys, ["uncycle", str(bad), *flags])
+    assert check[0] == 1
+    assert uncycle == (1, "", check[1])
 
 
 def test_check_partly_annotated_proof_reports_the_unannotated_node(capsys, tmp_path, corpus_dir):

@@ -69,6 +69,47 @@ def test_outside_imports_are_found():
         "cyclarith.derived", "cyclarith.uncycle"]
 
 
+def _core_names(source: str):
+    """The (module, name) pairs a source takes from the core, sorted: by
+    `from .m import name`, or as an attribute `m.name` of a core module it
+    imported whole with `from . import m`."""
+    modules, got = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        mod = node.module or ""
+        if node.level or mod.partition(".")[0] == "cyclarith":
+            mod = mod.removeprefix("cyclarith").removeprefix(".")
+            if mod in CORE:
+                got |= {(mod, alias.name) for alias in node.names}
+            elif not mod:
+                modules.update({alias.asname or alias.name: alias.name
+                                for alias in node.names if alias.name in CORE})
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            got.add((modules[node.value.id], node.attr))
+    return sorted(got)
+
+
+def test_core_names_are_found():
+    source = ("from . import sexpr, semantics as sem\nfrom .checker import validate, _vset\n"
+              "from cyclarith.annotation import propagate\nfrom .uncycle import extract_all\n"
+              "def f(t):\n    return sexpr.parse(t), sem.eval_formula\n")
+    assert _core_names(source) == [("annotation", "propagate"), ("checker", "_vset"),
+                                   ("checker", "validate"), ("sexpr", "parse")]
+
+
+def test_uncycle_takes_no_annotation_judgement_from_the_core():
+    # whether a cycle keeps its annotation is validate's to judge: extraction
+    # neither propagates annotations nor reaches into the core's private names
+    path = Path(cyclarith.__file__).parent / "uncycle.py"
+    names = [name for _, name in _core_names(path.read_text())]
+    assert "validate" in names
+    assert [name for name in names if name in ("propagate", "AnnotatedSequent")
+            or name.startswith("_")] == []
+
+
 def _self_reaching(source: str):
     """The functions of a source that reach themselves in its call graph,
     sorted by name.

@@ -1,6 +1,8 @@
 import random
 import sys
 
+import pytest
+
 from cyclarith import (
     Add,
     All,
@@ -194,6 +196,14 @@ def test_all_assignments():
     assert len(rows) == 9
     assert {(r[x], r[y]) for r in rows} == {(a, b) for a in range(3) for b in range(3)}
     assert list(all_assignments([], 4)) == [{}]
+
+
+@pytest.mark.parametrize("variables", [[], [x]])
+def test_all_assignments_refuses_a_negative_bound(variables):
+    # over no grid point a check of a formula with free variables would hold
+    # vacuously; the refusal comes at the call, before any iteration
+    with pytest.raises(ValueError, match="negative value bound -1"):
+        all_assignments(variables, -1)
 
 
 # --- differential tests against the reference interpreter ------------------------

@@ -31,6 +31,7 @@ from cyclarith import (
     parse_proof,
     render_certificate,
     render_formula,
+    render_proof,
     tautology,
     two_loops_proof,
     validate,
@@ -198,6 +199,43 @@ def test_extract_requires_annotation():
     p = induction_schema_proof(phi, x, 0)
     with pytest.raises(ExtractionError):
         extract_certificate(CyclicProof(erase(p.root)), SN0)
+
+
+def test_extraction_refuses_exactly_the_proofs_validate_rejects():
+    # extraction judges validity through validate alone: it raises exactly
+    # when the report is invalid, and carries that report
+    refused = 0
+    for seed in (1, 2, 3):
+        for entry in build_corpus(seed):
+            if entry.kind != "cyclic":
+                continue
+            proof = CyclicProof(parse_proof(entry.text))
+            for system in System:
+                for level in range(3):
+                    mode = Mode(system, level, frozenset(entry.assume))
+                    report = validate(proof, mode)
+                    try:
+                        extract_all(proof, mode)
+                    except ExtractionError as exc:
+                        assert not report.valid, (seed, entry.name, mode)
+                        assert exc.report == report
+                        v = report.violations[0]
+                        assert str(exc) == f"{v.tag} at {v.node_id}: {v.message}"
+                        refused += 1
+                    else:
+                        assert report.valid, (seed, entry.name, mode)
+    assert refused >= 100
+
+
+def test_extraction_of_a_dangling_back_link_is_refused_with_the_report():
+    text = render_proof(induction_schema_proof(All(y, Eq(V(x), V(x))), x, 0).root)
+    assert text.count("(back n0)") == 1
+    proof = parse_proof(text.replace("(back n0)", "(back zz)"))
+    for extract in (extract_all, extract_certificate):
+        with pytest.raises(ExtractionError, match="DanglingTarget at n4: no node with id zz") \
+                as got:
+            extract(proof, SN0)
+        assert got.value.report == validate(proof, SN0)
 
 
 def test_corpus_extraction_smoke(cyclic_corpus):
