@@ -34,8 +34,8 @@ from .calculus import (Add0Rule, AddSRule, AllRule, AndRule, AssumeLeaf,
                        walk)
 from .annotation import (AnnotatedSequent, Mode, System, annotate_tree, erase,
                          is_annotated, is_plain, parse_aseq, propagate)
-from .checker import (CyclicProof, ValidationReport, Violation, check_tree,
-                      parse_report, render_report, validate)
+from .checker import (ValidationReport, Violation, check_tree, parse_report,
+                      render_report, validate)
 from .transform import (RavelError, RegularProofGraph, expand_graph, graph_of,
                         parse_graph, prefix_equal, ravel, render_graph,
                         unravel)

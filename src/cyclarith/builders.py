@@ -11,10 +11,11 @@ premise of the rule: a nested spec, or a finished ProofNode that must
 conclude that premise exactly.  _grow derives every sequent of a spec once,
 through premises_of, from the goal at its root, and checks each finished
 sub-proof and each axiom leaf on the way, so a successful return is correct
-by construction; the cyclic builders additionally annotate and validate
-before returning.  _grow runs on calculus.fold_tree and tautology builds its
-spec with one, so no builder recurses once per level of its input.  The one
-recursion left is the term generator of _rand_pi1, which is fixed at depth 1.
+by construction; the cyclic builders additionally annotate and validate,
+and return the annotated root.  _grow runs on calculus.fold_tree and
+tautology builds its spec with one, so no builder recurses once per level of
+its input.  The one recursion left is the term generator of _rand_pi1, which
+is fixed at depth 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .annotation import Mode, System, annotate_tree, erase, is_annotated
 from .calculus import (Add0Rule, AddSRule, AllRule, AndRule, AssumeLeaf,
@@ -30,7 +31,7 @@ from .calculus import (Add0Rule, AddSRule, AllRule, AndRule, AssumeLeaf,
                        Mult0Rule, MultSRule, OpenLeaf, OrRule, PredRule,
                        ProofNode, RefRule, RepRule, Rule, Sequent, WeakRule,
                        fold_tree, is_axiom, premises_of, render_proof, walk)
-from .checker import CyclicProof, validate
+from .checker import validate
 from .derived import fresh_for
 from .semantics import eval_term
 from .syntax import (Add, All, AllLe, And, Eq, Ex, ExLe, Formula, Le, Mul,
@@ -42,14 +43,10 @@ class PreError(Exception):
     """A constructor precondition failed."""
 
 
-def _plain(proof: Union[ProofNode, CyclicProof]) -> ProofNode:
-    return proof.root if isinstance(proof, CyclicProof) else proof
-
-
-def _validated(tree: ProofNode, x: Var, mode: Mode, what: str) -> CyclicProof:
+def _validated(tree: ProofNode, x: Var, mode: Mode, what: str) -> ProofNode:
     """tree annotated from {x} and validated in mode; PreError names each
     violation as node:tag when it is invalid."""
-    out = CyclicProof(annotate_tree(tree, frozenset({x}), mode))
+    out = annotate_tree(tree, frozenset({x}), mode)
     report = validate(out, mode)
     if not report.valid:
         raise PreError(f"{what} failed validation: "
@@ -302,7 +299,7 @@ def prove_ground_atom(t: Term, u: Term) -> ProofNode:
 
 # --- induction as a cyclic schema ------------------------------------------------
 
-def induction_schema_proof(phi: Formula, x: Var, n: int) -> CyclicProof:
+def induction_schema_proof(phi: Formula, x: Var, n: int) -> ProofNode:
     """The cyclic proof of {negate(phi(0)), negate(step), phi(x)}.
 
     The second member is Ex x (phi and negate(phi(s x))), i.e. the negated
@@ -330,10 +327,9 @@ def induction_schema_proof(phi: Formula, x: Var, n: int) -> CyclicProof:
 
 # --- induction as a rule ---------------------------------------------------------
 
-def induction_rule_proof(base: Union[ProofNode, CyclicProof],
-                         step: Union[ProofNode, CyclicProof],
+def induction_rule_proof(base: ProofNode, step: ProofNode,
                          phi: Formula, x: Var, n: int,
-                         assumptions: Iterable[Formula] = ()) -> CyclicProof:
+                         assumptions: Iterable[Formula] = ()) -> ProofNode:
     """Close {phi} from proofs of {phi(0)} and {negate(phi), phi(s x)}.
 
     Case split on x, cut phi on the successor branch, weaken the kept side
@@ -347,14 +343,13 @@ def induction_rule_proof(base: Union[ProofNode, CyclicProof],
     if x not in phi.fv:
         raise PreError(f"{x.name} is not free in {phi.sx}")
     mode = Mode(System.SPI, n, assumptions)
-    b_root, s_root = _plain(base), _plain(step)
     phisx = substitute(phi, x, Succ(V(x)))
     tree = _grow(Sequent([phi]), (
-        "r0", CaseRule(x), relabel_proof(erase(b_root), "b."),
+        "r0", CaseRule(x), relabel_proof(erase(base), "b."),
         ("r1", CutRule(phi),
          ("r2", WeakRule(Sequent([phisx])), ("r3", BackLeaf("r0"))),
-         relabel_proof(erase(s_root), "s."))))
-    for label, sub in (("base", b_root), ("step", s_root)):
+         relabel_proof(erase(step), "s."))))
+    for label, sub in (("base", base), ("step", step)):
         checked = sub if is_annotated(sub) else annotate_tree(sub, frozenset(), mode)
         report = validate(checked, mode)
         if not report.valid:
@@ -388,7 +383,7 @@ def step_from_assumption(phi: Formula, x: Var,
 
 
 def induction_rule_via_assumptions(phi: Formula, x: Var,
-                                   n: int) -> Tuple[CyclicProof, Mode]:
+                                   n: int) -> Tuple[ProofNode, Mode]:
     """Induction rule instance whose sub-proofs lean on two assumed sentences."""
     if phi.fv != frozenset({x}):
         raise PreError(f"target must close over {x.name} alone: {phi.sx}")
@@ -402,7 +397,7 @@ def induction_rule_via_assumptions(phi: Formula, x: Var,
 
 # --- ready-made corpus proofs ----------------------------------------------------
 
-def _rule_add_left() -> CyclicProof:
+def _rule_add_left() -> ProofNode:
     """Induction-rule instance for 0+x = x with hand-rolled sub-proofs."""
     x = Var("x")
     phi = Eq(Add(ZERO, V(x)), V(x))
@@ -417,7 +412,7 @@ def _rule_add_left() -> CyclicProof:
     return induction_rule_proof(base, step, phi, x, 0)
 
 
-def two_loops_proof() -> Tuple[CyclicProof, Mode]:
+def two_loops_proof() -> Tuple[ProofNode, Mode]:
     """A conjunction of two independently cycling induction instances.
 
     Left loop proves 0+x = x, right loop proves x+0 = x; each closes its own
@@ -436,13 +431,13 @@ def two_loops_proof() -> Tuple[CyclicProof, Mode]:
     loop2 = induction_rule_proof(base, step2, phi2, x, 0)
     conj = And(phi1, phi2)
     tree = _grow(Sequent([conj]), ("w0", AndRule(conj),
-                                   relabel_proof(erase(loop1.root), "p."),
-                                   relabel_proof(erase(loop2.root), "q.")))
+                                   relabel_proof(erase(loop1), "p."),
+                                   relabel_proof(erase(loop2), "q.")))
     mode = Mode(System.SN, 0)
     return _validated(tree, x, mode, "two-loop proof"), mode
 
 
-def forall_cycle_proof() -> Tuple[CyclicProof, Mode]:
+def forall_cycle_proof() -> Tuple[ProofNode, Mode]:
     """A cycle that passes through a universal quantifier inference.
 
     Proves {all y (x+y = y+x)} from assumed base and step sentences; the
@@ -473,8 +468,8 @@ def forall_cycle_proof() -> Tuple[CyclicProof, Mode]:
 
 # --- finite truncations of the case cascade --------------------------------------
 
-def omega_truncation(proofs: Sequence[Union[ProofNode, CyclicProof]],
-                     gamma: Sequent, phi: Formula, x: Var) -> ProofNode:
+def omega_truncation(proofs: Sequence[ProofNode], gamma: Sequent, phi: Formula,
+                     x: Var) -> ProofNode:
     """Stack len(proofs) case splits on x over gamma, phi.
 
     Stage k's zero branch is proofs[k] (which must conclude gamma, phi(k));
@@ -483,12 +478,11 @@ def omega_truncation(proofs: Sequence[Union[ProofNode, CyclicProof]],
     """
     if x in gamma.fv:
         raise PreError(f"{x.name} occurs free in the side sequent {gamma.sx}")
-    roots = [_plain(p) for p in proofs]
-    if roots and x not in phi.fv:
+    if proofs and x not in phi.fv:
         raise PreError(f"{x.name} is not free in {phi.sx}")
-    spec: tuple = (f"o{len(roots)}", OpenLeaf())
-    for k in range(len(roots) - 1, -1, -1):
-        spec = (f"o{k}", CaseRule(x), relabel_proof(erase(roots[k]), f"k{k}."), spec)
+    spec: tuple = (f"o{len(proofs)}", OpenLeaf())
+    for k in range(len(proofs) - 1, -1, -1):
+        spec = (f"o{k}", CaseRule(x), relabel_proof(erase(proofs[k]), f"k{k}."), spec)
     return _grow(gamma.add(phi), spec)
 
 
@@ -542,7 +536,7 @@ def build_corpus(seed: int = 0) -> List[CorpusEntry]:
     entries: List[CorpusEntry] = []
 
     def cyclic(name, proof, mode):
-        entries.append(CorpusEntry(name, "cyclic", render_proof(proof.root),
+        entries.append(CorpusEntry(name, "cyclic", render_proof(proof),
                                    str(mode.system), mode.level,
                                    tuple(sorted(mode.assumptions, key=lambda f: f.sx))))
 

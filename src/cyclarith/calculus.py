@@ -468,14 +468,6 @@ def node_map(root: ProofNode) -> Dict[str, ProofNode]:
     return out
 
 
-def parent_map(root: ProofNode) -> Dict[str, Optional[str]]:
-    out: Dict[str, Optional[str]] = {root.id: None}
-    for node in walk(root):
-        for child in node.children:
-            out[child.id] = node.id
-    return out
-
-
 # --- parsing and rendering -----------------------------------------------------
 
 def _node_id(value, memo) -> str:

@@ -7,6 +7,8 @@ the leaf, the annotation must stay constant and non-empty all the way down
 from target to leaf, and the path must cross the right premise of a (case)
 inference at least once. Reports carry one tagged violation per defect, so
 an invalid proof lists everything wrong with it, not just the first problem.
+The tree is the whole proof: validate takes its root and indexes ids,
+parents and back-links itself.
 
 validate is the package's only validity judgement: plain finite trees
 (plain=True), ravelled graphs and cyclic proofs all go through it, and
@@ -18,43 +20,14 @@ the refusals validate does not decide (see that module's docstring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import sexpr
 from .annotation import AnnotatedSequent, Mode, System, propagate
 from .calculus import (ArgMismatch, AssumeLeaf, AxiomLeaf, BackLeaf, CaseRule,
                        LEAF_KINDS, OpenLeaf, ProofNode, check_step, is_axiom,
-                       node_map, parent_map, walk)
+                       node_map, walk)
 from .syntax import ParseError
-
-
-class CyclicProof:
-    """A proof tree bundled with its id and parent maps.
-
-    backlinks maps each back-reference leaf id to its target id; the target
-    is not checked here beyond id existence, validate() owns the rest.
-    """
-
-    __slots__ = ("root", "nodes", "parents", "backlinks")
-
-    def __init__(self, root: ProofNode):
-        self.root = root
-        self.nodes = node_map(root)
-        self.parents = parent_map(root)
-        self.backlinks = {n.id: n.rule.target for n in self.nodes.values()
-                          if isinstance(n.rule, BackLeaf)}
-
-    def path_down(self, top_id: str, bottom_id: str) -> Optional[List[str]]:
-        """Ids from top_id down to bottom_id inclusive, or None."""
-        chain = [bottom_id]
-        cur = bottom_id
-        while cur != top_id:
-            cur = self.parents.get(cur)
-            if cur is None:
-                return None
-            chain.append(cur)
-        chain.reverse()
-        return chain
 
 
 @dataclass(frozen=True)
@@ -82,13 +55,13 @@ class ValidationReport:
         return self.verdict == "valid"
 
 
-def validate(proof: Union[CyclicProof, ProofNode], mode: Mode,
-             plain: bool = False) -> ValidationReport:
+def validate(root: ProofNode, mode: Mode, plain: bool = False) -> ValidationReport:
     """Judge a proof; with plain=True, as a plain finite tree.
 
     A plain tree is judged on its steps and leaves only: annotations are
     ignored, back leaves are rejected like open ones, every violation is
-    tagged Tree and step messages name their rule.
+    tagged Tree and step messages name their rule.  Otherwise node ids must
+    be unique (ParseError names a duplicate).
     """
     violations: List[Violation] = []
 
@@ -96,25 +69,28 @@ def validate(proof: Union[CyclicProof, ProofNode], mode: Mode,
         violations.append(Violation(node_id, "Tree" if plain else tag, message))
 
     if plain:
-        root = proof.root if isinstance(proof, CyclicProof) else proof
         size = _check_local(root, mode, plain, bad)
         return _report(violations, ProofStats(size, 0, ()))
 
-    if isinstance(proof, ProofNode):
-        proof = CyclicProof(proof)
-    nodes = proof.nodes
-    for node in walk(proof.root):
+    nodes = node_map(root)
+    parents: Dict[str, str] = {}
+    backlinks: Dict[str, str] = {}  # leaf id -> target id
+    for node in nodes.values():
         if node.vars is None:
             bad(node.id, "Unannotated", "node carries no annotation")
-    _check_local(proof.root, mode, plain, bad)
+        if isinstance(node.rule, BackLeaf):
+            backlinks[node.id] = node.rule.target
+        for child in node.children:
+            parents[child.id] = node.id
+    _check_local(root, mode, plain, bad)
 
     cycle_lengths = []
-    for leaf_id, target_id in sorted(proof.backlinks.items()):
+    for leaf_id, target_id in sorted(backlinks.items()):
         leaf = nodes[leaf_id]
         if target_id not in nodes:
             bad(leaf_id, "DanglingTarget", f"no node with id {target_id}")
             continue
-        pth = proof.path_down(target_id, leaf_id)
+        pth = _path_down(parents, target_id, leaf_id)
         if pth is None or len(pth) < 2:
             bad(leaf_id, "NotAncestor", f"{target_id} is not a proper ancestor")
             continue
@@ -141,7 +117,7 @@ def validate(proof: Union[CyclicProof, ProofNode], mode: Mode,
         if not _crosses_case_right(nodes, pth):
             bad(leaf_id, "NoProgress", "no (case) right premise on the cycle")
 
-    stats = ProofStats(len(nodes), len(proof.backlinks), tuple(cycle_lengths))
+    stats = ProofStats(len(nodes), len(backlinks), tuple(cycle_lengths))
     return _report(violations, stats)
 
 
@@ -208,6 +184,18 @@ def _check_leaf(node: ProofNode, mode: Mode, plain: bool, bad) -> None:
         bad(node.id, "OpenLeaf", "open leaves are not allowed")
     elif plain:
         bad(node.id, "BackLeaf", "back leaves are not allowed in a plain proof")
+
+
+def _path_down(parents: Dict[str, str], top: str,
+               bottom: str) -> Optional[List[str]]:
+    """Ids from top down to bottom inclusive, or None."""
+    chain = [bottom]
+    while chain[-1] != top:
+        if chain[-1] not in parents:
+            return None
+        chain.append(parents[chain[-1]])
+    chain.reverse()
+    return chain
 
 
 def _crosses_case_right(nodes, pth: List[str]) -> bool:

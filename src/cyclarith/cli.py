@@ -128,7 +128,7 @@ def cmd_ravel(args) -> int:
     except RavelError as exc:
         print(f"ravel failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    _emit(render_proof(proof.root), args.out)
+    _emit(render_proof(proof), args.out)
     return EXIT_OK
 
 
@@ -293,9 +293,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    limit = sys.getrecursionlimit()
     sys.setrecursionlimit(20000)
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -309,6 +310,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RecursionError:
         print("error: input nested too deep", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.setrecursionlimit(limit)  # the caller's, on every exit
 
 
 if __name__ == "__main__":

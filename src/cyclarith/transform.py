@@ -17,14 +17,14 @@ merged; repeats are detected by node id, not by comparing unfoldings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from . import sexpr
 from .annotation import Mode, is_plain
 from .calculus import (BackLeaf, LEAF_KINDS, OpenLeaf, ProofNode, Rule, Sequent,
-                       fold_tree, node_sequent_from_sexpr, node_sequent_to_sexpr_str,
-                       rule_from_sexpr, rule_to_sexpr_str, walk)
-from .checker import CyclicProof, Violation, validate
+                       fold_tree, node_map, node_sequent_from_sexpr,
+                       node_sequent_to_sexpr_str, rule_from_sexpr, rule_to_sexpr_str)
+from .checker import Violation, validate
 from .syntax import ParseError
 
 
@@ -75,22 +75,20 @@ class RegularProofGraph:
         return f"RegularProofGraph(root={self.root!r}, {len(self.nodes)} nodes)"
 
 
-def graph_of(proof: Union[CyclicProof, ProofNode]) -> RegularProofGraph:
+def graph_of(root: ProofNode) -> RegularProofGraph:
     """Collapse each back-reference into a child edge to its target.
 
-    Raises ValueError, from the graph constructor, when a back-reference
-    reaches no inference node.
+    Raises ParseError on a duplicate node id, and ValueError, from the graph
+    constructor, when a back-reference reaches no inference node.
     """
-    if isinstance(proof, ProofNode):
-        proof = CyclicProof(proof)
     nodes: Dict[str, GNode] = {}
-    for n in walk(proof.root):
+    for n in node_map(root).values():
         if isinstance(n.rule, BackLeaf):
             continue
         kids = tuple(c.rule.target if isinstance(c.rule, BackLeaf) else c.id
                      for c in n.children)
         nodes[n.id] = GNode(n.id, n.sequent, n.vars, n.rule, kids)
-    return RegularProofGraph(proof.root.id, nodes)
+    return RegularProofGraph(root.id, nodes)
 
 
 class RavelError(Exception):
@@ -102,8 +100,9 @@ class RavelError(Exception):
                          f"{violation.message}")
 
 
-def ravel(g: RegularProofGraph, mode: Mode) -> CyclicProof:
-    """Unroll g into a cyclic proof, back-linking at the first on-path repeat.
+def ravel(g: RegularProofGraph, mode: Mode) -> ProofNode:
+    """Unroll g into a cyclic proof, back-linking at the first on-path
+    repeat, and return its root.
 
     The result is judged by checker.validate (as a plain tree when no node
     of g carries an annotation), and RavelError reports its first violation.
@@ -140,19 +139,19 @@ def ravel(g: RegularProofGraph, mode: Mode) -> CyclicProof:
         gn = g.nodes[gid]
         return ProofNode(tid, gn.sequent, rule, kids, gn.vars)
 
-    proof = CyclicProof(fold_tree(g.root, visit, build))
-    report = validate(proof, mode, plain=is_plain(proof.root))
+    root = fold_tree(g.root, visit, build)
+    report = validate(root, mode, plain=is_plain(root))
     if not report.valid:
         raise RavelError(report.violations[0])
-    return proof
+    return root
 
 
-def unravel(proof: Union[CyclicProof, ProofNode], depth: int) -> ProofNode:
+def unravel(root: ProofNode, depth: int) -> ProofNode:
     """Depth-bounded unfolding: expand_graph of the proof's graph.
 
     Raises ValueError when a back-reference reaches no inference node.
     """
-    return expand_graph(graph_of(proof), depth)
+    return expand_graph(graph_of(root), depth)
 
 
 def expand_graph(g: RegularProofGraph, depth: int) -> ProofNode:

@@ -19,14 +19,15 @@ Proofs whose root lies on no cycle yield the NoRootCycle marker instead;
 extract_all recurses below such roots and emits one certificate per
 maximal root-cycle component, outermost first.
 
-Extraction judges a proof's validity only through checker.validate, once
-per call: an invalid proof raises ExtractionError carrying validate's
-report. On a valid proof every M-node carries the root's non-empty
-annotation, and propagate keeps it on every edge inside M. Extraction then
-refuses, with ExtractionError and no report, only an M-sequent outside the
-restriction class in spi and ssigma, and a cycle of M that avoids every
-(case) conclusion (compute_ranks). Ranks then decrease along every M-edge,
-and theta and zeta lie in the restriction class, by construction.
+Extraction takes a proof's root and judges its validity only through
+checker.validate, once per call: an invalid proof raises ExtractionError
+carrying validate's report. On a valid proof every M-node carries the
+root's non-empty annotation, and propagate keeps it on every edge inside M.
+Extraction then refuses, with ExtractionError and no report, only an
+M-sequent outside the restriction class in spi and ssigma, and a cycle of M
+that avoids every (case) conclusion (compute_ranks). Ranks then decrease
+along every M-edge, and theta and zeta lie in the restriction class, by
+construction.
 
 The grid checks here, of a certificate's obligations and of every sequent
 of a proof (soundness_sample), are diagnostics over semantics' bounded
@@ -37,12 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from . import sexpr
 from .annotation import Mode, System
 from .calculus import AllRule, BackLeaf, CaseRule, ProofNode, Sequent, walk
-from .checker import CyclicProof, validate
+from .checker import validate
 from .derived import desugar
 from .semantics import (DEFAULT_CUTOFF, DEFAULT_VALUE_BOUND, TV,
                         all_assignments, eval_formula, sequent_truth)
@@ -123,25 +124,28 @@ class InductionCertificate:
 
 # --- the directed graph over the proof tree --------------------------------------
 
-def _digraph(proof: CyclicProof) -> Tuple[Dict[str, List[str]],
-                                          Dict[str, List[str]]]:
-    """Successors and predecessors: tree edges plus back-reference jumps."""
-    succ = {n.id: [n.rule.target] if isinstance(n.rule, BackLeaf)
-            else [c.id for c in n.children] for n in walk(proof.root)}
+def _digraph(root: ProofNode) -> Tuple[Dict[str, ProofNode],
+                                       Dict[str, List[str]], Dict[str, List[str]]]:
+    """Nodes by id, successors and predecessors: tree edges plus
+    back-reference jumps."""
+    nodes = {n.id: n for n in walk(root)}
+    succ = {nid: [n.rule.target] if isinstance(n.rule, BackLeaf)
+            else [c.id for c in n.children] for nid, n in nodes.items()}
     pred: Dict[str, List[str]] = {nid: [] for nid in succ}
     for u, vs in succ.items():
         for v in vs:
             pred[v].append(u)
-    return succ, pred
+    return nodes, succ, pred
 
 
-def _root_cycle(proof: CyclicProof, pred, root_id: str):
+def _root_cycle(nodes, pred, root_id: str):
     """Ids of root_id's subtree with a directed path to it, or NoRootCycle.
 
     Back-links of a valid proof target ancestors, so the search leaves the
-    subtree only through the tree edge into root_id, which it skips.
+    subtree only through the tree edge into root_id, which it skips by
+    starting from the back leaves that target root_id.
     """
-    queue = [p for p in pred[root_id] if p != proof.parents[root_id]]
+    queue = [p for p in pred[root_id] if isinstance(nodes[p].rule, BackLeaf)]
     if not queue:
         return NO_ROOT_CYCLE
     seen = {root_id, *queue}
@@ -217,37 +221,33 @@ def compute_ranks(succ: Mapping[str, List[str]], m_nodes,
 
 # --- extraction -------------------------------------------------------------------
 
-def extract_certificate(proof: Union[CyclicProof, ProofNode], mode: Mode):
+def extract_certificate(root: ProofNode, mode: Mode):
     """Certificate for the root cycle, or NoRootCycle.
 
     Raises ExtractionError on a proof that validate judges invalid, and on
     the refusals the module docstring lists.
     """
-    proof = _validated(proof, mode)
-    succ, pred = _digraph(proof)
-    m_set = _root_cycle(proof, pred, proof.root.id)
+    nodes, succ, pred = _validated(root, mode)
+    m_set = _root_cycle(nodes, pred, root.id)
     if isinstance(m_set, NoRootCycle):
         return m_set
-    return _certificate(proof, succ, proof.root, m_set, mode)
+    return _certificate(nodes, succ, root, m_set, mode)
 
 
-def _validated(proof: Union[CyclicProof, ProofNode], mode: Mode) -> CyclicProof:
-    """The proof, once validate accepts it; otherwise ExtractionError with
-    the report, its first violation as the message."""
-    if isinstance(proof, ProofNode):
-        proof = CyclicProof(proof)
-    report = validate(proof, mode)
+def _validated(root: ProofNode, mode: Mode):
+    """_digraph(root), once validate accepts the proof; otherwise
+    ExtractionError with the report, its first violation as the message."""
+    report = validate(root, mode)
     if not report.valid:
         v = report.violations[0]
         exc = ExtractionError(f"{v.tag} at {v.node_id}: {v.message}")
         exc.report = report
         raise exc
-    return proof
+    return _digraph(root)
 
 
-def _certificate(proof: CyclicProof, succ, root: ProofNode, m_set, mode: Mode):
+def _certificate(nodes, succ, root: ProofNode, m_set, mode: Mode):
     """The certificate of the root cycle m_set of root's subtree."""
-    nodes = proof.nodes
     preorder_m: List[str] = []
     avoid = set()  # every name bound in the subtree stays clear of z
     for nd in walk(root):
@@ -337,7 +337,7 @@ def _theta_parts(theta: Formula, case_vars, z: Var, phi_root: Formula,
           for about, gamma in gammas]]
 
 
-def extract_all(proof: Union[CyclicProof, ProofNode],
+def extract_all(root: ProofNode,
                 mode: Mode) -> List[Tuple[str, InductionCertificate]]:
     """One certificate per maximal root-cycle component, outermost first.
 
@@ -345,22 +345,21 @@ def extract_all(proof: Union[CyclicProof, ProofNode],
     preorder, without recursion: an explicit stack holds the subtrees still
     to search, pushed in reverse so that they pop in tree order.
     """
-    proof = _validated(proof, mode)
-    succ, pred = _digraph(proof)
+    nodes, succ, pred = _validated(root, mode)
     out: List[Tuple[str, InductionCertificate]] = []
-    todo = [proof.root]
+    todo = [root]
     while todo:
         node = todo.pop()
         if isinstance(node.rule, BackLeaf):
             continue
-        m_set = _root_cycle(proof, pred, node.id)
+        m_set = _root_cycle(nodes, pred, node.id)
         if isinstance(m_set, NoRootCycle):
             todo += reversed(node.children)
             continue
-        cert = _certificate(proof, succ, node, m_set, mode)
+        cert = _certificate(nodes, succ, node, m_set, mode)
         out.append((node.id, cert))
         todo += reversed([c for nid in cert.m_nodes
-                          for c in proof.nodes[nid].children if c.id not in m_set])
+                          for c in nodes[nid].children if c.id not in m_set])
     return out
 
 
@@ -411,7 +410,7 @@ class SoundnessReport:
     hits: Tuple[Tuple[str, str, str], ...]  # (node id, assignment, note)
 
 
-def soundness_sample(proof: Union[CyclicProof, ProofNode],
+def soundness_sample(root: ProofNode,
                      value_bound: int = DEFAULT_VALUE_BOUND,
                      cutoff: int = DEFAULT_CUTOFF) -> SoundnessReport:
     """Grid check: no node's sequent evaluates to false outright.
@@ -420,7 +419,6 @@ def soundness_sample(proof: Union[CyclicProof, ProofNode],
     claims something refutable, which a sound derivation never does when
     its assumptions hold.  One compile table serves the whole walk.
     """
-    root = proof.root if isinstance(proof, CyclicProof) else proof
     hits: List[Tuple[str, str, str]] = []
     checked = 0
     table = {}

@@ -19,9 +19,9 @@ from cyclarith import (
     AllRule,
     And,
     AndRule,
+    BackLeaf,
     CaseRule,
     CutRule,
-    CyclicProof,
     Eq,
     Ex,
     ExLe,
@@ -49,11 +49,14 @@ from cyclarith import (
     forall_cycle_proof,
     induction_rule_via_assumptions,
     induction_schema_proof,
+    is_annotated,
     numeral,
     prove_ground_atom,
     tautology,
     two_loops_proof,
+    walk,
 )
+from cyclarith.calculus import fold_tree
 
 
 VAR_POOL = [Var("x"), Var("y"), Var("z"), Var("w"), Var("u")]
@@ -304,7 +307,35 @@ def proof_corpus():
 
 @pytest.fixture(scope="session")
 def cyclic_corpus(proof_corpus):
-    return [(n, p, m) for n, p, m in proof_corpus if isinstance(p, CyclicProof)]
+    """The annotated entries of the corpus: its cyclic proofs."""
+    return [(n, p, m) for n, p, m in proof_corpus if is_annotated(p)]
+
+
+# Proof mutation helpers: single-point changes of a proof tree.
+
+def schema():
+    """The cyclic schema proof of x+y = y+x, ids n0..n4 on the cycle and
+    its one back leaf n4 aimed at the root n0."""
+    x, y = Var("x"), Var("y")
+    return induction_schema_proof(All(y, Eq(Add(V(x), V(y)), Add(V(y), V(x)))), x, 0)
+
+
+def rebuild(root, fn):
+    """root with every node n replaced by fn(n), children first, so fn sees
+    n with its children already rebuilt; no recursion."""
+    return fold_tree(root, lambda n: (n, n.children),
+                     lambda n, kids: fn(dataclasses.replace(n, children=kids)))
+
+
+def retarget(root, leaf_id, target):
+    """root with its back leaf leaf_id aimed at target."""
+    return rebuild(root, lambda n: dataclasses.replace(n, rule=BackLeaf(target))
+                   if n.id == leaf_id else n)
+
+
+def backlinks(root):
+    """Back leaf id -> target id, over the whole tree."""
+    return {n.id: n.rule.target for n in walk(root) if isinstance(n.rule, BackLeaf)}
 
 
 def graph_with(g, gid, **changes):

@@ -12,8 +12,6 @@ import pytest
 from cyclarith import (
     Add,
     All,
-    BackLeaf,
-    CyclicProof,
     Eq,
     Ex,
     Mode,
@@ -59,7 +57,8 @@ from cyclarith import (
     walk,
 )
 
-from conftest import RULE_NAMES, make_rule_instance, random_formula, random_pi1
+from conftest import (RULE_NAMES, backlinks, make_rule_instance, random_formula,
+                      random_pi1, rebuild, retarget)
 
 x, y = Var("x"), Var("y")
 SN0 = Mode(System.SN, 0)
@@ -122,13 +121,13 @@ def test_criterion_3_local_soundness(rule_instances):
 def test_criterion_4_annotation_determinism(proof_corpus):
     bad = []
     for name, proof, mode in proof_corpus:
-        if isinstance(proof, CyclicProof):
-            plain = erase(proof.root)
-            a = annotate_tree(plain, proof.root.vars, mode)
-            b = annotate_tree(plain, proof.root.vars, mode)
+        if is_annotated(proof):
+            plain = erase(proof)
+            a = annotate_tree(plain, proof.vars, mode)
+            b = annotate_tree(plain, proof.vars, mode)
             if render_proof(a) != render_proof(b):
                 bad.append((name, "two runs differ"))
-            if render_proof(a) != render_proof(proof.root):
+            if render_proof(a) != render_proof(proof):
                 bad.append((name, "annotate after erase differs"))
         else:
             ann = annotate_tree(proof, frozenset(), mode)
@@ -141,18 +140,8 @@ def test_criterion_4_annotation_determinism(proof_corpus):
     assert bad == [], bad[:3]
 
 
-def _rebuild(node, fn):
-    kids = tuple(_rebuild(c, fn) for c in node.children)
-    return fn(dataclasses.replace(node, children=kids))
-
-
 def _mutants(proof):
     """Three single-point corruptions of the back-link conditions."""
-    root = proof.root
-
-    def retarget(n):
-        # aim the link above the case node (at its right child)
-        return dataclasses.replace(n, rule=BackLeaf("n1")) if n.id == "n4" else n
 
     def blank(n):
         return dataclasses.replace(n, vars=frozenset()) if n.id == "n2" else n
@@ -162,7 +151,8 @@ def _mutants(proof):
             return dataclasses.replace(n, sequent=n.sequent.add(Eq(Zero(), Zero())))
         return n
 
-    return [CyclicProof(_rebuild(root, f)) for f in (retarget, blank, alter)]
+    # the first aims the link above the case node (at its right child)
+    return [retarget(proof, "n4", "n1"), rebuild(proof, blank), rebuild(proof, alter)]
 
 
 def test_criterion_5_schema_proofs_and_mutations():
@@ -261,7 +251,7 @@ def test_criterion_8_certificates_and_theta_mutation():
     rule_cert = None
     for name, proof, mode in _example_proofs():
         certs = extract_all(proof, mode)
-        if not certs and isinstance(proof, CyclicProof) and proof.backlinks:
+        if not certs and backlinks(proof):
             problems.append((name, "no certificate"))
         for sid, cert in certs:
             n = mode.level
@@ -318,8 +308,8 @@ def test_criterion_9_mode_separation():
     certs = extract_all(proof, mode)
     trivial = len(certs) == 1 and certs[0][1].phi_root_trivial
     sig_mode = Mode(System.SSIGMA, 0, mode.assumptions)
-    re_ann = annotate_tree(erase(proof.root), frozenset(), sig_mode)
-    rep_sig = validate(CyclicProof(re_ann), sig_mode)
+    re_ann = annotate_tree(erase(proof), frozenset(), sig_mode)
+    rep_sig = validate(re_ann, sig_mode)
     ok = rep_pi.valid and trivial and not rep_sig.valid
     _line(9, ok, "rule proof valid in Pi-mode with trivial root formula, invalid in Sigma-0")
     assert rep_pi.valid
@@ -372,8 +362,7 @@ def test_criterion_11_sequent_non_falsity(proof_corpus):
     seen = set()
     hits = []
     for name, proof, mode in proof_corpus:
-        root = proof.root if isinstance(proof, CyclicProof) else proof
-        for node in walk(root):
+        for node in walk(proof):
             seq = node.sequent
             if seq.sx in seen:
                 continue

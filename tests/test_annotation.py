@@ -11,7 +11,6 @@ from cyclarith import (
     AnnotatedSequent,
     CaseRule,
     CutRule,
-    CyclicProof,
     Eq,
     Ex,
     ExRule,
@@ -144,8 +143,7 @@ def test_propagate_case_ssigma():
 
 
 def test_is_annotated_and_erase(cyclic_corpus):
-    for name, proof, _mode in cyclic_corpus[:10]:
-        root = proof.root
+    for name, root, _mode in cyclic_corpus[:10]:
         assert is_annotated(root), name
         plain = erase(root)
         assert not is_annotated(plain), name
@@ -153,8 +151,7 @@ def test_is_annotated_and_erase(cyclic_corpus):
 
 def test_annotate_identity_on_corpus(cyclic_corpus):
     # re-annotating the erased tree reproduces the original byte for byte
-    for name, proof, mode in cyclic_corpus:
-        root = proof.root
+    for name, root, mode in cyclic_corpus:
         plain = erase(root)
         redone = annotate_tree(plain, root.vars, mode)
         assert render_proof(redone) == render_proof(root), name
@@ -162,9 +159,9 @@ def test_annotate_identity_on_corpus(cyclic_corpus):
 
 def test_annotate_deterministic(cyclic_corpus):
     for name, proof, mode in cyclic_corpus[:15]:
-        plain = erase(proof.root)
-        a = annotate_tree(plain, proof.root.vars, mode)
-        b = annotate_tree(plain, proof.root.vars, mode)
+        plain = erase(proof)
+        a = annotate_tree(plain, proof.vars, mode)
+        b = annotate_tree(plain, proof.vars, mode)
         assert render_proof(a) == render_proof(b), name
 
 

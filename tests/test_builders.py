@@ -11,7 +11,6 @@ from cyclarith import (
     And,
     AndRule,
     AxiomLeaf,
-    CyclicProof,
     Eq,
     Ex,
     Le,
@@ -21,6 +20,7 @@ from cyclarith import (
     OpenLeaf,
     Or,
     PreError,
+    ProofNode,
     RefRule,
     Sequent,
     Succ,
@@ -46,6 +46,7 @@ from cyclarith import (
     walk,
 )
 from cyclarith.builders import _grow, _plug, _redex, build_corpus
+from cyclarith.calculus import node_map
 from cyclarith.semantics import TV
 
 from conftest import random_pi1, random_quantifier_free
@@ -138,8 +139,8 @@ def test_ground_atom_rejects_open_terms():
 def test_schema_proof_shape():
     phi = All(y, Eq(Add(V(x), V(y)), Add(V(y), V(x))))
     p = induction_schema_proof(phi, x, 0)
-    assert isinstance(p, CyclicProof)
-    root = p.root
+    assert isinstance(p, ProofNode)
+    root = p
     psi = Ex(x, negate(Or(negate(phi), substitute(phi, x, Succ(V(x))))))
     # root carries the conclusion, its induction dual, and the zero instance
     assert root.sequent.count(phi) == 1
@@ -172,7 +173,7 @@ def test_rule_proof_assembly():
     assert substitute(phi, x, Zero()) in mode.assumptions
     rep = validate(proof, mode)
     assert rep.valid
-    assert proof.root.sequent == Sequent([phi])
+    assert proof.sequent == Sequent([phi])
 
 
 def test_rule_proof_rejects_bad_subproofs():
@@ -205,7 +206,7 @@ def test_forall_cycle():
     rep = validate(p, mode)
     assert rep.valid
     # the cycle passes through a universal unpacking
-    rules = {type(p.nodes[i].rule).__name__ for i in ["f0", "f1", "f2", "f3"]}
+    rules = {type(node_map(p)[i].rule).__name__ for i in ["f0", "f1", "f2", "f3"]}
     assert "AllRule" in rules and "CaseRule" in rules
 
 

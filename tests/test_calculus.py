@@ -245,10 +245,10 @@ def test_check_tree_assumptions():
 
 
 def test_check_tree_corpus(proof_corpus):
-    from cyclarith import ProofNode as PN
+    from cyclarith import is_plain
 
     for name, proof, _mode in proof_corpus:
-        if isinstance(proof, PN):
+        if is_plain(proof):
             assert check_tree(proof) == [], name
 
 
@@ -260,8 +260,7 @@ def test_walk_preorder():
 
 
 def test_proof_render_parse_round_trip(proof_corpus):
-    for name, proof, _mode in proof_corpus[:30]:
-        root = proof.root if hasattr(proof, "root") else proof
+    for name, root, _mode in proof_corpus[:30]:
         txt = render_proof(root)
         back = parse_proof(txt)
         assert render_proof(back) == txt, name
@@ -298,7 +297,7 @@ def test_deep_proof_parses_annotates_erases_and_checks_without_recursion():
         again = render_proof(annotated)
         assert render_proof(parse_proof(again)) == again
         assert render_proof(erase(annotated)) == text
-        assert render_proof(ravel(graph_of(root), sn0).root) == text
+        assert render_proof(ravel(graph_of(root), sn0)) == text
         assert sum(1 for _ in walk(unravel(root, 2000))) == 1002
         assert prefix_equal(root, root)
     finally:

@@ -5,13 +5,11 @@ import pytest
 
 from cyclarith import (
     Add,
-    All,
     And,
     AndRule,
     AxiomLeaf,
     BackLeaf,
     CaseRule,
-    CyclicProof,
     Eq,
     Mode,
     Neq,
@@ -30,7 +28,6 @@ from cyclarith import (
     annotate_tree,
     check_tree,
     erase,
-    induction_schema_proof,
     numeral,
     parse_report,
     render_report,
@@ -38,39 +35,22 @@ from cyclarith import (
     validate,
 )
 
+from conftest import rebuild, retarget, schema
+
 x, y = Var("x"), Var("y")
 SN0 = Mode(System.SN, 0)
 
 
-def _schema():
-    phi = All(y, Eq(Add(V(x), V(y)), Add(V(y), V(x))))
-    return induction_schema_proof(phi, x, 0)
-
-
-def _rebuild(node, fn):
-    kids = tuple(_rebuild(c, fn) for c in node.children)
-    return fn(dataclasses.replace(node, children=kids))
-
-
-def _retarget(root, leaf_id, new_target):
-    def fn(n):
-        if n.id == leaf_id:
-            return dataclasses.replace(n, rule=BackLeaf(new_target))
-        return n
-
-    return _rebuild(root, fn)
-
-
 def test_cyclic_proof_structure():
-    p = _schema()
-    assert p.root.id == "n0"
-    assert p.backlinks == {"n4": "n0"}
-    assert p.path_down("n0", "n4") == ["n0", "n1", "n2", "n3", "n4"]
-    assert p.path_down("n4", "n0") is None
+    p = schema()
+    assert p.id == "n0"
+    stats = validate(p, SN0).stats
+    assert stats.backlinks == 1
+    assert stats.cycle_lengths == (4,)
 
 
 def test_validate_schema_proof():
-    rep = validate(_schema(), SN0)
+    rep = validate(schema(), SN0)
     assert rep.valid
     assert rep.verdict == "valid"
     assert rep.violations == ()
@@ -84,16 +64,24 @@ def test_validate_corpus(cyclic_corpus):
         assert rep.valid, (name, rep.violations[:2])
 
 
+def test_cyclic_corpus_is_picked_by_annotation(cyclic_corpus):
+    # the annotated entries are exactly the corpus's cyclic proofs
+    assert [name for name, _, _ in cyclic_corpus] == \
+        [f"pi1_{i:02d}" for i in range(20)] + ["sch_n0", "sch_n1", "sch_n2"] \
+        + ["two_loops", "forall_cycle", "ind_rule_assume"] \
+        + [f"extra_{i:02d}" for i in range(54)]
+
+
 def test_dangling_target():
-    p = _schema()
-    rep = validate(CyclicProof(_retarget(p.root, "n4", "zz")), SN0)
+    p = schema()
+    rep = validate(retarget(p, "n4", "zz"), SN0)
     assert not rep.valid
     assert [v.tag for v in rep.violations] == ["DanglingTarget"]
 
 
 def test_not_ancestor():
-    p = _schema()
-    rep = validate(CyclicProof(_retarget(p.root, "n4", "a.t3")), SN0)
+    p = schema()
+    rep = validate(retarget(p, "n4", "a.t3"), SN0)
     assert not rep.valid
     assert "NotAncestor" in {v.tag for v in rep.violations}
 
@@ -101,34 +89,34 @@ def test_not_ancestor():
 def test_retarget_above_case_detected():
     # moving the link target below the case node breaks both the sequent
     # match and the progress condition
-    p = _schema()
-    rep = validate(CyclicProof(_retarget(p.root, "n4", "n1")), SN0)
+    p = schema()
+    rep = validate(retarget(p, "n4", "n1"), SN0)
     assert not rep.valid
     tags = {v.tag for v in rep.violations}
     assert "NoProgress" in tags and "SequentMismatch" in tags
 
 
 def test_blanked_annotation_detected():
-    p = _schema()
+    p = schema()
 
     def blank(n):
         return dataclasses.replace(n, vars=frozenset()) if n.id == "n3" else n
 
-    rep = validate(CyclicProof(_rebuild(p.root, blank)), SN0)
+    rep = validate(rebuild(p, blank), SN0)
     assert not rep.valid
     tags = {v.tag for v in rep.violations}
     assert "Annotation" in tags or "AnnotationMismatch" in tags
 
 
 def test_altered_leaf_sequent_detected():
-    p = _schema()
+    p = schema()
 
     def alt(n):
         if n.id == "n4":
             return dataclasses.replace(n, sequent=n.sequent.add(Eq(Zero(), Zero())))
         return n
 
-    rep = validate(CyclicProof(_rebuild(p.root, alt)), SN0)
+    rep = validate(rebuild(p, alt), SN0)
     assert not rep.valid
     assert "SequentMismatch" in {v.tag for v in rep.violations}
 
@@ -136,18 +124,18 @@ def test_altered_leaf_sequent_detected():
 def test_empty_annotation_under_sigma_system():
     # the universal cycle formula falls outside Sigma_0, so the annotation
     # empties out along the cycle and the link cannot certify progress
-    p = _schema()
-    plain = erase(p.root)
+    p = schema()
+    plain = erase(p)
     mode = Mode(System.SSIGMA, 0)
     redone = annotate_tree(plain, frozenset(), mode)
-    rep = validate(CyclicProof(redone), mode)
+    rep = validate(redone, mode)
     assert not rep.valid
     assert {v.tag for v in rep.violations} == {"EmptyAnnotation"}
 
 
 def test_unannotated_tree_rejected():
-    p = _schema()
-    rep = validate(CyclicProof(erase(p.root)), SN0)
+    p = schema()
+    rep = validate(erase(p), SN0)
     assert not rep.valid
     assert "Unannotated" in {v.tag for v in rep.violations}
 
@@ -160,14 +148,14 @@ def test_no_progress_without_case():
     n2 = ProofNode("c2", gam, BackLeaf("c0"), (), frozenset([x]))
     n1 = ProofNode("c1", gam.add(t), WeakRule(Sequent([t])), (n2,), frozenset([x]))
     n0 = ProofNode("c0", gam, RefRule(V(y)), (n1,), frozenset([x]))
-    rep = validate(CyclicProof(n0), SN0)
+    rep = validate(n0, SN0)
     assert not rep.valid
     assert {v.tag for v in rep.violations} == {"NoProgress"}
 
 
 def test_report_round_trip():
-    p = _schema()
-    for proof in [p, CyclicProof(_retarget(p.root, "n4", "zz"))]:
+    p = schema()
+    for proof in [p, retarget(p, "n4", "zz")]:
         rep = validate(proof, SN0)
         txt = render_report(rep, "sexpr")
         back = parse_report(txt)
@@ -176,8 +164,8 @@ def test_report_round_trip():
     assert "verdict: valid" in render_report(validate(p, SN0), "text")
 
 
-def test_soundness_sample_schema():
-    rep = soundness_sample(_schema(), value_bound=3, cutoff=8)
+def test_soundness_sampleschema():
+    rep = soundness_sample(schema(), value_bound=3, cutoff=8)
     assert rep.ok
     assert rep.checked > 0
     assert rep.hits == ()

@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 
 import pytest
 
@@ -227,6 +228,24 @@ def test_usage_errors(capsys):
     assert rc == 2
     rc, _, _ = _run(capsys, ["eval", "(eq 0"])
     assert rc == 2
+
+
+def test_main_gives_back_the_callers_recursion_limit(capsys, corpus_dir):
+    cyc = str(corpus_dir / "ind_schema_pi1.cyc")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1234)
+    try:
+        for argv, code in [(["check", cyc], 0),
+                           (["check", cyc, "--system", "ssigma"], 1),
+                           (["check", "/nonexistent/file.prf"], 2),   # CliError
+                           (["eval", "(eq 0"], 2)]:                   # ParseError
+            assert _run(capsys, argv)[0] == code, argv
+            assert sys.getrecursionlimit() == 1234, argv
+        with pytest.raises(SystemExit):
+            main(["check"])                                           # bad argv
+        assert sys.getrecursionlimit() == 1234
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_corpus_files_all_check(capsys, corpus_dir):

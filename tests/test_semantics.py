@@ -8,7 +8,6 @@ from cyclarith import (
     All,
     AllLe,
     And,
-    CyclicProof,
     Eq,
     Ex,
     ExLe,
@@ -264,7 +263,7 @@ def test_compiled_matches_reference_on_corpus_obligations():
         if entry.kind != "cyclic":
             continue
         mode = Mode(System(entry.system), entry.level, frozenset(entry.assume))
-        for _, cert in extract_all(CyclicProof(parse_proof(entry.text)), mode):
+        for _, cert in extract_all(parse_proof(entry.text), mode):
             certs += 1
             table = {}
             want = []

@@ -10,7 +10,6 @@ from cyclarith import (
     AssumeLeaf,
     AxiomLeaf,
     BackLeaf,
-    CyclicProof,
     Eq,
     Mode,
     Neq,
@@ -34,31 +33,26 @@ from cyclarith import (
     walk,
 )
 
-from cyclarith.calculus import parse_proof
+from cyclarith.calculus import node_map, parse_proof
 from cyclarith.cli import build_corpus
 from cyclarith.sexpr import SexprError
 from cyclarith.syntax import ParseError
 from cyclarith.transform import graph_from_sexpr
 
 import reference_sexpr
-from conftest import graph_with, mutate_document
+from conftest import backlinks, graph_with, mutate_document, rebuild, retarget, schema
 
 x, y = Var("x"), Var("y")
 SN0 = Mode(System.SN, 0)
 
 
-def _schema():
-    phi = All(y, Eq(Add(V(x), V(y)), Add(V(y), V(x))))
-    return induction_schema_proof(phi, x, 0)
-
-
 def test_graph_of_folds_back_links():
-    p = _schema()
+    p = schema()
     g = graph_of(p)
     assert g.root == "n0"
     # the back leaf becomes an edge, not a node
     assert "n4" not in g.nodes
-    assert len(g.nodes) == len(p.nodes) - 1
+    assert len(g.nodes) == len(node_map(p)) - 1
     assert "n0" in g.nodes["n3"].children
 
 
@@ -71,7 +65,7 @@ def test_graph_render_parse_round_trip(cyclic_corpus):
 
 
 def test_graph_constructor_checks_children():
-    p = _schema()
+    p = schema()
     g = graph_of(p)
     n0 = g.nodes["n0"]
     bad = dict(g.nodes)
@@ -81,7 +75,7 @@ def test_graph_constructor_checks_children():
 
 
 def test_unravel_depths():
-    p = _schema()
+    p = schema()
     t0 = unravel(p, 0)
     assert isinstance(t0.rule, OpenLeaf)
     assert len(list(walk(t0))) == 1
@@ -95,7 +89,7 @@ def test_unravel_depths():
 
 
 def test_unravel_frontier_is_open():
-    p = _schema()
+    p = schema()
     t = unravel(p, 4)
     kinds = {type(n.rule).__name__ for n in walk(t)}
     assert "OpenLeaf" in kinds
@@ -103,13 +97,13 @@ def test_unravel_frontier_is_open():
 
 
 def test_prefix_equal_distinguishes():
-    p = _schema()
+    p = schema()
     q = induction_schema_proof(Eq(Add(V(x), Zero()), V(x)), x, 0)
     assert not prefix_equal(unravel(p, 6), unravel(q, 6))
 
 
 def test_expand_graph_matches_unravel():
-    p = _schema()
+    p = schema()
     g = graph_of(p)
     from cyclarith import render_proof
 
@@ -124,14 +118,14 @@ def test_ravel_round_trip(cyclic_corpus):
         rep = validate(back, mode)
         assert rep.valid, (name, rep.violations[:2])
         # same shape up to back-leaf naming: ravel rebuilds those leaves
-        orig_inner = set(proof.nodes) - set(proof.backlinks)
-        back_inner = set(back.nodes) - set(back.backlinks)
+        orig_inner = set(node_map(proof)) - set(backlinks(proof))
+        back_inner = set(node_map(back)) - set(backlinks(back))
         assert back_inner == orig_inner, name
-        assert sorted(back.backlinks.values()) == sorted(proof.backlinks.values()), name
+        assert sorted(backlinks(back).values()) == sorted(backlinks(proof).values()), name
 
 
 def test_ravel_rejects_bad_step():
-    p = _schema()
+    p = schema()
     g = graph_of(p)
     n3 = g.nodes["n3"]
     bad = dict(g.nodes)
@@ -148,7 +142,7 @@ def test_unravel_prefixes_across_depths(cyclic_corpus):
 
 
 def test_ravel_rejects_fake_axiom_leaf():
-    g = graph_with(graph_of(_schema()), "a.t3", rule=AxiomLeaf(), children=())
+    g = graph_with(graph_of(schema()), "a.t3", rule=AxiomLeaf(), children=())
     with pytest.raises(RavelError) as info:
         ravel(g, SN0)
     v = info.value.violation
@@ -165,31 +159,21 @@ def test_ravel_rejects_undeclared_assumption():
     with pytest.raises(RavelError) as info:
         ravel(g, bare)
     assert info.value.violation.tag == "AssumeLeaf"
-    assert isinstance(proof.nodes[info.value.violation.node_id].rule, AssumeLeaf)
+    assert isinstance(node_map(proof)[info.value.violation.node_id].rule, AssumeLeaf)
 
 
 def test_unravel_rejects_back_links_to_no_inference():
-    p = _schema()
-
-    def retarget(target):
-        def fn(n):
-            return dataclasses.replace(n, rule=BackLeaf(target)) if n.id == "n4" else n
-        return CyclicProof(_rebuild(p.root, fn))
-
+    p = schema()
     for target in ("zz", "n4"):
         with pytest.raises(ValueError, match=f"unknown child {target}"):
-            unravel(retarget(target), 5)
-
-
-def _rebuild(node, fn):
-    return fn(dataclasses.replace(node, children=tuple(_rebuild(c, fn) for c in node.children)))
+            unravel(retarget(p, "n4", target), 5)
 
 
 def _mutant(proof, rng):
     """proof with one node other than a back leaf changed in its sequent,
     rule (made a leaf, subtree pruned) or annotation; back-links keep
     their targets, since those are ancestors of the leaf."""
-    spot = rng.choice([n for n in walk(proof.root) if not isinstance(n.rule, BackLeaf)])
+    spot = rng.choice([n for n in walk(proof) if not isinstance(n.rule, BackLeaf)])
     kind = rng.choice(("sequent", "rule", "vars"))
     if kind == "sequent":
         new = dataclasses.replace(spot, sequent=spot.sequent.add(Neq(Zero(), Zero())))
@@ -200,7 +184,7 @@ def _mutant(proof, rng):
     else:
         vs = rng.choice((None, frozenset(), spot.vars | {x}, spot.vars - {x}, frozenset({y})))
         new = dataclasses.replace(spot, vars=vs)
-    return kind, CyclicProof(_rebuild(proof.root, lambda n: new if n.id == spot.id else n))
+    return kind, rebuild(proof, lambda n: new if n.id == spot.id else n)
 
 
 def test_ravel_raises_exactly_when_validate_rejects(cyclic_corpus):

@@ -6,7 +6,6 @@ import pytest
 from cyclarith import (
     Add,
     All,
-    CyclicProof,
     Eq,
     ExtractionError,
     Mode,
@@ -19,25 +18,30 @@ from cyclarith import (
     V,
     Var,
     Zero,
+    prove_ground_atom,
     annotate_tree,
     certificate_with_theta,
     check_certificate_bounded,
     extract_all,
     extract_certificate,
     forall_cycle_proof,
+    induction_rule_proof,
     induction_rule_via_assumptions,
     induction_schema_proof,
+    numeral,
     parse_certificate,
     parse_proof,
     render_certificate,
     render_formula,
     render_proof,
+    soundness_sample,
+    step_from_assumption,
     tautology,
     two_loops_proof,
     validate,
 )
 from cyclarith.builders import build_corpus
-from cyclarith.calculus import RULE_ARITY
+from cyclarith.calculus import RULE_ARITY, node_map
 from cyclarith.uncycle import (BOT, EDGE_TAGS, KINDS, NO_ROOT_CYCLE, NoRootCycle, TOP, _digraph,
                                compute_ranks)
 
@@ -193,12 +197,12 @@ def test_plain_tree_has_no_certificates():
 
 
 def test_extract_requires_annotation():
-    from cyclarith import CyclicProof, erase
+    from cyclarith import erase
 
     phi = All(y, Eq(Add(V(x), V(y)), Add(V(y), V(x))))
     p = induction_schema_proof(phi, x, 0)
     with pytest.raises(ExtractionError):
-        extract_certificate(CyclicProof(erase(p.root)), SN0)
+        extract_certificate(erase(p), SN0)
 
 
 def test_extraction_refuses_exactly_the_proofs_validate_rejects():
@@ -209,7 +213,7 @@ def test_extraction_refuses_exactly_the_proofs_validate_rejects():
         for entry in build_corpus(seed):
             if entry.kind != "cyclic":
                 continue
-            proof = CyclicProof(parse_proof(entry.text))
+            proof = parse_proof(entry.text)
             for system in System:
                 for level in range(3):
                     mode = Mode(system, level, frozenset(entry.assume))
@@ -228,7 +232,7 @@ def test_extraction_refuses_exactly_the_proofs_validate_rejects():
 
 
 def test_extraction_of_a_dangling_back_link_is_refused_with_the_report():
-    text = render_proof(induction_schema_proof(All(y, Eq(V(x), V(x))), x, 0).root)
+    text = render_proof(induction_schema_proof(All(y, Eq(V(x), V(x))), x, 0))
     assert text.count("(back n0)") == 1
     proof = parse_proof(text.replace("(back n0)", "(back zz)"))
     for extract in (extract_all, extract_certificate):
@@ -281,7 +285,7 @@ def test_extract_all_matches_extraction_of_each_component(cyclic_corpus):
         except ExtractionError:
             continue
         for nid, cert in pairs:
-            alone = extract_certificate(CyclicProof(proof.nodes[nid]), mode)
+            alone = extract_certificate(node_map(proof)[nid], mode)
             assert render_certificate(alone) == render_certificate(cert), (name, nid)
             seen += 1
     assert seen >= len(cyclic_corpus)
@@ -371,8 +375,8 @@ def test_ranks_match_the_recursive_search_on_corpus_certificates():
         for entry in build_corpus(seed):
             if entry.kind != "cyclic":
                 continue
-            proof = CyclicProof(parse_proof(entry.text))
-            succ, _ = _digraph(proof)
+            proof = parse_proof(entry.text)
+            _, succ, _ = _digraph(proof)
             for system in System:
                 for level in range(3):
                     try:
@@ -383,3 +387,33 @@ def test_ranks_match_the_recursive_search_on_corpus_certificates():
                         assert cert.ranks == _recursive_ranks(succ, cert.m_nodes, cert.c_nodes)
                         seen += 1
     assert seen >= 100
+
+
+def test_extraction_of_a_deep_branch_needs_no_recursion(tmp_path):
+    # induction on x + K = K + x: the base, a ground proof of 0 + K = K + 0,
+    # is a branch hundreds of nodes deep, and the rendered proof is 2.4 MB
+    k = 150
+    phi = Eq(Add(V(x), numeral(k)), Add(numeral(k), V(x)))
+    base = prove_ground_atom(Add(Zero(), numeral(k)), Add(numeral(k), Zero()))
+    step, hyp = step_from_assumption(phi, x)
+    proof = induction_rule_proof(base, step, phi, x, 0, [hyp])
+    text = render_proof(proof)
+    assert (text.count("(node "), len(text) // 100_000) == (472, 23)
+    mode = Mode(System.SPI, 0, frozenset({hyp}))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        pairs = extract_all(proof, mode)
+        checks = [check_certificate_bounded(cert) for _, cert in pairs]
+        sampled = soundness_sample(proof)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [nid for nid, _ in pairs] == ["r0"]
+    assert all(c.ok for c in checks)
+    assert sampled.ok
+    path, assume = tmp_path / "deep.cyc", tmp_path / "deep.assume"
+    path.write_text(text + "\n")
+    assume.write_text(hyp.sx + "\n")
+    from cyclarith.cli import main
+    assert main(["uncycle", str(path), "--system", "spi", "--assume", str(assume),
+                 "-o", str(tmp_path / "deep.cert")]) == 0
