@@ -17,16 +17,29 @@ run on the assignment.  Compilation
   `add`/`mul` levels only, with the iterative evaluator below them, so term
   depth costs no recursion;
 - turns each connective into a strong-Kleene closure that short-circuits;
-- memoises each quantifier node (Michie 1968).  Its value is a pure
+- gives each node its range: the values it can take under any assignment
+  and any cutoff >= 0, an over-approximation over the subsets of {TRUE,
+  FALSE, UNKNOWN} (abstract interpretation, Cousot & Cousot 1977).  An open
+  atom ranges over {TRUE, FALSE}, a closed one is its value; `and` and `or`
+  range over their Kleene table applied to every pair of operand values; an
+  unbounded `all` can be FALSE if its body can, and UNKNOWN if its body can
+  be TRUE or UNKNOWN (dually for `ex`), since its scan meets at least w = 0;
+  a bounded quantifier has its body's range, since its bound is at least 0.
+  A node whose range is one value compiles to a constant: on the grid,
+  `all x (ex y ...)` is UNKNOWN everywhere and is never scanned;
+- reads the body of a quantifier whose variable is not free in it once: an
+  unbounded `all` is FALSE if the body is and UNKNOWN otherwise (dually for
+  `ex`), and a bounded one is its body;
+- memoises every other quantifier node (Michie 1968).  Its value is a pure
   function of the cutoff and of the values of its free variables, so it is
   cached under the key `tuple(env.get(v, 0) for v in sorted(phi.fv))`.
 
 Compiled closures, memos included, live in a compile table: a dict from
-(formula, cutoff) to closure.  A caller that evaluates many formulas or
-grid points passes one table to every `eval_formula` / `sequent_truth` call
-of its loop, so that shared subformulas are compiled and memoised once; a
-call without a table makes its own.  Nothing else is cached, so no memo
-outlives the table of the call that created it.
+(formula, cutoff) to the closure and its range.  A caller that evaluates
+many formulas or grid points passes one table to every `eval_formula` /
+`sequent_truth` call of its loop, so that shared subformulas are compiled
+and memoised once; a call without a table makes its own.  Nothing else is
+cached, so no memo outlives the table of the call that created it.
 """
 
 from __future__ import annotations
@@ -34,7 +47,8 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, Optional,
+                    Sequence, Tuple)
 
 from .syntax import (Add, All, AllLe, And, Eq, Ex, ExLe, Formula, Le, Mul,
                      Neq, NLe, Or, Succ, Term, V, Var, Zero)
@@ -57,7 +71,8 @@ TRUE, FALSE, UNKNOWN = TV.TRUE, TV.FALSE, TV.UNKNOWN
 # Compiled code reads a private assignment keyed by variable name.
 Env = Dict[str, int]
 Code = Callable[[Env], TV]
-Table = Dict[tuple, Code]
+Entry = Tuple[Code, FrozenSet[TV]]
+Table = Dict[tuple, Entry]
 
 
 def eval_term(t: Term, env: Dict[Var, int]) -> int:
@@ -116,37 +131,49 @@ def _term_code(t: Term, depth: int = 0) -> Callable[[Env], int]:
 _COMPARE = {Eq: operator.eq, Neq: operator.ne, Le: operator.le, NLe: operator.gt}
 
 
-def _compile(phi: Formula, cutoff: int, table: Table) -> Code:
-    """The closure for phi at this cutoff, compiled into the table once."""
-    code = table.get((phi, cutoff))
-    if code is not None:
-        return code
+def _compile(phi: Formula, cutoff: int, table: Table) -> Entry:
+    """The closure for phi at this cutoff and its range, the values it can
+    take; compiled into the table once."""
+    entry = table.get((phi, cutoff))
+    if entry is not None:
+        return entry
     kind = type(phi)
     if kind in _COMPARE:
         test = _COMPARE[kind]
         left, right = _term_code(phi.left), _term_code(phi.right)
         code = lambda e: TRUE if test(left(e), right(e)) else FALSE
-        if not phi.fv:
-            value = code({})
-            code = lambda e: value
-    elif kind is And:
-        code = _and(_compile(phi.left, cutoff, table),
-                    _compile(phi.right, cutoff, table))
-    elif kind is Or:
-        code = _or(_compile(phi.left, cutoff, table),
-                   _compile(phi.right, cutoff, table))
+        values = frozenset([code({})]) if not phi.fv else _DECIDED
+    elif kind in (And, Or):
+        left, lvalues = _compile(phi.left, cutoff, table)
+        right, rvalues = _compile(phi.right, cutoff, table)
+        code = (_and if kind is And else _or)(left, right)
+        values = _RANGE_OF[kind][lvalues, rvalues]
     elif kind in (All, Ex, AllLe, ExLe):
-        body = _compile(phi.body, cutoff, table)
-        if kind in (All, Ex):
-            limit, start = (lambda e: cutoff), UNKNOWN
-        else:
-            limit, start = _term_code(phi.bound), (TRUE if kind is AllLe else FALSE)
+        body, values = _compile(phi.body, cutoff, table)
         stop = FALSE if kind in (All, AllLe) else TRUE
-        code = _memo(_scan(phi.var.name, limit, body, stop, start), phi)
+        vacuous = phi.var not in phi.body.fv
+        if kind in (All, Ex):
+            # every scan meets w = 0, so it sees at least one body value
+            step = _UNBOUNDED[kind]
+            values = _RANGE_OF[kind][values]
+            if vacuous:
+                code = lambda e: step[body(e)]
+            else:
+                code = _memo(_scan(phi.var.name, lambda e: cutoff, body, stop,
+                                   UNKNOWN), phi)
+        elif vacuous:
+            # the bound is at least 0, and every w gives the body's one value
+            code = body
+        else:
+            start = TRUE if kind is AllLe else FALSE
+            code = _memo(_scan(phi.var.name, _term_code(phi.bound), body, stop,
+                               start), phi)
     else:
         raise TypeError(f"not a formula: {phi!r}")
-    table[(phi, cutoff)] = code
-    return code
+    if len(values) == 1:
+        code = _CONSTANT[next(iter(values))]
+    entry = table[(phi, cutoff)] = code, values
+    return entry
 
 
 def _and(left: Code, right: Code) -> Code:
@@ -171,6 +198,35 @@ def _or(left: Code, right: Code) -> Code:
             return TRUE
         return FALSE if a is FALSE and b is FALSE else UNKNOWN
     return code
+
+
+def _constant(value: TV) -> Code:
+    return lambda e: value
+
+
+# The code of every node whose range is one value.
+_CONSTANT = {value: _constant(value) for value in TV}
+# Every range: a non-empty set of values.
+_RANGES = [frozenset(values) for n in (1, 2, 3)
+           for values in itertools.combinations(TV, n)]
+_DECIDED = frozenset([TRUE, FALSE])
+
+# An unbounded quantifier's value given one body value: a counterexample
+# decides `all` and a witness decides `ex`; any other value leaves it open.
+_UNBOUNDED = {All: {TRUE: UNKNOWN, FALSE: FALSE, UNKNOWN: UNKNOWN},
+              Ex: {TRUE: TRUE, FALSE: UNKNOWN, UNKNOWN: UNKNOWN}}
+
+# The range of a connective given its operands' ranges, read off the
+# connective's own code run on every pair of operand values, and of an
+# unbounded quantifier given its body's range.
+_RANGE_OF = {
+    kind: {(left, right): frozenset(connective(_CONSTANT[a], _CONSTANT[b])({})
+                                    for a in left for b in right)
+           for left in _RANGES for right in _RANGES}
+    for kind, connective in ((And, _and), (Or, _or))}
+_RANGE_OF.update(
+    (kind, {body: frozenset(step[value] for value in body) for body in _RANGES})
+    for kind, step in _UNBOUNDED.items())
 
 
 def _scan(name: str, limit: Callable[[Env], int], body: Code, stop: TV,
@@ -208,8 +264,13 @@ def _memo(run: Code, phi: Formula) -> Code:
 
 def eval_formula(phi: Formula, env: Dict[Var, int], cutoff: int,
                  table: Optional[Table] = None) -> TV:
-    """Three-valued value of phi; pass one table to share compiled code."""
-    code = _compile(phi, cutoff, {} if table is None else table)
+    """Three-valued value of phi; pass one table to share compiled code.
+
+    A negative cutoff raises ValueError at the call: an unbounded scan over
+    no witness at all would answer UNKNOWN without having looked."""
+    if cutoff < 0:
+        raise ValueError(f"negative cutoff {cutoff}")
+    code, _ = _compile(phi, cutoff, {} if table is None else table)
     return code({v.name: value for v, value in env.items()})
 
 

@@ -32,14 +32,16 @@ from cyclarith import (
     parse_formula,
     parse_proof,
     sequent_truth,
+    soundness_sample,
+    two_loops_proof,
 )
 from cyclarith.cli import build_corpus
-from cyclarith.semantics import CLOSURE_DEPTH
+from cyclarith.semantics import _CONSTANT, CLOSURE_DEPTH
 
 import reference_semantics as ref
 from conftest import random_formula, random_quantifier_free, random_term
 
-x, y, z = Var("x"), Var("y"), Var("z")
+x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
 
 
 def test_eval_term_fixed():
@@ -205,6 +207,25 @@ def test_all_assignments_refuses_a_negative_bound(variables):
         all_assignments(variables, -1)
 
 
+def _two_loops_check(cutoff):
+    proof, mode = two_loops_proof()
+    return check_certificate_bounded(extract_all(proof, mode)[0][1], 3, cutoff)
+
+
+@pytest.mark.parametrize("check", [
+    lambda cutoff: eval_formula(Eq(V(x), V(x)), {}, cutoff),
+    lambda cutoff: sequent_truth([Eq(V(x), V(x))], {}, cutoff),
+    _two_loops_check,
+    lambda cutoff: soundness_sample(two_loops_proof()[0], 3, cutoff),
+], ids=["eval_formula", "sequent_truth", "check_certificate_bounded",
+        "soundness_sample"])
+def test_negative_cutoff_is_refused(check):
+    # a scan up to -1 meets no witness and would answer unknown unlooked
+    assert check(0) is not None
+    with pytest.raises(ValueError, match="negative cutoff -1"):
+        check(-1)
+
+
 # --- differential tests against the reference interpreter ------------------------
 
 FORMULA_KINDS = {Eq, Neq, Le, NLe, And, Or, All, Ex, AllLe, ExLe}
@@ -279,6 +300,97 @@ def test_compiled_matches_reference_on_corpus_obligations():
             got = check_certificate_bounded(cert, 3, 8).certificate.obligations
             assert [ob.status for ob in got] == want, entry.name
     assert certs >= 15
+
+
+QUANTIFIERS = (All, Ex, AllLe, ExLe)
+
+
+def _shortcut(phi, cutoff, table):
+    """How quantifier node phi was compiled at this cutoff: "fold" to a
+    constant, "vacuous" to one read of its body, or None to a scan."""
+    code, _ = table[(phi, cutoff)]
+    if code in _CONSTANT.values():
+        return "fold"
+    if phi.var not in phi.body.fv and (code is table[(phi.body, cutoff)][0]
+                                       or code.__qualname__ != "_memo.<locals>.code"):
+        return "vacuous"
+    return None
+
+
+def _shaped_formula(rng, vars, depth=2):
+    """A formula of a shape the compile step shortcuts: a Pi2 or Sigma2
+    prefix over a Delta0 matrix, a binder of w, which vars leaves out, an
+    and/or of a universal and an existential, or a bounded quantifier whose
+    bound reads 0."""
+    def sub(vars):
+        if depth and rng.random() < 0.4:
+            return _shaped_formula(rng, vars, depth - 1)
+        matrix = random_quantifier_free(rng, 2, vars, core=False)
+        if rng.random() < 0.3:
+            v = rng.choice(vars)
+            bound = random_term(rng, 1, [u for u in vars if u != v])
+            matrix = rng.choice([AllLe, ExLe])(v, bound, matrix)
+        return matrix
+
+    k = rng.randrange(4)
+    if k == 0:
+        u, v = rng.sample(vars, 2)
+        outer, inner = rng.choice([(All, Ex), (Ex, All)])
+        return outer(u, inner(v, sub(vars)))
+    if k == 1:
+        kind = rng.choice(QUANTIFIERS)
+        if kind in (All, Ex):
+            return kind(w, sub(vars))
+        return kind(w, random_term(rng, 1, vars), sub(vars))
+    if k == 2:
+        u, v = rng.choice(vars), rng.choice(vars)
+        parts = [All(u, sub(vars)), Ex(v, sub(vars))]
+        rng.shuffle(parts)
+        return rng.choice([And, Or])(*parts)
+    # unmapped variables read 0, and so does anything times 0
+    v = rng.choice(vars)
+    rest = [u for u in vars if u != v]
+    bound = rng.choice([Zero(), Mul(random_term(rng, 1, rest), Zero()),
+                        V(rng.choice(rest))])
+    return rng.choice([AllLe, ExLe])(v, bound, sub(vars))
+
+
+def test_shortcut_shapes_match_reference():
+    rng = random.Random(1977)
+    table = {}
+    fired = {"fold": 0, "vacuous": 0}
+    for _ in range(300):
+        phi = _shaped_formula(rng, [x, y, z])
+        envs = [{v: rng.randrange(3) for v in (x, y, z, w) if rng.random() < 0.5}
+                for _ in range(2)]
+        for cutoff in range(5):
+            for env in envs:
+                want = ref.eval_formula(phi, dict(env), cutoff)
+                # one table shared across formulas, assignments and cutoffs
+                assert eval_formula(phi, env, cutoff, table) is want, (phi.sx, env, cutoff)
+        ways = {_shortcut(f, 4, table) for f in _nodes(phi) if type(f) in QUANTIFIERS}
+        for way in fired:
+            fired[way] += way in ways
+    assert fired["fold"] >= 100 and fired["vacuous"] >= 50, fired
+
+
+def test_corpus_obligations_fold():
+    # quantifier nodes counted per certificate, as each bounded check
+    # compiles its obligations into one table at the default cutoff
+    ways = []
+    for seed in (1, 2, 3):
+        for entry in build_corpus(seed):
+            if entry.kind != "cyclic":
+                continue
+            mode = Mode(System(entry.system), entry.level, frozenset(entry.assume))
+            for _, cert in extract_all(parse_proof(entry.text), mode):
+                table = {}
+                for ob in cert.obligations:
+                    eval_formula(ob.formula, {}, 8, table)
+                ways += [_shortcut(phi, 8, table) for phi, _ in table
+                         if type(phi) in QUANTIFIERS]
+    assert len(ways) == 480
+    assert ways.count("fold") >= 120 and ways.count("vacuous") >= 15
 
 
 def test_deep_terms_evaluate_without_recursion():
