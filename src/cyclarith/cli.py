@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -51,16 +53,37 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 (byte "
+                       f"0x{exc.object[exc.start]:02x} at offset {exc.start})") from exc
+
+
+def _write(path: str | Path, text: str) -> None:
+    """Overwrite path with text as UTF-8, in place: the one way the CLI writes a file.
+
+    The file is opened without O_TRUNC and cut to the written length after
+    the write: on ext4, a file truncated to zero on open, or renamed over,
+    has its blocks allocated at close, which costs more than the write itself.
+    Writing in place keeps a symlink, hard links and the file's mode; a
+    missing file is created with mode 0o666 less the umask. The write is not
+    atomic: a crash part-way may leave old bytes after new ones. Only a
+    regular file is cut; a FIFO, tty or /dev/null has no length.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                f.truncate()
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         print(text)
-        return
-    try:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    else:
+        _write(out, text + "\n")
 
 
 def _assumptions(paths: Sequence[str]) -> frozenset:
@@ -196,18 +219,16 @@ def cmd_examples(args) -> int:
     entries = build_corpus(args.seed)
 
     def write(entry: CorpusEntry) -> List[str]:
-        (outdir / entry.name).write_text(entry.text + "\n", encoding="utf-8")
+        _write(outdir / entry.name, entry.text + "\n")
         lines = [f"{entry.name} {entry.kind} {entry.system} {entry.level}"]
         if entry.assume:
             aname = entry.name.rsplit(".", 1)[0] + ".assume"
-            (outdir / aname).write_text(
-                "".join(f.sx + "\n" for f in entry.assume), encoding="utf-8")
+            _write(outdir / aname, "".join(f.sx + "\n" for f in entry.assume))
             lines.append(f"{aname} assumptions {entry.system} {entry.level}")
         return lines
 
     manifest = [line for e in entries for line in write(e)]
-    (outdir / "MANIFEST").write_text("".join(line + "\n" for line in manifest),
-                                     encoding="utf-8")
+    _write(outdir / "MANIFEST", "".join(line + "\n" for line in manifest))
     print(f"wrote {len(manifest)} files to {outdir}")
     return EXIT_OK
 

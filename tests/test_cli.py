@@ -230,6 +230,75 @@ def test_usage_errors(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cmd", ["check", "ravel", "assume"])
+def test_undecodable_input_is_a_usage_error(capsys, tmp_path, corpus_dir, cmd):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"(node\n" + b" " * 9000 + b"\xff\xfe(node")
+    if cmd == "assume":
+        argv = ["check", str(corpus_dir / "ind_rule_assume.cyc"), "--system", "spi",
+                "--assume", str(bad)]
+    else:
+        argv = [cmd, str(bad)]
+    rc, _, err = _run(capsys, argv)
+    assert rc == 2
+    assert err == f"error: cannot read {bad}: not UTF-8 (byte 0xff at offset 9006)\n"
+
+
+def test_examples_failed_write_is_a_usage_error(capsys, tmp_path):
+    (tmp_path / "MANIFEST").mkdir()
+    rc, _, err = _run(capsys, ["examples", str(tmp_path)])
+    assert rc == 2
+    assert err.startswith(f"error: cannot write {tmp_path / 'MANIFEST'}: ")
+
+
+def _check_argv(corpus_dir, *out):
+    return ["check", str(corpus_dir / "ind_schema_pi1.cyc"), "--format", "sexpr", *out]
+
+
+def test_out_overwrites_a_longer_file_in_place(capsys, tmp_path, corpus_dir):
+    out_file = tmp_path / "rep"
+    out_file.write_bytes(b"x" * 100_000)
+    inode = out_file.stat().st_ino
+    assert _run(capsys, _check_argv(corpus_dir, "-o", str(out_file)))[:2] == (0, "")
+    _, stdout, _ = _run(capsys, _check_argv(corpus_dir))
+    assert out_file.read_bytes() == stdout.encode("utf-8")
+    assert out_file.stat().st_ino == inode
+
+
+def test_out_writes_through_a_symlink(capsys, tmp_path, corpus_dir):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("old " * 1000)
+    link.symlink_to(target)
+    assert _run(capsys, _check_argv(corpus_dir, "-o", str(link)))[0] == 0
+    assert link.is_symlink()
+    assert target.read_text().startswith("(report")
+
+
+def test_out_keeps_the_mode_and_creates_with_the_default(capsys, tmp_path, corpus_dir):
+    kept, made = tmp_path / "kept", tmp_path / "made"
+    kept.write_text("old")
+    kept.chmod(0o600)
+    umask = os.umask(0o022)
+    os.umask(umask)
+    for path in (kept, made):
+        assert _run(capsys, _check_argv(corpus_dir, "-o", str(path)))[0] == 0
+    assert kept.stat().st_mode & 0o777 == 0o600
+    assert made.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert kept.read_text() == made.read_text()
+
+
+def test_out_to_dev_null(capsys, corpus_dir):
+    assert _run(capsys, _check_argv(corpus_dir, "-o", os.devnull)) == (0, "", "")
+
+
+@pytest.mark.parametrize("where", [".", "missing/rep"])
+def test_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, corpus_dir, where):
+    out = tmp_path / where
+    rc, _, err = _run(capsys, _check_argv(corpus_dir, "-o", str(out)))
+    assert rc == 2
+    assert err.startswith(f"error: cannot write {out}: ")
+
+
 def test_main_gives_back_the_callers_recursion_limit(capsys, corpus_dir):
     cyc = str(corpus_dir / "ind_schema_pi1.cyc")
     limit = sys.getrecursionlimit()
