@@ -5,11 +5,13 @@ a calculus layer (sequents, rules, finite trees), the cyclic machinery
 (annotations, validation, graph/tree conversions), certificate extraction,
 programmatic proof builders, and a command-line front end.
 
-The trusted core is `sexpr`, `syntax`, `calculus`, `annotation` and
-`checker`: the code that reads a proof, judges it with `checker.validate`
-and renders the verdict.  A `valid` verdict is only as good as this code,
-so the core is kept small enough to read whole and imports nothing from
-outside itself (tests/test_core.py checks the imports).  The other modules
+The trusted core is `sexpr`, `syntax`, `calculus`, `records`, `annotation`
+and `checker`: the code that reads a proof, judges it with
+`checker.validate` and renders the verdict (`records` declares the report
+that `checker` renders, and the certificate and graph besides).  A `valid`
+verdict is only as good as this code, so the core is kept small enough to
+read whole and imports nothing from outside itself (tests/test_core.py
+checks the imports).  The other modules
 -- `derived` (sugar expansion, fresh names, classification), `semantics`,
 `transform`, `uncycle`, `builders` and `cli` -- build proofs that
 `validate` then judges, or report on proofs without judging them, so a

@@ -322,20 +322,21 @@ def is_axiom(seq: Sequent) -> Optional[str]:
 
 
 def premises_of(conclusion: Sequent, r: Rule) -> List[Sequent]:
-    """The unique premise list determined by the rule schema."""
+    """The unique premise list determined by the rule schema.  ArgMismatch
+    messages do not name the rule; the step check's caller does."""
     if isinstance(r, AndRule):
         if not isinstance(r.principal, And):
-            raise ArgMismatch(f"(and) principal is not a conjunction: {r.principal.sx}")
+            raise ArgMismatch(f"principal is not a conjunction: {r.principal.sx}")
         base = conclusion.remove_one(r.principal)
         return [base.add(r.principal.left), base.add(r.principal.right)]
     if isinstance(r, OrRule):
         if not isinstance(r.principal, Or):
-            raise ArgMismatch(f"(or) principal is not a disjunction: {r.principal.sx}")
+            raise ArgMismatch(f"principal is not a disjunction: {r.principal.sx}")
         base = conclusion.remove_one(r.principal)
         return [base.add(r.principal.left, r.principal.right)]
     if isinstance(r, AllRule):
         if not isinstance(r.principal, All):
-            raise ArgMismatch(f"(all) principal is not universal: {r.principal.sx}")
+            raise ArgMismatch(f"principal is not universal: {r.principal.sx}")
         base = conclusion.remove_one(r.principal)
         if r.var in conclusion.fv:
             raise ArgMismatch(f"eigenvariable {r.var.name} occurs free in the conclusion")
@@ -346,7 +347,7 @@ def premises_of(conclusion: Sequent, r: Rule) -> List[Sequent]:
         return [base.add(inst)]
     if isinstance(r, ExRule):
         if not isinstance(r.principal, Ex):
-            raise ArgMismatch(f"(ex) principal is not existential: {r.principal.sx}")
+            raise ArgMismatch(f"principal is not existential: {r.principal.sx}")
         if r.principal not in conclusion:
             raise ArgMismatch(f"{r.principal.sx} does not occur in {conclusion.sx}")
         try:
@@ -359,9 +360,9 @@ def premises_of(conclusion: Sequent, r: Rule) -> List[Sequent]:
     if isinstance(r, RepRule):
         neq = Neq(r.t0, r.t1)
         if neq not in conclusion:
-            raise ArgMismatch(f"(rep) needs {neq.sx} in the conclusion")
+            raise ArgMismatch(f"needs {neq.sx} in the conclusion")
         if r.instance(r.t0) not in conclusion:
-            raise ArgMismatch(f"(rep) needs the instance {r.instance(r.t0).sx}")
+            raise ArgMismatch(f"needs the instance {r.instance(r.t0).sx}")
         return [conclusion.add(r.instance(r.t1))]
     if isinstance(r, Add0Rule):
         t = r.term
@@ -377,7 +378,7 @@ def premises_of(conclusion: Sequent, r: Rule) -> List[Sequent]:
         return [conclusion.add(Neq(Mul(t, Succ(u)), Add(Mul(t, u), t)))]
     if isinstance(r, PredRule):
         if Neq(Succ(r.t0), Succ(r.t1)) not in conclusion:
-            raise ArgMismatch(f"(pred) needs {Neq(Succ(r.t0), Succ(r.t1)).sx}")
+            raise ArgMismatch(f"needs {Neq(Succ(r.t0), Succ(r.t1)).sx}")
         return [conclusion.add(Neq(r.t0, r.t1))]
     if isinstance(r, CaseRule):
         if r.var not in conclusion.fv:
@@ -471,17 +472,19 @@ def node_map(root: ProofNode) -> Dict[str, ProofNode]:
 # --- parsing and rendering -----------------------------------------------------
 
 def _node_id(value, memo) -> str:
-    """A back-link's target, an atom; rule_from_sexpr reports any other
-    value as a bad rule."""
-    if not isinstance(value, str):
+    """A node id, an atom and not a quoted string; rule_from_sexpr reports
+    any other value as a bad rule."""
+    if value.__class__ is not str:
         raise ValueError("a node id is an atom")
     return value
 
 
-_READ_ARG = {
+# How each field kind of a rule is read and written (records.py adds more).
+READ_ARG = {
     "f": formula_from_sexpr, "t": term_from_sexpr, "s": sequent_from_sexpr,
     "v": lambda value, memo: ident_var(value), "i": _node_id,
 }
+RENDER_ARG = {"f": _by_sx, "t": _by_sx, "s": _by_sx, "v": attrgetter("name"), "i": str}
 
 
 def rule_from_sexpr(value, memo: dict = None) -> Rule:
@@ -495,7 +498,7 @@ def rule_from_sexpr(value, memo: dict = None) -> Rule:
     if cls is None or len(args) != len(cls.kinds):
         raise ParseError(f"bad rule {sexpr.excerpt(value)}")
     try:
-        return cls(*[_READ_ARG[k](a, memo) for k, a in zip(cls.kinds, args)])
+        return cls(*[READ_ARG[k](a, memo) for k, a in zip(cls.kinds, args)])
     except ValueError:  # from _node_id
         raise ParseError(f"bad rule {sexpr.excerpt(value)}") from None
 
@@ -504,8 +507,7 @@ def rule_to_sexpr_str(r: Rule) -> str:
     # a frozen dataclass sets its fields in declaration order, so __dict__
     # lists them in the order of r.kinds
     out = ["(rule " + r.name if r.premises else "(" + r.name]
-    for k, a in zip(r.kinds, r.__dict__.values()):
-        out.append(a if k == "i" else a.name if k == "v" else a.sx)
+    out += [RENDER_ARG[k](a) for k, a in zip(r.kinds, r.__dict__.values())]
     return " ".join(out) + ")"
 
 

@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from . import sexpr
 from .annotation import AnnotatedSequent, Mode, System, propagate
 from .calculus import (ArgMismatch, AssumeLeaf, AxiomLeaf, BackLeaf, CaseRule,
                        LEAF_KINDS, OpenLeaf, ProofNode, check_step, is_axiom,
                        node_map, walk)
-from .syntax import ParseError
+from .records import Record, fields_of
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,9 @@ def validate(root: ProofNode, mode: Mode, plain: bool = False) -> ValidationRepo
     """Judge a proof; with plain=True, as a plain finite tree.
 
     A plain tree is judged on its steps and leaves only: annotations are
-    ignored, back leaves are rejected like open ones, every violation is
-    tagged Tree and step messages name their rule.  Otherwise node ids must
-    be unique (ParseError names a duplicate).
+    ignored, back leaves are rejected like open ones and every violation is
+    tagged Tree.  Otherwise node ids must be unique (ParseError names a
+    duplicate).  A step message names its rule once, in either mode.
     """
     violations: List[Violation] = []
 
@@ -145,7 +144,7 @@ def _check_local(root: ProofNode, mode: Mode, plain: bool, bad) -> int:
             continue
         err = check_step(node.sequent, r, [c.sequent for c in node.children])
         if err is not None:
-            bad(node.id, "Step", f"({err.rule}) {err.message}" if plain else err.message)
+            bad(node.id, "Step", f"({err.rule}) {err.message}")
             continue
         if plain:
             continue
@@ -155,8 +154,6 @@ def _check_local(root: ProofNode, mode: Mode, plain: bool, bad) -> int:
             bad(node.id, "Step", str(exc))
             continue
         for child, want in zip(node.children, anns):
-            if isinstance(child.rule, AssumeLeaf):
-                continue  # assumption leaves may carry anything
             if child.vars is not None and child.vars != want:
                 bad(child.id, "Annotation",
                     f"expected {_vset(want)}, found {_vset(child.vars)}")
@@ -211,18 +208,23 @@ def _vset(vs) -> str:
     return "{" + " ".join(sorted(v.name for v in vs)) + "}"
 
 
-# --- report rendering ------------------------------------------------------------
+# --- reports ---------------------------------------------------------------------
+
+REPORT = Record("""
+    (report (verdict verdict)
+            (violation* (node i) (tag i) (message q))
+            (stats (nodes n) (backlinks n) (cycles n*)))""",
+    sets={"verdict": ("valid", "invalid")},
+    types={"report": fields_of(ValidationReport, "verdict violations stats"),
+           "violation": fields_of(Violation, "node_id tag message"),
+           "stats": fields_of(ProofStats, "nodes backlinks cycle_lengths")},
+    invariants=[("a report is valid exactly when it has no violation",
+                 lambda r: r.valid == (not r.violations))])
+
 
 def render_report(report: ValidationReport, fmt: str = "text") -> str:
     if fmt == "sexpr":
-        parts = [f"(verdict {report.verdict})"]
-        for v in report.violations:
-            parts.append(f"(violation (node {v.node_id}) (tag {v.tag}) "
-                         f"(message {sexpr.render(sexpr.QuotedString(v.message))}))")
-        cyc = "".join(f" {k}" for k in report.stats.cycle_lengths)
-        parts.append(f"(stats (nodes {report.stats.nodes}) "
-                     f"(backlinks {report.stats.backlinks}) (cycles{cyc}))")
-        return "(report\n  " + "\n  ".join(parts) + ")"
+        return REPORT.render(report)
     lines = [f"verdict: {report.verdict}"]
     for v in report.violations:
         lines.append(f"  {v.tag} at {v.node_id}: {v.message}")
@@ -232,40 +234,4 @@ def render_report(report: ValidationReport, fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
-# The entries render_report writes, each with the fields it writes.
-_REPORT_FIELDS = {"verdict": set(), "violation": {"node", "tag", "message"},
-                  "stats": {"nodes", "backlinks", "cycles"}}
-
-
-def report_from_sexpr(value) -> ValidationReport:
-    if not isinstance(value, list) or not value or value[0] != "report":
-        raise ParseError("expected (report ...)")
-    verdict = None
-    violations = []
-    stats = ProofStats(0, 0, ())
-    for item in value[1:]:
-        if not isinstance(item, list) or not item:
-            raise ParseError(f"bad report entry {sexpr.excerpt(item)}")
-        try:
-            head = item[0]
-            fields = {} if head == "verdict" else {e[0]: e[1:] for e in item[1:]}
-            if not fields.keys() <= _REPORT_FIELDS[head]:
-                raise ValueError(f"unknown field in {head}")
-            if head == "verdict":
-                verdict = item[1]
-            elif head == "violation":
-                violations.append(Violation(fields["node"][0], fields["tag"][0],
-                                            str(fields.get("message", [""])[0])))
-            else:
-                stats = ProofStats(int(fields["nodes"][0]),
-                                   int(fields["backlinks"][0]),
-                                   tuple(int(k) for k in fields.get("cycles", ())))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad report entry {sexpr.excerpt(item)}") from exc
-    if verdict not in ("valid", "invalid"):
-        raise ParseError("report lacks a verdict")
-    return ValidationReport(verdict, tuple(violations), stats)
-
-
-def parse_report(text: str) -> ValidationReport:
-    return report_from_sexpr(sexpr.parse(text))
+parse_report = REPORT.parse

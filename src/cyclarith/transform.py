@@ -19,13 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from . import sexpr
 from .annotation import Mode, is_plain
 from .calculus import (BackLeaf, LEAF_KINDS, OpenLeaf, ProofNode, Rule, Sequent,
-                       fold_tree, node_map, node_sequent_from_sexpr,
-                       node_sequent_to_sexpr_str, rule_from_sexpr, rule_to_sexpr_str)
+                       fold_tree, node_map)
 from .checker import Violation, validate
-from .syntax import ParseError
+from .records import Record
 
 
 @dataclass(frozen=True)
@@ -196,50 +194,22 @@ def prefix_equal(a: ProofNode, b: ProofNode) -> bool:
 
 # --- graph file format -----------------------------------------------------------
 
-def render_graph(g: RegularProofGraph) -> str:
-    lines = ["(graph", f"  (root {g.root})"]
-    for gn in g.nodes.values():
-        seq = node_sequent_to_sexpr_str(gn.sequent, gn.vars)
-        kids = "".join(f" {c}" for c in gn.children)
-        lines.append(f"  (gnode :id {gn.id} {seq} {rule_to_sexpr_str(gn.rule)}"
-                     f" (children{kids}))")
-    return "\n".join(lines) + ")"
-
-
-def graph_from_sexpr(value) -> RegularProofGraph:
-    if not isinstance(value, list) or not value or value[0] != "graph":
-        raise ParseError("expected (graph ...)")
-    root = None
+def _graph(root: str, gnodes) -> RegularProofGraph:
     nodes: Dict[str, GNode] = {}
-    memo: dict = {}   # the document's memo (see the syntax module docstring)
-    for item in value[1:]:
-        if not isinstance(item, list) or not item:
-            raise ParseError(f"bad graph entry {sexpr.excerpt(item)}")
-        if item[0] == "root" and len(item) == 2 and isinstance(item[1], str):
-            root = item[1]
-        elif item[0] == "gnode":
-            if len(item) != 6 or item[1] != ":id" or not isinstance(item[2], str):
-                raise ParseError(f"bad gnode {sexpr.excerpt(item)}")
-            nid = item[2]
-            if nid in nodes:
-                raise ParseError(f"duplicate node id {nid}")
-            seq, vs = node_sequent_from_sexpr(item[3], memo)
-            rule = rule_from_sexpr(item[4], memo)
-            kidsform = item[5]
-            if not isinstance(kidsform, list) or not kidsform \
-                    or kidsform[0] != "children" \
-                    or not all(isinstance(c, str) for c in kidsform[1:]):
-                raise ParseError(f"bad children list {sexpr.excerpt(item)}")
-            nodes[nid] = GNode(nid, seq, vs, rule, tuple(kidsform[1:]))
-        else:
-            raise ParseError(f"bad graph entry {sexpr.excerpt(item)}")
-    if root is None:
-        raise ParseError("graph lacks a root")
-    try:
-        return RegularProofGraph(root, nodes)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    for gn in gnodes:
+        if nodes.setdefault(gn.id, gn) is not gn:
+            raise ValueError(f"duplicate node id {gn.id}")
+    return RegularProofGraph(root, nodes)
 
 
-def parse_graph(text: str) -> RegularProofGraph:
-    return graph_from_sexpr(sexpr.parse(text, share=True))
+GRAPH = Record("""
+    (graph (root i)
+           (gnode* ":id" i a r (children i*)))""",
+    types={"graph": (_graph, lambda g: (g.root, g.nodes.values())),
+           "gnode": (lambda nid, sv, rule, kids: GNode(nid, *sv, rule, kids),
+                     lambda gn: (gn.id, (gn.sequent, gn.vars), gn.rule, gn.children))})
+
+
+render_graph = GRAPH.render
+graph_from_sexpr = GRAPH.read
+parse_graph = GRAPH.parse

@@ -40,16 +40,15 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from . import sexpr
 from .annotation import Mode, System
 from .calculus import AllRule, BackLeaf, CaseRule, ProofNode, Sequent, walk
 from .checker import validate
 from .derived import desugar
+from .records import Record, fields_of
 from .semantics import (DEFAULT_CUTOFF, DEFAULT_VALUE_BOUND, TV,
                         all_assignments, eval_formula, sequent_truth)
-from .syntax import (And, All, AllLe, Add, BOT, Eq, Formula, Or, ParseError,
-                     Succ, TOP, V, Var, ZERO, formula_from_sexpr, iff, impl,
-                     negate, substitute)
+from .syntax import (And, All, AllLe, Add, BOT, Eq, Formula, Or, Succ, TOP, V,
+                     Var, ZERO, iff, impl, negate, substitute)
 
 
 class NoRootCycle:
@@ -80,6 +79,7 @@ STATUS_UNCHECKED = "unchecked"
 STATUS_TRUE = "bounded-true"
 STATUS_UNKNOWN = "bounded-unknown"
 STATUS_FALSE = "false"  # diagnostic only: flags an extractor bug
+STATUSES = (STATUS_UNCHECKED, STATUS_TRUE, STATUS_UNKNOWN, STATUS_FALSE)
 
 KINDS = ("base", "step", "side-equiv", "theta-gamma", "root-discharge")
 
@@ -450,106 +450,35 @@ def certificate_with_theta(cert: InductionCertificate,
 
 # --- certificate file format ------------------------------------------------------
 
-def render_certificate(cert: InductionCertificate) -> str:
-    lines = ["(certificate",
-             f"  (level {cert.level})",
-             f"  (mode {cert.system})",
-             f"  (root {cert.root})",
-             f"  (m{_ids(cert.m_nodes)})",
-             f"  (phi-root {cert.phi_root.sx}"
-             + (" trivial)" if cert.phi_root_trivial else ")"),
-             f"  (theta {cert.theta.sx})",
-             f"  (zeta {cert.zeta.sx})",
-             f"  (fresh {cert.fresh_z.name})",
-             f"  (case-vars{_names(cert.case_vars)})",
-             f"  (B{_names(cert.b_vars)})",
-             f"  (C{_ids(cert.c_nodes)})",
-             "  (ranks" + "".join(f" ({nid} {cert.ranks[nid]})"
-                                  for nid in sorted(cert.ranks)) + ")"]
-    for ob in cert.obligations:
-        about = _ids(ob.about)
-        lines.append(f"  (obligation (kind {ob.kind}) (formula {ob.formula.sx})"
-                     f" (desugared {ob.desugared.sx}) (status {ob.status})"
-                     f" (about{about}))")
-    for u, v, tag in cert.edge_tags:
-        lines.append(f"  (edge-just ({u} {v} {tag}))")
-    for note in cert.notes:
-        lines.append(f"  (note {sexpr.render(sexpr.QuotedString(note))})")
-    return "\n".join(lines) + ")"
+def _ranks(pairs) -> Dict[str, int]:
+    if [nid for nid, _ in pairs] != sorted({nid for nid, _ in pairs}):
+        raise ValueError("ranks must name each node once, in order")
+    return dict(pairs)
 
 
-def _ids(ids) -> str:
-    return "".join(f" {i}" for i in ids)
+CERTIFICATE = Record("""
+    (certificate (level n) (mode system) (root i) (m i*) (phi-root f "trivial?")
+                 (theta f) (zeta f) (fresh v) (case-vars v*) (B v*) (C i*)
+                 (ranks (_* i n))
+                 (obligation* (kind kind) (formula f) (desugared f) (status status)
+                              (about i*))
+                 (edge-just* (_ i i tag))
+                 (note* q))""",
+    sets={"system": tuple(System), "kind": KINDS, "status": STATUSES,
+          "tag": EDGE_TAGS.values()},
+    types={"certificate": fields_of(InductionCertificate, """level system root m_nodes
+                   phi_root phi_root_trivial theta zeta fresh_z case_vars b_vars
+                   c_nodes ranks obligations edge_tags notes"""),
+           "obligation": fields_of(Obligation, "kind formula desugared status about"),
+           "ranks": (_ranks, lambda ranks: [sorted(ranks.items())])},
+    invariants=[("phi-root is trivial exactly when it is (eq 0 0)",
+                 lambda c: c.phi_root_trivial == (c.phi_root == TOP)),
+                ("ranks must name exactly the nodes of m",
+                 lambda c: set(c.ranks) == set(c.m_nodes))])
 
 
-def _names(vs) -> str:
-    return "".join(f" {v.name}" for v in vs)
-
-
-# The single-valued entries render_certificate writes, and the fields of
-# its obligations; obligation, edge-just and note entries may repeat.
-_CERTIFICATE_ENTRIES = {"level", "mode", "root", "m", "phi-root", "theta", "zeta",
-                        "fresh", "case-vars", "B", "C", "ranks"}
-_OBLIGATION_FIELDS = {"kind", "formula", "desugared", "status", "about"}
-
-
-def certificate_from_sexpr(value) -> InductionCertificate:
-    if not isinstance(value, list) or not value or value[0] != "certificate":
-        raise ParseError("expected (certificate ...)")
-    fields: Dict[str, object] = {"obligations": [], "edges": [], "notes": []}
-    for item in value[1:]:
-        if not isinstance(item, list) or not item:
-            raise ParseError(f"bad certificate entry {sexpr.excerpt(item)}")
-        try:
-            head = item[0]
-            if head == "obligation":
-                sub = {e[0]: e[1:] for e in item[1:]}
-                if not sub.keys() <= _OBLIGATION_FIELDS:
-                    raise ValueError("unknown obligation field")
-                fields["obligations"].append(Obligation(
-                    kind=sub["kind"][0],
-                    formula=formula_from_sexpr(sub["formula"][0]),
-                    desugared=formula_from_sexpr(sub["desugared"][0]),
-                    status=sub.get("status", [STATUS_UNCHECKED])[0],
-                    about=tuple(sub.get("about", []))))
-            elif head == "edge-just":
-                u, v, tag = item[1]
-                fields["edges"].append((u, v, tag))
-            elif head == "note":
-                fields["notes"].append(str(item[1]))
-            elif head in _CERTIFICATE_ENTRIES:
-                fields[head] = item[1:]
-            else:
-                raise ValueError(f"unknown entry {head}")
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad certificate entry {sexpr.excerpt(item)}") from exc
-    try:
-        theta = formula_from_sexpr(fields["theta"][0])
-        zeta = formula_from_sexpr(fields["zeta"][0])
-        phi_entry = fields["phi-root"]
-        ranks = {pair[0]: int(pair[1]) for pair in fields["ranks"]}
-        return InductionCertificate(
-            level=int(fields["level"][0]),
-            system=System(fields["mode"][0]),
-            root=fields["root"][0],
-            m_nodes=tuple(fields["m"]),
-            c_nodes=tuple(fields["C"]),
-            b_vars=tuple(Var(nm) for nm in fields["B"]),
-            case_vars=tuple(Var(nm) for nm in fields["case-vars"]),
-            fresh_z=Var(fields["fresh"][0]),
-            theta=theta, zeta=zeta,
-            phi_root=formula_from_sexpr(phi_entry[0]),
-            phi_root_trivial=len(phi_entry) > 1 and phi_entry[1] == "trivial",
-            ranks=ranks,
-            obligations=tuple(fields["obligations"]),
-            edge_tags=tuple(fields["edges"]),
-            notes=tuple(fields["notes"]))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ParseError(f"incomplete certificate: {exc}") from exc
-
-
-def parse_certificate(text: str) -> InductionCertificate:
-    return certificate_from_sexpr(sexpr.parse(text))
+render_certificate = CERTIFICATE.render
+parse_certificate = CERTIFICATE.parse
 
 
 def render_certificates(certs: Iterable[InductionCertificate]) -> str:

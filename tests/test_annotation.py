@@ -171,3 +171,13 @@ def test_parse_aseq():
     assert aa.vars == frozenset([x, y])
     bare = parse_aseq("(aseq (seq) (vars))")
     assert bare.vars == frozenset()
+
+
+@pytest.mark.parametrize("system", [System.SN, System.SPI])
+def test_all_keeps_the_annotation_only_for_an_instance_in_the_class(system):
+    # all y ex w (w = y + x): its instance at z is Sigma_1, outside Pi_1
+    w = Var("w")
+    phi = All(y, Ex(w, Eq(V(w), Add(V(y), V(x)))))
+    conclusion = AnnotatedSequent(Sequent([phi]), frozenset({x}))
+    assert propagate(conclusion, AllRule(phi, z), Mode(system, 0)) == [frozenset()]
+    assert propagate(conclusion, AllRule(phi, z), Mode(system, 1)) == [frozenset({x})]

@@ -444,7 +444,7 @@ def test_one_argument_too_many_or_too_few_is_a_bad_rule():
 
 
 @pytest.mark.parametrize("rule", ["(rule axiom)", "(and (eq 0 0))", "(rule (x) (eq 0 0))",
-                                  "((x) (eq 0 0))", "(rule)", "(back (x))", "x"])
+                                  "((x) (eq 0 0))", "(rule)", "(back (x))", '(back "n0")', "x"])
 def test_malformed_rules_are_parse_errors_in_proofs_and_graphs(rule):
     with pytest.raises(ParseError, match=r"^bad rule "):
         rule_from_sexpr(sexpr.parse(rule))
@@ -463,3 +463,10 @@ def test_readme_and_module_docstring_name_exactly_the_rules():
     listed = re.search(r"with leaves (.*?)\.\n", readme, re.S)[1]
     assert sorted(re.findall(r"`\((\w+)", listed)) == leaves
     assert "`(assume f)`" in listed
+
+
+@pytest.mark.parametrize("leaf", [AxiomLeaf(), AssumeLeaf(Eq(Zero(), Zero())), OpenLeaf(),
+                                  BackLeaf("n0")])
+def test_a_leaf_has_no_premises(leaf):
+    with pytest.raises(ArgMismatch, match=f"^{leaf.name} has no premises$"):
+        premises_of(Sequent([Eq(Zero(), Zero())]), leaf)

@@ -567,3 +567,13 @@ def test_eval_deep_numeral_equation(capsys, head, want):
     num = "(s " * 200000 + "0" + ")" * 200000
     rc, out, err = _run(capsys, ["eval", f"({head} {num} {num})"])
     assert (rc, out, err) == (0, want + "\n", "")
+
+
+def test_check_refuses_an_open_assumed_formula(capsys, tmp_path):
+    # an --assume file may hold an open formula; the leaf check refuses it
+    proof, assume = tmp_path / "a.prf", tmp_path / "a.assume"
+    proof.write_text("(node :id a (seq (eq x 0)) (assume (eq x 0)))\n")
+    assume.write_text("(eq x 0)\n")
+    rc, out, _ = _run(capsys, ["check", str(proof), "--assume", str(assume)])
+    assert rc == 1
+    assert "Tree at a: assumed formula must be a sentence" in out

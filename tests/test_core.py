@@ -22,7 +22,7 @@ import pytest
 
 import cyclarith
 
-CORE = ("sexpr", "syntax", "calculus", "annotation", "checker")
+CORE = ("sexpr", "syntax", "calculus", "records", "annotation", "checker")
 
 
 def _outside_imports(source: str):
@@ -119,7 +119,9 @@ def _self_reaching(source: str):
     a nested function's calls count for the function around it too.  Calls
     through other objects are not edges, nor is indexing: `sexpr._Blocks`
     recurses from `__missing__` through `self[...]`, which this cannot see,
-    and is bounded there by BLOCK_DEPTH.
+    and is bounded there by BLOCK_DEPTH; `records.Record` reads and writes
+    its nested records through the functions its slots hold, bounded by the
+    depth of its template.
     """
     defs = [node for node in ast.walk(ast.parse(source))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]

@@ -1,0 +1,207 @@
+"""Mutation check of the kernel's judgement functions.
+
+Each mutant changes one condition of one judgement function: an `if` test
+made False (the guard deleted) or True, an operand dropped from `and` or
+`or`, a `not` dropped, or a comparison turned into its neighbour (`==` and
+`!=`, `<` and `<=`, `in` and `not in`, `is` and `is not`).  For each
+mutant the tier-1 suite runs with `-x` against a copy of `src/`, `tests/`
+and the files the tests read in a temporary directory, so the working tree
+is never changed.  As many mutants run at once as the process has CPUs,
+each in its own copy.  A mutant is killed when a test fails or the run
+times out, and survives when every test passes.  A surviving mutant is
+either a gap in the tests or an equivalent mutant, one that cannot change
+any result.  A control run of the unmutated code, as `ast.unparse` writes it
+back, goes first.
+
+    python3 tools/mutate.py src/cyclarith/checker.py [MODULE ...]
+
+Only `ast` and the standard library are used.  Test files run in the order
+below, the ones that judge proofs first, so that a mutant is usually killed
+early; the set of tests is the whole tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import queue
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 900   # seconds: a mutant that loops forever is killed, not waited for
+
+# The judgement functions of each module; "Class.method" names a method.
+JUDGEMENTS = {
+    "checker": ["validate", "_check_local", "_check_leaf", "_crosses_case_right",
+                "_path_down"],
+    "annotation": ["propagate", "Mode.in_restriction"],
+    "calculus": ["premises_of", "check_step", "is_axiom"],
+    "syntax": ["negate", "substitute", "is_in"],
+}
+FIRST = ("test_checker.py", "test_calculus.py", "test_annotation.py", "test_acceptance.py",
+         "test_transform.py", "test_uncycle.py", "test_cli.py")
+FLIP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
+        ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.In: ast.NotIn, ast.NotIn: ast.In,
+        ast.Is: ast.IsNot, ast.IsNot: ast.Is}
+
+
+def _functions(tree: ast.Module, names):
+    """The function definitions of tree that names lists."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            out.append(node)
+        elif isinstance(node, ast.ClassDef):
+            out += [f for f in node.body if isinstance(f, ast.FunctionDef)
+                    and f"{node.name}.{f.name}" in names]
+    return out
+
+
+def _sites(func: ast.FunctionDef):
+    """(node, change, label) for every condition of func: change() makes
+    the mutant in place and returns a function that undoes it."""
+    parents = {child: node for node in ast.walk(func) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(func):
+        if isinstance(node, ast.If):
+            for value in (False, True):
+                yield node, _setter(node, "test", ast.Constant(value)), f"if -> {value}"
+        elif isinstance(node, ast.BoolOp):
+            word = "and" if isinstance(node.op, ast.And) else "or"
+            for i in range(len(node.values)):
+                kept = node.values[:i] + node.values[i + 1:]
+                new = kept[0] if len(kept) == 1 else ast.BoolOp(node.op, kept)
+                yield node, _replace(parents[node], node, new), \
+                    f"drop operand {i + 1} of {word}"
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            yield node, _replace(parents[node], node, node.operand), "drop not"
+        elif isinstance(node, ast.Compare):
+            for i, op in enumerate(node.ops):
+                if type(op) in FLIP:
+                    ops = node.ops[:i] + [FLIP[type(op)]()] + node.ops[i + 1:]
+                    yield node, _setter(node, "ops", ops), \
+                        f"{type(op).__name__} -> {FLIP[type(op)].__name__}"
+
+
+def _setter(node, field, value):
+    def change():
+        old = getattr(node, field)
+        setattr(node, field, value)
+        return lambda: setattr(node, field, old)
+    return change
+
+
+def _replace(parent, node, new):
+    """A change that puts new where node stands in parent."""
+    for field, value in ast.iter_fields(parent):
+        if value is node:
+            return _setter(parent, field, new)
+        if isinstance(value, list) and any(v is node for v in value):
+            i = next(k for k, v in enumerate(value) if v is node)
+            return _setter(parent, field, value[:i] + [new] + value[i + 1:])
+    raise ValueError("node not under parent")
+
+
+def mutants(path: Path):
+    """(function, line:column, label, source) for each mutant of path."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    for func in _functions(tree, JUDGEMENTS[path.stem]):
+        for node, change, label in list(_sites(func)):
+            undo = change()
+            mutated = ast.unparse(tree)
+            undo()
+            yield func.name, f"{node.lineno}:{node.col_offset + 1}", label, mutated
+
+
+def _copy() -> Path:
+    work = Path(tempfile.mkdtemp(prefix="mutate-"))
+    for sub in ("src", "tests"):
+        shutil.copytree(ROOT / sub, work / sub,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    for name in ("pyproject.toml", "README.md"):     # tests read both
+        shutil.copy(ROOT / name, work / name)
+    return work
+
+
+def _tests(work: Path):
+    names = sorted(p.name for p in (work / "tests").glob("test_*.py"))
+    return [f"tests/{n}" for n in FIRST if n in names] + \
+        [f"tests/{n}" for n in names if n not in FIRST]
+
+
+def run(work: Path):
+    """(outcome, detail) of the tier-1 suite in work: killed or survived."""
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors", *_tests(work)]
+    try:
+        done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return "killed", "timeout"
+    if done.returncode == 0:
+        return "survived", ""
+    failed = [line.split(" - ")[0] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return "killed", failed[0] if failed else f"exit {done.returncode}"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("modules", nargs="+", type=Path)
+    args = p.parse_args(argv)
+    paths = [path.resolve() for path in args.modules]
+    todo = [(path, m) for path in paths for m in mutants(path)]
+    print(f"{len(todo)} mutants", flush=True)
+    copies = [_copy() for _ in os.sched_getaffinity(0)]     # one mutant per CPU at once
+    free: queue.SimpleQueue = queue.SimpleQueue()     # the copies no mutant is using
+    for work in copies:
+        free.put(work)
+
+    def one(item):
+        path, (func, line, label, source) = item
+        work = free.get()
+        target = work / path.relative_to(ROOT)
+        start = time.monotonic()
+        try:
+            target.write_text(source)
+            outcome, detail = run(work)
+        finally:
+            shutil.copy(path, target)
+            free.put(work)
+        print(f"{path.name}:{line} {func}: {label}: {outcome} {detail} "
+              f"({time.monotonic() - start:.0f} s)", flush=True)
+        return path.name, outcome
+
+    try:
+        # the control: each module as ast.unparse writes it back, unmutated
+        for path in paths:
+            control = ast.unparse(ast.parse(path.read_text()))
+            (copies[0] / path.relative_to(ROOT)).write_text(control)
+        outcome, detail = run(copies[0])
+        for path in paths:
+            shutil.copy(path, copies[0] / path.relative_to(ROOT))
+        if outcome != "survived":
+            print(f"the unmutated code fails: {detail}")
+            return 1
+        with ThreadPoolExecutor(len(copies)) as pool:
+            results = list(pool.map(one, todo))
+    finally:
+        for work in copies:
+            shutil.rmtree(work, ignore_errors=True)
+    for path in paths:
+        outcomes = [outcome for name, outcome in results if name == path.name]
+        print(f"{path.name}: {outcomes.count('killed')} killed, "
+              f"{outcomes.count('survived')} survived of {len(outcomes)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
