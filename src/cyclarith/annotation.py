@@ -112,10 +112,13 @@ def annotate_tree(root: ProofNode, root_vars, mode: Mode) -> ProofNode:
 
     Works on cyclic trees too; back-reference leaves are annotated by their
     tree position (whether that matches their target is the checker's job).
+    A child the rule gives no premise for, such as a leaf's, is kept with
+    the empty annotation, so that the checker sees and reports it.
     """
     def visit(item):
         node, vs = item
         anns = propagate(AnnotatedSequent(node.sequent, vs), node.rule, mode)
+        anns += [EMPTY] * (len(node.children) - len(anns))
         return item, list(zip(node.children, anns))
 
     def build(item, kids) -> ProofNode:

@@ -23,7 +23,9 @@ document (see syntax), in which sequents are kept under their own kind,
 "sequent", beside formulas and terms.  A formula that a premise repeats
 from its conclusion is then converted once, and a back-link leaf's
 sequent, the same text as its target's, is the target's Sequent object.
-The memo dies with the call.
+The memo dies with the call.  Heads, `:id`, node ids and rule names are
+atoms, and quoted text equals no atom (see sexpr), so `(node :id "a" ...)`
+or `("axiom")` is refused; every refusal is a ParseError.
 
 File format:
     (node :id L <sequent> <rule> <child>*)
@@ -547,8 +549,9 @@ def _node_from_sexpr(value, memo: dict) -> ProofNode:
                 or value[1] != ":id":
             raise ParseError(f"bad proof node {sexpr.excerpt(value)}")
         label = value[2]
-        if not isinstance(label, str) or isinstance(label, list) or not label:
-            raise ParseError("node id must be an atom")
+        if label.__class__ is not str:     # a list, a Chain, or quoted text, named
+            got = f", got {sexpr.excerpt(label)}" if isinstance(label, str) else ""
+            raise ParseError(f"node id must be an atom{got}")
         seq, vs = node_sequent_from_sexpr(value[3], memo)
         if len(value) < 5:
             raise ParseError(f"node {label} is missing its rule")
@@ -565,10 +568,7 @@ def _node_from_sexpr(value, memo: dict) -> ProofNode:
 
 
 def parse_proof(text: str) -> ProofNode:
-    try:
-        return proof_from_sexpr(sexpr.parse(text, share=True))
-    except sexpr.SexprError as exc:
-        raise ParseError(str(exc)) from exc
+    return proof_from_sexpr(sexpr.parse(text))
 
 
 def render_proof(root: ProofNode) -> str:

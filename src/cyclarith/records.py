@@ -74,7 +74,7 @@ class Record:
             elif isinstance(item, sexpr.QuotedString):      # an atom as it is
                 a = item.rstrip(OPTIONAL)
                 self.slots.append(Slot(item[len(a):], 0,
-                                       lambda it, a=a: it == a and it.__class__ is str,
+                                       lambda it, a=a: it == a,
                                        lambda it, memo: [], lambda values, a=a: a, a))
             else:
                 name = item.rstrip(MANY)
@@ -89,8 +89,8 @@ class Record:
             slot.width if slot.count == ONE else 1 for slot in self.slots)
 
     def parse(self, text: str):
-        """The record of text, read sharing the lists it repeats (see sexpr)."""
-        return self.read(sexpr.parse(text, share=True))
+        """The record of text."""
+        return self.read(sexpr.parse(text))
 
     def read(self, value):
         """The record of value; a ParseError names the entry at fault."""

@@ -2,41 +2,41 @@
 
 Values are nested Python lists whose leaves are atom strings and successor
 chains (`Chain`, below).  Double-quoted strings are supported for free-text
-payloads (violation messages); they parse to a `QuotedString` so that atoms
-and strings round-trip unambiguously.
+payloads (violation messages); they parse to a `QuotedString`, which equals
+only quoted text with the same characters and never an atom, so a reader
+that compares a head, keyword or id with an atom rejects quoted text there.
 
 The reader splits the text into tokens with one regular expression and
 builds the lists in a single loop with an explicit stack, so its time is
 linear in the input and nesting depth costs no recursion.  `;` starts a
-comment that runs to the end of the line.
+comment that runs to the end of the line.  Every error is a `SexprError`,
+a `ParseError` that carries the offset `pos`; the readers built on this
+one raise `ParseError` too, so one except clause catches every unreadable
+input.
 
-With `share=True` the reader makes equal lists one object: each list, when
-it closes, is looked up in a table of the lists read so far, keyed by the
-tuple of its items, and a list read before is used in its place.  Items that
-are lists hash by identity, so the key costs one tuple per list, and as the
-lists below were shared first, equal keys mean equal lists.  The proof and
-graph readers use it, so that their converters can memoise on identity.  A
-shared value must never be mutated: every place it occurs would change with
-it.  A quoted string equals the atom with its text, so the first quoted
-string ends sharing for the rest of the read; documents read with sharing
-hold none.  The table dies with the read.
+The reader makes equal lists one object: each list, when it closes, is
+looked up in a table of the lists read so far, keyed by the tuple of its
+items, and a list read before is used in its place.  Items that are lists
+hash by identity, so the key costs one tuple per list, and as the lists
+below were shared first, equal keys mean equal lists.  The converters of
+documents memoise on identity (see syntax).  A value read must never be
+mutated: every place it occurs would change with it.  The table dies with
+the read.
 
-A shared read also takes a whole list nested at most `BLOCK_DEPTH` deep that
+The reader also takes a whole list nested at most `BLOCK_DEPTH` deep that
 holds no `"` and no `;` as one block token.  Inside a block every other
 character is whitespace or part of an atom, so the block's own tokens are
-the ones the plain tokeniser would give.  A per-read memo maps each block's
-text to its list: a block seen before costs one dict lookup, and a new one
-is read from its inner text, its own blocks through the same memo, and then
+the ones single tokens would give.  A per-read memo maps each block's text
+to its list: a block seen before costs one dict lookup, and a new one is
+read from its inner text, its own blocks through the same memo, and then
 looked up in the table of shared lists, so equal lists spaced differently
 are still one object.  Proof files repeat each node's sequent in its
-premises, so most of their lists are blocks met before.  Blocks never hold
-quoted strings, so they stay shared after a quoted string has ended the
-sharing of other lists.  The possessive quantifiers of the block pattern
-keep a failed attempt on a deeper list from backtracking; that needs
-Python 3.11.
+premises, so most of their lists are blocks met before.  The possessive
+quantifiers of the block pattern keep a failed attempt on a deeper list
+from backtracking; that needs Python 3.11.
 
-Numerals are successor chains, `(s (s ... 0))`, often thousands deep.  Both
-reads take a run of at least `CHAIN_RUN` `(s` opens, each followed by
+Numerals are successor chains, `(s (s ... 0))`, often thousands deep.  The
+reader takes a run of at least `CHAIN_RUN` `(s` opens, each followed by
 whitespace, the atom after them, if any, and the closes after that as one
 chain token, and a run of at least `CHAIN_RUN` closes, such as the one that
 ends a chain around a list, `(s (s ... (add x y)))`, as one token too.
@@ -64,29 +64,47 @@ import re
 from operator import length_hint
 
 
-class SexprError(Exception):
+class ParseError(Exception):
+    """Text that a reader of this package does not accept."""
+
+
+class SexprError(ParseError):
+    """Text that is no s-expression; `pos` is the offset of the fault."""
+
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at offset {pos})")
         self.pos = pos
 
 
 class QuotedString(str):
-    """Atom that renders with double quotes."""
+    """Free text, rendered with double quotes.  It equals only quoted text
+    with the same characters: never an atom, so a quoted head, keyword or
+    id matches nothing a reader looks for."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is QuotedString and str.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = str.__hash__
 
 
 class _Shared(list):
-    """List made by a shared read; hashed by identity, so that a tuple of a
+    """List made by the reader; hashed by identity, so that a tuple of a
     list's items can be a key of the table of shared lists."""
 
     __slots__ = ()
     __hash__ = object.__hash__
 
 
-# One alternative per token kind; every character of the input either starts a
+# One alternative per single token; every character of the input either starts a
 # token or is whitespace (" \t\r\n"), which no alternative matches.  A lone
 # '"' is a string that never closes.
 _ATOM = r'[^()" \t\r\n;][^()" \t\r\n]*'
-_PLAIN_TOKEN = re.compile(rf'[()]|"[^"\\]*(?:\\.[^"\\]*)*"|"|;[^\n]*|{_ATOM}', re.S)
+_SINGLE = rf'[()]|"[^"\\]*(?:\\.[^"\\]*)*"|"|;[^\n]*|{_ATOM}'
 _ESCAPE = re.compile(r"\\(.)", re.S)
 
 # A list nested at most BLOCK_DEPTH deep with no '"' and no ';' in it.
@@ -94,12 +112,12 @@ BLOCK_DEPTH = 8
 _BLOCK = r'\([^()";]*+\)'
 for _ in range(BLOCK_DEPTH - 1):
     _BLOCK = rf'\([^()";]*+(?:{_BLOCK}[^()";]*+)*+\)'
-_BLOCK_TOKEN = re.compile(_BLOCK + "|" + _PLAIN_TOKEN.pattern, re.S)
+_BLOCK_TOKEN = re.compile(_BLOCK + "|" + _SINGLE, re.S)     # the chain-free read
 
 # A successor chain: a run of at least CHAIN_RUN "(s" opens, each followed
 # by whitespace, an optional atom and the closes after it; and a run of at
-# least CHAIN_RUN closes, such as the one after a chain around a list.  Both
-# readers try them first.  A shorter run reads faster as single tokens, or
+# least CHAIN_RUN closes, such as the one after a chain around a list.  The
+# read tries them first.  A shorter run reads faster as single tokens, or
 # as a block.  The first CHAIN_RUN steps are written out, not counted: a
 # pattern that starts with a counted repeat makes the regex engine set up
 # the repeat at every character, while `\(s` fails at once where it does
@@ -110,12 +128,11 @@ _CLOSE = r'[ \t\r\n]*+\)'
 _CHAIN = (rf'{_OPEN * CHAIN_RUN}(?:{_OPEN})*+(?:{_ATOM})?+(?:{_CLOSE})*+'
           rf'|\){_CLOSE * (CHAIN_RUN - 1)}(?:{_CLOSE})*+')
 _CHAIN_START = re.compile(_OPEN * CHAIN_RUN)    # a chain, not a block like (s x)
-_TOKEN = re.compile(_CHAIN + "|" + _PLAIN_TOKEN.pattern, re.S)
-_SHARED_TOKEN = re.compile(_CHAIN + "|" + _BLOCK_TOKEN.pattern, re.S)
+_TOKEN = re.compile(_CHAIN + "|" + _BLOCK_TOKEN.pattern, re.S)
 
 
 class _Blocks(dict):
-    """Block text -> its list, for one shared read.  A block met for the
+    """Block text -> its list, for one read.  A block met for the
     first time is read from its inner text, its own blocks through this
     memo, and then goes through `shared`, the read's table of lists."""
 
@@ -202,28 +219,25 @@ def _error(message: str, text: str, token: re.Pattern, tokens: list,
     return SexprError(message, len(text))
 
 
-def _read(text: str, once: bool, share: bool = False):
+def _read(text: str, once: bool):
     """The values of text (see `_scan`); on an error, the read without chain
     tokens says which, and where."""
     try:
-        return _scan(text, once, share, True)
+        return _scan(text, once, True)
     except SexprError:
-        return _scan(text, once, share, False)
+        return _scan(text, once, False)
 
 
-def _scan(text: str, once: bool, share: bool, chains: bool):
-    """The values of text, in one pass over its tokens with an explicit
-    stack; with once, the single value and nothing but comments after it;
-    with share, equal lists made one object; with chains, successor chains
-    and runs of closes taken as one token each (see the module docstring)."""
-    if share:
-        token = _SHARED_TOKEN if chains else _BLOCK_TOKEN
-    else:
-        token = _TOKEN if chains else _PLAIN_TOKEN
+def _scan(text: str, once: bool, chains: bool):
+    """The values of text, equal lists one object, in one pass over its
+    tokens with an explicit stack; with once, the single value and nothing
+    but comments after it; with chains, successor chains and runs of closes
+    taken as one token each (see the module docstring)."""
+    token = _TOKEN if chains else _BLOCK_TOKEN
     tokens = token.findall(text)
     rest = iter(tokens)
     shared: dict = {}      # tuple of a list's items -> the list
-    blocks = _Blocks(shared) if share else None
+    blocks = _Blocks(shared)
     runs = _Runs()
     values: list = []
     stack: list = []       # the lists enclosing `items`
@@ -231,21 +245,19 @@ def _scan(text: str, once: bool, share: bool, chains: bool):
     for tok in rest:
         if tok == "(":
             stack.append(items)
-            items = _Shared() if share else []
+            items = _Shared()
             continue
         if tok == ")":
             if not stack:
                 raise _error("unmatched ')'", text, token, tokens, rest)
             done = items
-            if share:
-                done = shared.setdefault(tuple(done), done)
             items = stack.pop()
-            items.append(done)
+            items.append(shared.setdefault(tuple(done), done))
         elif tok[0] in '(;")':
             if tok[0] == ";":
                 continue
             if tok[0] == "(" and not (chains and tok[1] == "s"):
-                items.append(blocks[tok])   # a block; shared reads only
+                items.append(blocks[tok])   # a block
             elif tok[0] == '"':
                 if len(tok) == 1:
                     raise _error("unterminated string", text, token, tokens, rest)
@@ -253,7 +265,6 @@ def _scan(text: str, once: bool, share: bool, chains: bool):
                 if "\\" in body:
                     body = _ESCAPE.sub(r"\1", body)
                 items.append(QuotedString(body))
-                share = False
             elif (run := runs[tok]) is None:    # a block that starts like a chain
                 items.append(blocks[tok])
             else:
@@ -261,17 +272,15 @@ def _scan(text: str, once: bool, share: bool, chains: bool):
                 opens, value, closes = run
                 for _ in range(opens):
                     stack.append(items)
-                    items = _Shared(("s",)) if share else ["s"]
+                    items = _Shared(("s",))
                 if value is not None:
                     items.append(value)
                 for _ in range(closes):
                     if not stack:
                         raise _error("unmatched ')'", text, token, tokens, rest)
                     done = items
-                    if share:
-                        done = shared.setdefault(tuple(done), done)
                     items = stack.pop()
-                    items.append(done)
+                    items.append(shared.setdefault(tuple(done), done))
         else:
             items.append(tok)
         if once and not stack:
@@ -286,8 +295,8 @@ def _scan(text: str, once: bool, share: bool, chains: bool):
     return values
 
 
-def parse(text: str, share: bool = False):
-    return _read(text, True, share)
+def parse(text: str):
+    return _read(text, True)
 
 
 def parse_many(text: str):

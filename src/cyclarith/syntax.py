@@ -29,12 +29,15 @@ s-expression `sx` is rendered on first use, without recursion, and cached on
 the node it was asked of only, so a deep term costs memory linear in its
 size.  `sx` is the sort key for sequent normalization.  The reader hands a
 numeral over as one value (`sexpr.Chain`), which becomes its node in one
-step.
+step.  Heads and variables are atoms: quoted text equals no atom (see
+sexpr), and `ident_var` takes only a plain `str`, so `"top"`, `("eq" 0 0)`
+and `(all "x" ...)` raise ParseError, the one error of every reader
+(defined in sexpr, re-exported here).
 
 A document (a proof or a graph) is converted with one memo: a dict that
 holds, for each kind of value ("formula", "term", and calculus's
 "sequent"), a table from the identity of a list to what it converted to.
-The document readers share equal sublists (see sexpr), so a formula, term
+Every read shares equal sublists (see sexpr), so a formula, term
 or sequent that the document repeats is found by identity and converted
 once.  A list is looked up under the kind it is read as, so one met as a
 term and again as a formula is converted, and checked, as each; only
@@ -51,11 +54,7 @@ from dataclasses import dataclass
 from typing import Dict, Union
 
 from . import sexpr
-from .sexpr import Chain
-
-
-class ParseError(Exception):
-    pass
+from .sexpr import Chain, ParseError
 
 
 class CaptureError(Exception):
@@ -584,9 +583,9 @@ def is_in(phi: Formula, kind: str, n: int = 0) -> bool:
 # --- parsing ----------------------------------------------------------------
 
 def ident_var(atom) -> Var:
-    if not isinstance(atom, str) or isinstance(atom, list):
+    if atom.__class__ is not str:
         raise ParseError(f"expected a variable, got {sexpr.excerpt(atom)}")
-    if atom == "0" or not _IDENT_RE.match(atom):
+    if not _IDENT_RE.match(atom):
         raise ParseError(f"bad variable name {atom[:80]!r}")
     return Var(atom)
 
@@ -643,7 +642,7 @@ def _from_sexpr(value, formula: bool, memo: dict = None):
             continue
         v = task[1]
         if kind:
-            if isinstance(v, str):
+            if v.__class__ is str:
                 if v == "top":
                     out.append(TOP)
                 elif v == "bot":
@@ -655,9 +654,9 @@ def _from_sexpr(value, formula: bool, memo: dict = None):
             if node is not None:
                 out.append(node)
                 continue
-            if not v:
+            if v == []:
                 raise ParseError("empty formula")
-            head = v[0] if isinstance(v, list) else None    # else a Chain
+            head = v[0] if isinstance(v, list) else None    # else a Chain or text
             form = _FORMULA_FORMS.get(head) if isinstance(head, str) else None
             if form is None or len(v) != form[1]:
                 raise ParseError(f"bad formula {sexpr.excerpt(v)}")
@@ -694,17 +693,11 @@ def _from_sexpr(value, formula: bool, memo: dict = None):
 
 
 def parse_term(text: str) -> Term:
-    try:
-        return term_from_sexpr(sexpr.parse(text))
-    except sexpr.SexprError as exc:
-        raise ParseError(str(exc)) from exc
+    return term_from_sexpr(sexpr.parse(text))
 
 
 def parse_formula(text: str) -> Formula:
-    try:
-        return formula_from_sexpr(sexpr.parse(text))
-    except sexpr.SexprError as exc:
-        raise ParseError(str(exc)) from exc
+    return formula_from_sexpr(sexpr.parse(text))
 
 
 def render_term(t: Term) -> str:

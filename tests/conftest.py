@@ -42,16 +42,19 @@ from cyclarith import (
     Sequent,
     Succ,
     System,
+    TV,
     V,
     Var,
     WeakRule,
     Zero,
+    all_assignments,
     forall_cycle_proof,
     induction_rule_via_assumptions,
     induction_schema_proof,
     is_annotated,
     numeral,
     prove_ground_atom,
+    sequent_truth,
     tautology,
     two_loops_proof,
     walk,
@@ -234,6 +237,18 @@ def make_rule_instance(rng, name):
         phi = _grid_safe_formula(rng, vars)
         return Sequent(gam + [_grid_safe_atom(rng, vars)]), CutRule(phi)
     raise ValueError(name)
+
+
+def grid_counterexample(concl, prems):
+    """A point of the grid {0..4} at which every premise is true and the
+    conclusion false, or None: the local soundness check of a step."""
+    fv = sorted(set().union(concl.fv, *[p.fv for p in prems]), key=lambda v: v.name)
+    table = {}  # one compile table per rule instance, shared by its grid
+    for env in all_assignments(fv, 4):
+        if all(sequent_truth(p.formulas, env, 8, table) is TV.TRUE for p in prems):
+            if sequent_truth(concl.formulas, env, 8, table) is TV.FALSE:
+                return dict(env)
+    return None
 
 
 RULE_NAMES = [

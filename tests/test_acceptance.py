@@ -57,8 +57,8 @@ from cyclarith import (
     walk,
 )
 
-from conftest import (RULE_NAMES, backlinks, make_rule_instance, random_formula,
-                      random_pi1, rebuild, retarget)
+from conftest import (RULE_NAMES, backlinks, grid_counterexample, make_rule_instance,
+                      random_formula, random_pi1, rebuild, retarget)
 
 x, y = Var("x"), Var("y")
 SN0 = Mode(System.SN, 0)
@@ -104,16 +104,9 @@ def test_criterion_3_local_soundness(rule_instances):
     violations = []
     for name, instances in rule_instances.items():
         for concl, rule in instances:
-            prems = premises_of(concl, rule)
-            fv = sorted(
-                set().union(concl.fv, *[p.fv for p in prems]),
-                key=lambda v: v.name,
-            )
-            table = {}  # one compile table per rule instance, shared by its grid
-            for env in all_assignments(fv, 4):
-                if all(sequent_truth(p.formulas, env, 8, table) is TV.TRUE for p in prems):
-                    if sequent_truth(concl.formulas, env, 8, table) is TV.FALSE:
-                        violations.append((name, concl.sx, dict(env)))
+            env = grid_counterexample(concl, premises_of(concl, rule))
+            if env is not None:
+                violations.append((name, concl.sx, env))
     _line(3, not violations, f"all-True premises never yield a False conclusion on {{0..4}} ({len(violations)} hits)")
     assert violations == [], violations[:3]
 

@@ -9,6 +9,7 @@ from cyclarith import (
     And,
     AndRule,
     AnnotatedSequent,
+    AxiomLeaf,
     CaseRule,
     CutRule,
     Eq,
@@ -28,12 +29,14 @@ from cyclarith import (
     WeakRule,
     Zero,
     annotate_tree,
+    check_tree,
     erase,
     is_annotated,
     numeral,
     parse_aseq,
     propagate,
     render_proof,
+    validate,
 )
 from cyclarith.calculus import ArgMismatch
 
@@ -181,3 +184,22 @@ def test_all_keeps_the_annotation_only_for_an_instance_in_the_class(system):
     conclusion = AnnotatedSequent(Sequent([phi]), frozenset({x}))
     assert propagate(conclusion, AllRule(phi, z), Mode(system, 0)) == [frozenset()]
     assert propagate(conclusion, AllRule(phi, z), Mode(system, 1)) == [frozenset({x})]
+
+
+def _violations(report):
+    return [(v.node_id, v.message) for v in report]
+
+
+@pytest.mark.parametrize("rule, premises", [(AxiomLeaf(), 0), (RefRule(Zero()), 1)])
+def test_annotate_keeps_the_children_a_rule_gives_no_premise_for(rule, premises):
+    # a library-built tree: the reader refuses a node with extra children
+    axiom = Sequent([Eq(Zero(), Zero()), Neq(Zero(), Zero())])
+    seq = axiom if premises == 0 else Sequent([Eq(Zero(), Zero())])
+    kids = tuple(ProofNode(f"k{i}", axiom, AxiomLeaf()) for i in range(premises + 1))
+    node = ProofNode("n", seq, rule, kids)
+    done = annotate_tree(node, frozenset({x}), SN0)
+    assert [(k.id, k.vars) for k in done.children] == \
+        [(k.id, frozenset({x})) for k in kids[:premises]] + [(kids[-1].id, frozenset())]
+    report = validate(done, SN0)
+    assert not report.valid
+    assert _violations(report.violations) == _violations(check_tree(node)) != []

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import re
@@ -61,7 +62,8 @@ from cyclarith.sexpr import SexprError
 from cyclarith.syntax import ParseError
 
 import reference_sexpr
-from conftest import RULE_NAMES, make_rule_instance, mutate_document
+from conftest import (RULE_NAMES, grid_counterexample, make_rule_instance, mutate_document,
+                      random_term)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -198,6 +200,52 @@ def test_check_step_random_instances():
             concl, rule = make_rule_instance(rng, name)
             prems = premises_of(concl, rule)
             assert check_step(concl, rule, prems) is None, name
+
+
+def _ill_formed(rng, concl, rule):
+    """(conclusion, rule) pairs made from a well-formed instance so that the
+    arguments may no longer fit it: the principal with the dual connective,
+    the principal taken out of the conclusion, an eigenvariable free in the
+    conclusion, and (rep) without its t0 != t1, once as made and once with a
+    pattern whose instances differ in truth, so that t0 and t1 matter."""
+    if isinstance(rule, (AndRule, OrRule, AllRule, ExRule)):
+        p = rule.principal
+        if isinstance(p, (And, Or)):
+            flipped = (Or if isinstance(p, And) else And)(p.left, p.right)
+        else:
+            flipped = (Ex if isinstance(p, All) else All)(p.var, p.body)
+        yield concl.remove_one(p).add(flipped), dataclasses.replace(rule, principal=flipped)
+        yield concl.remove_one(p), rule
+    if isinstance(rule, AllRule):
+        yield concl.add(Eq(V(rule.var), numeral(rng.randrange(3)))), rule
+    if isinstance(rule, RepRule):
+        neq = Neq(rule.t0, rule.t1)
+        yield concl.minus([neq]), rule
+        other = RepRule(V(rule.var), numeral(rng.randrange(3)), rule.var, rule.t0,
+                        random_term(rng, 1, [x, y, z]))
+        yield concl.minus([neq, rule.instance(rule.t0)]).add(other.instance(other.t0)), other
+
+
+def test_premises_of_is_sound_or_refuses_on_ill_formed_instances():
+    # the guards of premises_of never fire on make_rule_instance's output;
+    # here every pair it accepts must pass the local soundness check
+    rng = random.Random(31)
+    tried = refused = 0
+    bad = []
+    for name in ("and", "or", "all", "ex", "rep"):
+        for _ in range(60):
+            for concl, rule in _ill_formed(rng, *make_rule_instance(rng, name)):
+                tried += 1
+                try:
+                    prems = premises_of(concl, rule)
+                except ArgMismatch:
+                    refused += 1
+                    continue
+                env = grid_counterexample(concl, prems)
+                if env is not None:
+                    bad.append((rule, concl.sx, env))
+    assert bad == [], bad[:3]
+    assert tried == 60 * (2 + 2 + 3 + 2 + 2) and refused > tried * 0.9
 
 
 def test_check_step_rejects_wrong_premises():
@@ -395,6 +443,18 @@ def test_shared_reading_converts_a_list_again_under_another_kind(text, message):
      "node n2: (axiom) takes 0 premises, got 1"),
 ])
 def test_proof_reading_reports_the_first_error_in_document_order(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_proof(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x", "bad proof node x"),
+    ("(s (s (s (s 0))))", "bad proof node (s (s (s (s 0))))"),    # a Chain, not a list
+    ("(node :id)", "bad proof node (node :id)"),
+    ("(node :id a (seq))", "node a is missing its rule"),
+])
+def test_a_node_without_its_id_sequent_and_rule_is_a_parse_error(text, message):
     with pytest.raises(ParseError) as info:
         parse_proof(text)
     assert str(info.value) == message

@@ -6,11 +6,15 @@ import sys
 import pytest
 
 from cyclarith import (Add, ParseError, numeral, parse_formula, parse_proof,
-                       prove_ground_atom, render_proof)
+                       parse_sequent, parse_term, prove_ground_atom, render_proof)
+from cyclarith.annotation import parse_aseq
+from cyclarith.checker import parse_report
 from cyclarith.cli import build_corpus
-from cyclarith.sexpr import (_SHARED_TOKEN, _TOKEN, BLOCK_DEPTH, CHAIN_RUN, Chain,
+from cyclarith.sexpr import (_CHAIN_START, _TOKEN, BLOCK_DEPTH, CHAIN_RUN, Chain,
                              QuotedString, SexprError, parse, parse_many, render)
 from cyclarith.syntax import term_from_sexpr
+from cyclarith.transform import parse_graph
+from cyclarith.uncycle import parse_certificate
 
 import reference_sexpr
 
@@ -39,14 +43,15 @@ def test_parse_many():
 
 def test_quoted_string_atom():
     v = parse('"hello (world)"')
-    assert v == "hello (world)"
+    assert v == QuotedString("hello (world)")
+    assert v != "hello (world)" and "hello (world)" != v
     assert isinstance(v, QuotedString)
     assert render(v) == '"hello (world)"'
 
 
 def test_quote_escapes():
     v = parse(r'"a\"b\\c"')
-    assert v == 'a"b\\c'
+    assert str(v) == 'a"b\\c'
     assert parse(render(v)) == v
 
 
@@ -179,8 +184,11 @@ def _mutated_corpus_texts():
 
 
 def test_reader_matches_reference_on_mutated_corpus_files():
+    errors = 0
     for text in _mutated_corpus_texts():
         _same_as_reference(text)
+        errors += _outcome(parse, text)[0] == "error"
+    assert errors > 300
 
 
 def test_reader_error_offsets():
@@ -231,6 +239,49 @@ def test_render_is_iterative_in_depth():
         sys.setrecursionlimit(limit)
 
 
+# --- unreadable text and quoted text -------------------------------------
+
+
+@pytest.mark.parametrize("read", [parse, parse_many, parse_term, parse_formula, parse_sequent,
+                                  parse_aseq, parse_proof, parse_report, parse_certificate,
+                                  parse_graph])
+def test_every_reader_raises_parse_error_on_unreadable_text(read):
+    with pytest.raises(ParseError) as info:
+        read("(x")
+    assert isinstance(info.value, SexprError) and info.value.pos == 2
+    assert str(info.value) == "unclosed '(' (at offset 2)"
+
+
+@pytest.mark.parametrize("read, text, message", [
+    (parse_formula, '"top"', 'bad formula "top"'),
+    (parse_formula, '("eq" 0 0)', 'bad formula ("eq" 0 0)'),
+    (parse_formula, '(all "x" (eq x 0))', 'expected a variable, got "x"'),
+    (parse_formula, '(eq "0" 0)', 'expected a variable, got "0"'),
+    (parse_aseq, '(aseq (seq) (vars "x"))', 'expected a variable, got "x"'),
+    (parse_proof, '(node :id "a" (seq (eq 0 0)) (axiom))', 'node id must be an atom, got "a"'),
+    (parse_proof, '(node ":id" a (seq (eq 0 0)) (axiom))',
+     'bad proof node (node ":id" a (seq (eq 0 0)) (axiom))'),
+    (parse_proof, '("node" :id a ("seq" (eq 0 0)) ("axiom"))',
+     'bad proof node ("node" :id a ("seq" (eq 0 0)) ("axiom"))'),
+])
+def test_quoted_text_is_never_an_atom(read, text, message):
+    with pytest.raises(ParseError) as info:
+        read(text)
+    assert str(info.value) == message
+    # the same text with the quotes taken off reads
+    read(text.replace('"', ""))
+
+
+def test_quoted_text_equals_only_quoted_text():
+    a = QuotedString("a")
+    assert a == QuotedString("a") and not a != QuotedString("a")
+    assert a != "a" and "a" != a and not a == "a"
+    assert a not in ("a", "b") and "a" not in (a,)
+    assert {"a": 1}.get(a) is None and {a: 1}.get("a") is None
+    assert hash(a) == hash(QuotedString("a"))
+    assert a != Chain("a", 1) and Chain("a", 1) != a
+
+
 # --- shared reading -------------------------------------------------------
 
 
@@ -256,24 +307,17 @@ def _one_object_per_rendering(value, text):
         assert by_text.setdefault(key, v) is v, text
 
 
-def _parse_shared(text):
-    return parse(text, share=True)
-
-
-def test_shared_read_matches_plain_read():
+def test_equal_lists_read_as_one_object():
     rng = random.Random(7)
     texts = ["".join(rng.choice(_ALPHABET) for _ in range(rng.randrange(16)))
              for _ in range(20000)]
     texts += [render(_random_sexpr(rng, 5)) for _ in range(300)]
     shared_lists = 0
     for text in texts:
-        want = _outcome(parse, text)
-        assert _outcome(_parse_shared, text) == want, text
-        if want[0] != "value" or '"' in text:
+        try:
+            value = parse(text)
+        except SexprError:
             continue
-        plain = _lists(parse(text))
-        assert len({id(v) for v in plain}) == len(plain)
-        value = _parse_shared(text)
         _one_object_per_rendering(value, text)
         lists = _lists(value)
         shared_lists += len(lists) - len({id(v) for v in lists})
@@ -281,12 +325,12 @@ def test_shared_read_matches_plain_read():
 
 
 def test_shared_read_keeps_quoted_strings_and_atoms_apart():
-    v = _parse_shared('(a "a")')
+    v = parse('(a "a")')
     assert _shape(v) == [("a", "a"), ("q", "a")]
     for text in ('((a) ("a") (a))', '(("a") (a) ("a"))'):
-        v = _parse_shared(text)
-        assert _shape(v) == _shape(parse(text))
-        assert v[0] is not v[1] and v[1] is not v[2]
+        v = parse(text)
+        assert _shape(v) == _shape(reference_sexpr.parse(text))
+        assert v[0] is not v[1] and v[1] is not v[2] and v[0] is v[2]
         assert render(v) == text
 
 
@@ -306,11 +350,11 @@ _INNER_PIECES = ["", ";c (a)\n", '"q (x)"', "a;b", "a;(b", ";"]
 
 def test_block_pattern_takes_lists_up_to_the_depth_bound():
     assert BLOCK_DEPTH == 8
-    assert _SHARED_TOKEN.fullmatch(_nested(BLOCK_DEPTH))
-    assert _SHARED_TOKEN.fullmatch("()")
-    assert not _SHARED_TOKEN.fullmatch(_nested(BLOCK_DEPTH + 1))
+    assert _TOKEN.fullmatch(_nested(BLOCK_DEPTH))
+    assert _TOKEN.fullmatch("()")
+    assert not _TOKEN.fullmatch(_nested(BLOCK_DEPTH + 1))
     for piece in _INNER_PIECES[1:]:
-        assert not _SHARED_TOKEN.fullmatch(_nested(3, piece, 2)), piece
+        assert not _TOKEN.fullmatch(_nested(3, piece, 2)), piece
 
 
 def test_blocks_match_reference_around_the_depth_bound():
@@ -323,7 +367,6 @@ def test_blocks_match_reference_around_the_depth_bound():
                 for text in (inner, f"(top {plain} {inner} {plain})",
                              f"(top {inner} ({plain}) {plain} ;\n)"):
                     want = _outcome(reference_sexpr.parse, text)
-                    assert _outcome(_parse_shared, text) == want, text
                     assert _outcome(parse, text) == want, text
                     cases += 1
     assert cases > 400
@@ -341,18 +384,11 @@ def _mutated_ground_texts():
     return _mutants(texts, _GROUND_PIECES, r'\(s\s|[()]|[^()\s]+|\s+', 13, 300)
 
 
-def test_shared_read_error_offsets_match_plain_read_on_mutated_corpus_files():
-    errors = 0
-    for text in _mutated_corpus_texts():
-        want = _outcome(parse, text)
-        assert _outcome(_parse_shared, text) == want, text
-        errors += want[0] == "error"
-    assert errors > 300
+def test_reader_matches_reference_on_mutated_ground_proofs():
     ground_errors = 0
     for text in _mutated_ground_texts():
         want = _outcome(reference_sexpr.parse, text)
         assert _outcome(parse, text) == want, text
-        assert _outcome(_parse_shared, text) == want, text
         ground_errors += want[0] == "error"
     assert 100 < ground_errors < 300
 
@@ -385,10 +421,9 @@ def test_shared_read_is_iterative_in_depth():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        value = _parse_shared(chain)
-        assert _flat(value) == _flat(parse(chain))
-        value = _parse_shared(proof)
-        assert _flat(value) == _flat(parse(proof))
+        assert render(parse(chain)) == chain
+        value = parse(proof)
+        assert render(value) == proof
         sequents = []
         for _ in range(nodes - 1):
             sequents.append(value[2])
@@ -399,14 +434,14 @@ def test_shared_read_is_iterative_in_depth():
 
 
 def test_equal_blocks_spaced_differently_read_as_one_object():
-    v = _parse_shared("((a  b) (a b) ( a\tb\n) (a b ;c\n) (f (a b)) (f ( a b )))")
+    v = parse("((a  b) (a b) ( a\tb\n) (a b ;c\n) (f (a b)) (f ( a b )))")
     assert _shape(v) == _shape(parse("((a b) (a b) (a b) (a b) (f (a b)) (f (a b)))"))
     assert v[0] is v[1] is v[2] is v[3] is v[4][1]
     assert v[4] is v[5]
-    # blocks hold no strings, so they are still shared after a quoted string
-    v = _parse_shared('((a b) "q" (a  b) ((a b) "r") ((a b) "r"))')
+    # lists are still shared after a quoted string, blocks or not
+    v = parse('((a b) "q" (a  b) ((a b) "r") ((a b) "r"))')
     assert v[0] is v[2] is v[3][0] is v[4][0]
-    assert v[3] is not v[4]
+    assert v[3] is v[4]
 
 
 # --- chain tokens ----------------------------------------------------------
@@ -437,38 +472,40 @@ def _chain_text(rng):
 def test_chain_tokens_match_reference():
     rng = random.Random(19)
     seen = {"value": 0, "error": 0}
-    long_chains = 0
+    long_chains = chain_tokens = 0
     for _ in range(5000):
         text = _chain_text(rng)
         want = _outcome(reference_sexpr.parse, text)
         assert _outcome(parse, text) == want, text
-        assert _outcome(_parse_shared, text) == want, text
         assert _outcome(parse_many, text) == _outcome(reference_sexpr.parse_many, text), text
         seen[want[0]] += 1
-        long_chains += any(t.count("(") >= CHAIN_RUN for t in _TOKEN.findall(text))
-        if want[0] == "value" and '"' not in text:
-            _one_object_per_rendering(_parse_shared(text), text)
-    assert min(seen.values()) > 1000 and long_chains > 2500
+        # a run of CHAIN_RUN opens is a chain token, or lies inside a block
+        runs = [t for t in _TOKEN.findall(text) if _CHAIN_START.search(t)]
+        long_chains += bool(runs)
+        chain_tokens += any(_CHAIN_START.match(t) for t in runs)
+        if want[0] == "value":
+            _one_object_per_rendering(parse(text), text)
+    assert min(seen.values()) > 1000 and long_chains > 2500 and chain_tokens > 2400
 
 
 def test_a_chain_token_and_a_block_read_one_list_as_one_object():
     chain = "(s " * CHAIN_RUN + "0" + ")" * CHAIN_RUN
     # ';' keeps the outer list from being a block, so its chains are tokens
     text = f"(a ;c\n {chain} (b {chain}) ( s {chain}) (s {chain} x) (b (s 0)))"
-    assert chain in _SHARED_TOKEN.findall(text)
-    assert _SHARED_TOKEN.findall(f"(s {chain} x)")[0] == "(s " + chain   # a partial chain
-    for v in (parse(text), _parse_shared(text)):
-        assert _shape(v) == _shape(parse(text))
-        # the chain tokens, whole and partial, give one Chain
-        assert isinstance(v[1], Chain) and v[1] is v[4][1]
-        assert term_from_sexpr(v[1]) is numeral(CHAIN_RUN)
-        assert term_from_sexpr(v[5][1]) is numeral(1)
+    assert chain in _TOKEN.findall(text)
+    assert _TOKEN.findall(f"(s {chain} x)")[0] == "(s " + chain   # a partial chain
+    v = parse(text)
+    assert _shape(v) == _shape(reference_sexpr.parse(text))
+    # the chain tokens, whole and partial, give one Chain
+    assert isinstance(v[1], Chain) and v[1] is v[4][1]
+    assert term_from_sexpr(v[1]) is numeral(CHAIN_RUN)
+    assert term_from_sexpr(v[5][1]) is numeral(1)
     # inside blocks the chain is a nest, one object, that equals the Chain
     # and converts to the same node
     assert isinstance(v[2][1], list) and v[2][1] is v[3][1] and v[2][1] == v[1]
     assert term_from_sexpr(v[2][1]) is term_from_sexpr(v[1])
     # the block first, then the chain; and chains stay shared after a string
-    v = _parse_shared(f'(a ;c\n (b {chain}) "q" {chain} (s {chain} x))')
+    v = parse(f'(a ;c\n (b {chain}) "q" {chain} (s {chain} x))')
     assert v[3] is v[4][1] and v[1][1] == v[3]
     assert term_from_sexpr(v[1][1]) is term_from_sexpr(v[3])
 
@@ -479,14 +516,12 @@ def test_deep_chains_are_a_few_tokens_and_read_without_recursion():
     for inner, want in (("0", "0"), ("(add x y)", ["add", "x", "y"])):
         text = "(eq " + "(s " * depth + inner + ")" * depth + " 0)"
         assert len(_TOKEN.findall(text)) <= 10
-        assert len(_SHARED_TOKEN.findall(text)) <= 10
         for _ in range(depth):
             want = ["s", want]
         want = ["eq", want, "0"]
         sys.setrecursionlimit(1000)
         try:
             assert _flat(parse(text)) == _flat(want)
-            assert _flat(_parse_shared(text)) == _flat(want)
         finally:
             sys.setrecursionlimit(limit)
 

@@ -1,3 +1,4 @@
+import random
 import sys
 from collections import Counter
 
@@ -39,11 +40,14 @@ from cyclarith import (
     tautology,
     two_loops_proof,
     validate,
+    walk,
 )
-from cyclarith.builders import build_corpus
+from cyclarith.builders import build_corpus, relabel_proof
 from cyclarith.calculus import RULE_ARITY, node_map
 from cyclarith.uncycle import (BOT, EDGE_TAGS, KINDS, NO_ROOT_CYCLE, NoRootCycle, TOP, _digraph,
                                compute_ranks)
+
+from conftest import backlinks, retarget
 
 x, y = Var("x"), Var("y")
 SN0 = Mode(System.SN, 0)
@@ -417,3 +421,45 @@ def test_extraction_of_a_deep_branch_needs_no_recursion(tmp_path):
     from cyclarith.cli import main
     assert main(["uncycle", str(path), "--system", "spi", "--assume", str(assume),
                  "-o", str(tmp_path / "deep.cert")]) == 0
+
+
+def _judgement(root, mode, prefix=""):
+    """validate's verdict and violation tags, and the obligation statuses of
+    extract_all and check_certificate_bounded, with prefix taken off every
+    node id."""
+    def bare(node_id):
+        assert node_id.startswith(prefix), node_id
+        return node_id[len(prefix):]
+
+    report = validate(root, mode)
+    out = [report.verdict, [(bare(v.node_id), v.tag) for v in report.violations]]
+    try:
+        certs = extract_all(root, mode)
+    except ExtractionError as exc:
+        return out + [("refused", exc.report == report)]
+    for cert_root, cert in certs:
+        checked = check_certificate_bounded(cert).certificate
+        out.append((bare(cert_root), [(ob.kind, ob.formula, ob.status, tuple(map(bare, ob.about)))
+                                      for ob in checked.obligations]))
+    return out
+
+
+def test_relabelling_node_ids_changes_no_verdict_violation_or_obligation():
+    rng = random.Random(12)
+    proofs = 0
+    refused = 0
+    for seed in (1, 2, 3):
+        for entry in build_corpus(seed):
+            if entry.kind != "cyclic":
+                continue
+            proof = parse_proof(entry.text)
+            mode = Mode(System(entry.system), entry.level, frozenset(entry.assume))
+            ids = [n.id for n in walk(proof)]
+            mutants = [retarget(proof, leaf, target) for leaf in backlinks(proof)
+                       for target in (proof.id, leaf, rng.choice(ids), "zz")]
+            for root in [proof] + mutants:
+                want = _judgement(root, mode)
+                assert _judgement(relabel_proof(root, "r."), mode, "r.") == want, entry.name
+                proofs += 1
+                refused += want[-1][0] == "refused"
+    assert proofs > 200 and 100 < refused < proofs

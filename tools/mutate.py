@@ -42,8 +42,8 @@ JUDGEMENTS = {
     "checker": ["validate", "_check_local", "_check_leaf", "_crosses_case_right",
                 "_path_down"],
     "annotation": ["propagate", "Mode.in_restriction"],
-    "calculus": ["premises_of", "check_step", "is_axiom"],
-    "syntax": ["negate", "substitute", "is_in"],
+    "calculus": ["premises_of", "check_step", "is_axiom", "_node_id", "_node_from_sexpr"],
+    "syntax": ["negate", "substitute", "is_in", "ident_var"],
 }
 FIRST = ("test_checker.py", "test_calculus.py", "test_annotation.py", "test_acceptance.py",
          "test_transform.py", "test_uncycle.py", "test_cli.py")
