@@ -19,11 +19,15 @@ file repeats, such as a sequent a premise copies from its conclusion, as
 one token and reads its text once, and a numeral four or more deep as one
 token and one value, decoded once per read (see sexpr), it shares equal
 sublists, and proof_from_sexpr converts with one memo for the
-document (see syntax), in which sequents are kept under their own kind,
-"sequent", beside formulas and terms.  A formula that a premise repeats
-from its conclusion is then converted once, and a back-link leaf's
-sequent, the same text as its target's, is the target's Sequent object.
-The memo dies with the call.  Heads, `:id`, node ids and rule names are
+document (see syntax), in which sequents, rules and annotation lists are
+kept under their own kinds, "sequent", "rule" and "vars", beside formulas
+and terms.  A formula that a premise repeats from its conclusion is then
+converted once, and found by one lookup in the sequent's own loop; a
+back-link leaf's sequent, the same text as its target's, is the target's
+Sequent object; and a rule or `(vars ...)` list met before is its first
+conversion.  The memo dies with the call.  premises_of builds each premise
+sequent once: a rule that replaces its principal removes it and adds the
+new formulas in one Sequent.  Heads, `:id`, node ids and rule names are
 atoms, and quoted text equals no atom (see sexpr), so `(node :id "a" ...)`
 or `("axiom")` is refused; every refusal is a ParseError.
 
@@ -85,10 +89,7 @@ class Sequent:
         fs = tuple(sorted(formulas, key=_by_sx))
         object.__setattr__(self, "formulas", fs)
         object.__setattr__(self, "_sx", None)
-        fv = frozenset()
-        for f in fs:
-            fv |= f.fv
-        object.__setattr__(self, "fv", fv)
+        object.__setattr__(self, "fv", frozenset().union(*[f.fv for f in fs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequent is immutable")
@@ -125,13 +126,13 @@ class Sequent:
     def add(self, *fs: Formula) -> "Sequent":
         return Sequent(self.formulas + fs)
 
-    def remove_one(self, f: Formula) -> "Sequent":
+    def remove_one(self, f: Formula, *fs: Formula) -> "Sequent":
+        """One copy of f taken out and fs added, in one new sequent."""
+        if f not in self.formulas:
+            raise ArgMismatch(f"{f.sx} does not occur in {self.sx}")
         out = list(self.formulas)
-        try:
-            out.remove(f)
-        except ValueError:
-            raise ArgMismatch(f"{f.sx} does not occur in {self.sx}") from None
-        return Sequent(out)
+        out.remove(f)
+        return Sequent(out + list(fs))
 
     def minus(self, fs: Iterable[Formula]) -> "Sequent":
         """Multiset difference; every copy in fs must be present."""
@@ -163,7 +164,9 @@ def sequent_from_sexpr(value, memo: dict = None) -> Sequent:
     if seq is None:
         if not isinstance(value, list) or not value or value[0] != "seq":
             raise ParseError(f"bad sequent {sexpr.excerpt(value)}")
-        seq = seen[id(value)] = Sequent([formula_from_sexpr(v, memo) for v in value[1:]])
+        formulas = memo.setdefault("formula", {})
+        seq = seen[id(value)] = Sequent([formulas.get(id(v)) or formula_from_sexpr(v, memo)
+                                         for v in value[1:]])
     return seq
 
 
@@ -329,24 +332,24 @@ def premises_of(conclusion: Sequent, r: Rule) -> List[Sequent]:
     if isinstance(r, AndRule):
         if not isinstance(r.principal, And):
             raise ArgMismatch(f"principal is not a conjunction: {r.principal.sx}")
-        base = conclusion.remove_one(r.principal)
-        return [base.add(r.principal.left), base.add(r.principal.right)]
+        return [conclusion.remove_one(r.principal, r.principal.left),
+                conclusion.remove_one(r.principal, r.principal.right)]
     if isinstance(r, OrRule):
         if not isinstance(r.principal, Or):
             raise ArgMismatch(f"principal is not a disjunction: {r.principal.sx}")
-        base = conclusion.remove_one(r.principal)
-        return [base.add(r.principal.left, r.principal.right)]
+        return [conclusion.remove_one(r.principal, r.principal.left, r.principal.right)]
     if isinstance(r, AllRule):
         if not isinstance(r.principal, All):
             raise ArgMismatch(f"principal is not universal: {r.principal.sx}")
-        base = conclusion.remove_one(r.principal)
+        if r.principal not in conclusion:
+            raise ArgMismatch(f"{r.principal.sx} does not occur in {conclusion.sx}")
         if r.var in conclusion.fv:
             raise ArgMismatch(f"eigenvariable {r.var.name} occurs free in the conclusion")
         try:
             inst = substitute(r.principal.body, r.principal.var, V(r.var))
         except CaptureError as exc:
             raise ArgMismatch(str(exc)) from None
-        return [base.add(inst)]
+        return [conclusion.remove_one(r.principal, inst)]
     if isinstance(r, ExRule):
         if not isinstance(r.principal, Ex):
             raise ArgMismatch(f"principal is not existential: {r.principal.sx}")
@@ -385,9 +388,9 @@ def premises_of(conclusion: Sequent, r: Rule) -> List[Sequent]:
     if isinstance(r, CaseRule):
         if r.var not in conclusion.fv:
             raise ArgMismatch(f"case variable {r.var.name} is not free in {conclusion.sx}")
-        zero = conclusion.map(lambda f: substitute(f, r.var, ZERO))
-        succ = conclusion.map(lambda f: substitute(f, r.var, Succ(V(r.var))))
-        return [zero, succ]
+        succ = Succ(V(r.var))
+        return [conclusion.map(lambda f: substitute(f, r.var, ZERO)),
+                conclusion.map(lambda f: substitute(f, r.var, succ))]
     if isinstance(r, WeakRule):
         return [conclusion.minus(r.delta)]
     if isinstance(r, CutRule):
@@ -491,6 +494,12 @@ RENDER_ARG = {"f": _by_sx, "t": _by_sx, "s": _by_sx, "v": attrgetter("name"), "i
 
 def rule_from_sexpr(value, memo: dict = None) -> Rule:
     """The rule or leaf of value; its arguments are read left to right."""
+    if memo is None:
+        memo = {}
+    seen = memo.setdefault("rule", {})
+    r = seen.get(id(value))
+    if r is not None:
+        return r
     cls = args = None
     if isinstance(value, list) and value and isinstance(value[0], str):
         if value[0] != "rule":
@@ -500,9 +509,10 @@ def rule_from_sexpr(value, memo: dict = None) -> Rule:
     if cls is None or len(args) != len(cls.kinds):
         raise ParseError(f"bad rule {sexpr.excerpt(value)}")
     try:
-        return cls(*[READ_ARG[k](a, memo) for k, a in zip(cls.kinds, args)])
+        r = seen[id(value)] = cls(*[READ_ARG[k](a, memo) for k, a in zip(cls.kinds, args)])
     except ValueError:  # from _node_id
         raise ParseError(f"bad rule {sexpr.excerpt(value)}") from None
+    return r
 
 
 def rule_to_sexpr_str(r: Rule) -> str:
@@ -530,8 +540,14 @@ def node_sequent_from_sexpr(
     if len(value) != 3 or not isinstance(value[2], list) or not value[2] \
             or value[2][0] != "vars":
         raise ParseError(f"bad annotated sequent {sexpr.excerpt(value)}")
-    return (sequent_from_sexpr(value[1], memo),
-            frozenset(ident_var(a) for a in value[2][1:]))
+    if memo is None:
+        memo = {}
+    seq = sequent_from_sexpr(value[1], memo)
+    seen = memo.setdefault("vars", {})
+    vs = seen.get(id(value[2]))
+    if vs is None:
+        vs = seen[id(value[2])] = frozenset(ident_var(a) for a in value[2][1:])
+    return seq, vs
 
 
 def proof_from_sexpr(value) -> ProofNode:

@@ -24,16 +24,19 @@ mutated: every place it occurs would change with it.  The table dies with
 the read.
 
 The reader also takes a whole list nested at most `BLOCK_DEPTH` deep that
-holds no `"` and no `;` as one block token.  Inside a block every other
-character is whitespace or part of an atom, so the block's own tokens are
-the ones single tokens would give.  A per-read memo maps each block's text
-to its list: a block seen before costs one dict lookup, and a new one is
-read from its inner text, its own blocks through the same memo, and then
-looked up in the table of shared lists, so equal lists spaced differently
-are still one object.  Proof files repeat each node's sequent in its
-premises, so most of their lists are blocks met before.  The possessive
-quantifiers of the block pattern keep a failed attempt on a deeper list
-from backtracking; that needs Python 3.11.
+holds no `"`, no `;` and no line break as one block token.  Inside a block
+every other character is whitespace or part of an atom, so the block's own
+tokens are the ones single tokens would give.  A per-read memo maps each
+block's text to its list: a block seen before costs one dict lookup, and a
+new one is read from its inner text, its own blocks through the same memo,
+and then looked up in the table of shared lists, so equal lists spaced
+differently are still one object.  Proof files repeat each node's sequent
+in its premises, so most of their lists are blocks met before.  A proof
+file writes one node per line, so a block attempt at a node, which holds
+its children, stops at the end of the node's line instead of scanning the
+lines of its children, which their own attempts scan again.  The
+possessive quantifiers of the block pattern keep a failed attempt on a
+deeper list from backtracking; that needs Python 3.11.
 
 Numerals are successor chains, `(s (s ... 0))`, often thousands deep.  The
 reader takes a run of at least `CHAIN_RUN` `(s` opens, each followed by
@@ -107,11 +110,11 @@ _ATOM = r'[^()" \t\r\n;][^()" \t\r\n]*'
 _SINGLE = rf'[()]|"[^"\\]*(?:\\.[^"\\]*)*"|"|;[^\n]*|{_ATOM}'
 _ESCAPE = re.compile(r"\\(.)", re.S)
 
-# A list nested at most BLOCK_DEPTH deep with no '"' and no ';' in it.
+# A list nested at most BLOCK_DEPTH deep with no '"', ';' or line break in it.
 BLOCK_DEPTH = 8
-_BLOCK = r'\([^()";]*+\)'
+_BLOCK = r'\([^()";\n]*+\)'
 for _ in range(BLOCK_DEPTH - 1):
-    _BLOCK = rf'\([^()";]*+(?:{_BLOCK}[^()";]*+)*+\)'
+    _BLOCK = rf'\([^()";\n]*+(?:{_BLOCK}[^()";\n]*+)*+\)'
 _BLOCK_TOKEN = re.compile(_BLOCK + "|" + _SINGLE, re.S)     # the chain-free read
 
 # A successor chain: a run of at least CHAIN_RUN "(s" opens, each followed
@@ -141,8 +144,8 @@ class _Blocks(dict):
         self.shared = shared
 
     def __missing__(self, text: str) -> _Shared:
-        items = _Shared(self[t] if t[0] == "(" else t
-                        for t in _BLOCK_TOKEN.findall(text, 1, len(text) - 1))
+        items = _Shared([self[t] if t[0] == "(" else t
+                         for t in _BLOCK_TOKEN.findall(text, 1, len(text) - 1)])
         items = self[text] = self.shared.setdefault(tuple(items), items)
         return items
 

@@ -36,14 +36,20 @@ and `(all "x" ...)` raise ParseError, the one error of every reader
 
 A document (a proof or a graph) is converted with one memo: a dict that
 holds, for each kind of value ("formula", "term", and calculus's
-"sequent"), a table from the identity of a list to what it converted to.
-Every read shares equal sublists (see sexpr), so a formula, term
-or sequent that the document repeats is found by identity and converted
-once.  A list is looked up under the kind it is read as, so one met as a
-term and again as a formula is converted, and checked, as each; only
-successful conversions are stored, so the first error is the one an
-unmemoised read raises.  The memo is made by the call that converts the
-document and dies with it.
+"sequent", "rule" and "vars"), a table from the identity of a list to what
+it converted to.  Every read shares equal sublists (see sexpr), so a
+formula, term, sequent, rule or annotation list that the document repeats
+is found by identity and converted once, and a hit returns before any
+set-up of the conversion.  A list is looked up under the kind it is read
+as, so one met as a term and again as a formula is converted, and checked,
+as each; only successful conversions are stored, so the first error is the
+one an unmemoised read raises.  The memo is made by the call that converts
+the document and dies with it.
+
+`negate` and `substitute` run once per formula of a step's premises, so
+they dispatch on the node's class with identity tests and set lookups, not
+on class patterns, and `substitute` returns a formula without the variable
+free at once.
 """
 
 from __future__ import annotations
@@ -431,6 +437,14 @@ def _known_dual(phi) -> Formula | None:
     return dual() if dual.__class__ is weakref.ref else dual
 
 
+# each formula class -> the class of its dual
+_DUAL = {Eq: Neq, Neq: Eq, Le: NLe, NLe: Le, And: Or, Or: And,
+         All: Ex, Ex: All, AllLe: ExLe, ExLe: AllLe}
+_ATOMS = frozenset((Eq, Neq, Le, NLe))
+_QUANTS = frozenset((All, Ex))
+_BOUNDED = frozenset((AllLe, ExLe))
+
+
 def negate(phi: Formula) -> Formula:
     """The dual formula: atoms flip, connectives and quantifiers swap.
 
@@ -448,42 +462,30 @@ def negate(phi: Formula) -> Formula:
         f = todo.pop()
         if f.__class__ is tuple:
             f = f[0]
+            cls = f.__class__
             body = out.pop()
-            match f:
-                case And():
-                    dual = Or(out.pop(), body)
-                case Or():
-                    dual = And(out.pop(), body)
-                case All(x, _):
-                    dual = Ex(x, body)
-                case Ex(x, _):
-                    dual = All(x, body)
-                case AllLe(x, t, _):
-                    dual = ExLe(x, t, body)
-                case ExLe(x, t, _):
-                    dual = AllLe(x, t, body)
+            if cls is And or cls is Or:
+                dual = _DUAL[cls](out.pop(), body)
+            elif cls in _QUANTS:
+                dual = _DUAL[cls](f.var, body)
+            else:
+                dual = _DUAL[cls](f.var, f.bound, body)
         else:
             dual = _known_dual(f)
             if dual is not None:
                 out.append(dual)
                 continue
-            match f:
-                case Eq(l, r):
-                    dual = Neq(l, r)
-                case Neq(l, r):
-                    dual = Eq(l, r)
-                case Le(l, r):
-                    dual = NLe(l, r)
-                case NLe(l, r):
-                    dual = Le(l, r)
-                case And(l, r) | Or(l, r):
-                    todo += ((f,), r, l)
-                    continue
-                case All(_, b) | Ex(_, b) | AllLe(_, _, b) | ExLe(_, _, b):
-                    todo += ((f,), b)
-                    continue
-                case _:
-                    raise TypeError(f"not a formula: {f!r}")
+            cls = f.__class__
+            if cls in _ATOMS:
+                dual = _DUAL[cls](f.left, f.right)
+            elif cls is And or cls is Or:
+                todo += ((f,), f.right, f.left)
+                continue
+            elif cls in _DUAL:
+                todo += ((f,), f.body)
+                continue
+            else:
+                raise TypeError(f"not a formula: {f!r}")
         _set(f, "_dual", dual)
         _set(dual, "_dual", weakref.ref(f))
         out.append(dual)
@@ -509,40 +511,42 @@ def substitute(phi: Formula, x: Var, s: Term) -> Formula:
     recursive walk would meet; the results are built in postorder on `out`.
     A task (node,) rebuilds node from the results of its children.
     """
+    if x not in phi.fv:
+        return phi
     out: list = []
     todo: list = [phi]
     while todo:
         f = todo.pop()
         if f.__class__ is tuple:
             f = f[0]
+            cls = f.__class__
             last = out.pop()
-            match f:
-                case Succ():
-                    last = _succs(last, f.depth)
-                case _Binary():
-                    last = f.__class__(out.pop(), last)
-                case _Quant():
-                    last = f.__class__(f.var, last)
-                case _Bounded():
-                    last = f.__class__(f.var, out.pop(), last)
+            if cls is Succ:
+                last = _succs(last, f.depth)
+            elif cls in _QUANTS:
+                last = cls(f.var, last)
+            elif cls in _BOUNDED:
+                last = cls(f.var, out.pop(), last)
+            else:
+                last = cls(out.pop(), last)
             out.append(last)
         elif x not in f.fv:
             out.append(f)
         else:
-            match f:
-                case V():
-                    out.append(s)
-                case Succ():
-                    todo += ((f,), f.base)
-                case _Binary(left, right):
-                    todo += ((f,), right, left)
-                case _Quant(y, body) | _Bounded(y, _, body):
-                    if y in s.av:
-                        raise CaptureError(
-                            f"substituting {s.sx} for {x.name} captures {y.name}")
-                    todo += ((f,), body)
-                    if isinstance(f, _Bounded):
-                        todo.append(f.bound)
+            cls = f.__class__
+            if cls is V:
+                out.append(s)
+            elif cls is Succ:
+                todo += ((f,), f.base)
+            elif cls in _QUANTS or cls in _BOUNDED:
+                if f.var in s.av:
+                    raise CaptureError(
+                        f"substituting {s.sx} for {x.name} captures {f.var.name}")
+                todo += ((f,), f.body)
+                if cls in _BOUNDED:
+                    todo.append(f.bound)
+            else:
+                todo += ((f,), f.right, f.left)
     return out[0]
 
 
@@ -624,6 +628,9 @@ def _from_sexpr(value, formula: bool, memo: dict = None):
         memo = {}
     formulas = memo.setdefault("formula", {})
     terms = memo.setdefault("term", {})
+    node = (formulas if formula else terms).get(id(value))
+    if node is not None:
+        return node
     out: list = []
     todo: list = [(formula, value)]
     while todo:

@@ -88,6 +88,16 @@ def test_sequent_canonical_order():
     assert parse_sequent(Sequent([b, a]).sx) == Sequent([a, b])
 
 
+@pytest.mark.parametrize("text", ["(seqq (eq 0 0))", "x", '"seq"', "()", "(s (s (s (s 0))))"])
+def test_a_sequent_is_a_seq_list(text):
+    # the line break keeps the node from being one block, so a numeral in
+    # it is read as a Chain
+    for read in (parse_sequent, lambda t: parse_proof(f"(node :id a\n {t} (axiom))")):
+        with pytest.raises(ParseError) as exc:
+            read(text)
+        assert str(exc.value) == f"bad sequent {text}"
+
+
 def test_is_axiom():
     assert is_axiom(Sequent([Eq(V(x), V(y)), Neq(V(x), V(y))])) == "ax_a"
     assert is_axiom(Sequent([Neq(Succ(Add(V(x), V(y))), Zero())])) == "ax_s"
@@ -427,6 +437,26 @@ def test_shared_reading_converts_a_list_again_under_another_kind(text, message):
         with pytest.raises(ParseError) as info:
             read(text)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("aseq", ["(aseq (seq (eq 0 0)))", "(aseq (seq (eq 0 0)) (vars) x)",
+                                  "(aseq (seq (eq 0 0)) x)", "(aseq (seq (eq 0 0)) ())",
+                                  "(aseq (seq (eq 0 0)) (foo x))",
+                                  "(aseq (seq (eq 0 0))\n (s (s (s (s 0)))))"])
+def test_an_annotated_sequent_is_a_seq_and_a_vars_list(aseq):
+    for read in (parse_proof, _reference_proof):
+        with pytest.raises(ParseError) as info:
+            read(f"(node :id a\n {aseq} (axiom))")
+        assert str(info.value) == f"bad annotated sequent {aseq}".replace("\n", "")
+
+
+@pytest.mark.parametrize("rule", ["()", "((axiom))", "axiom", "(s (s (s (s 0))))", "(rule)",
+                                  "(rule (and) x)"])
+def test_a_rule_is_a_list_headed_by_an_atom(rule):
+    for read in (parse_proof, _reference_proof):
+        with pytest.raises(ParseError) as info:
+            read(f"(node :id a (seq (eq 0 0))\n {rule})")
+        assert str(info.value) == f"bad rule {rule}"
 
 
 @pytest.mark.parametrize("text, message", [

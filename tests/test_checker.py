@@ -20,6 +20,7 @@ from cyclarith import (
     Mode,
     Neq,
     OpenLeaf,
+    Or,
     OrRule,
     PredRule,
     ParseError,
@@ -321,6 +322,11 @@ _GUARDS = [  # (conclusion, rule, the step message naming the rule once)
     ([Eq(Z, Z)], CaseRule(x), "(case) case variable x is not free in (seq (eq 0 0))"),
     ([Eq(Z, Z)], WeakRule(Sequent([Eq(Z, ONE)])),
      "(weak) (eq 0 (s 0)) is not in (seq (eq 0 0)) often enough"),
+    ([Eq(Z, Z)], OrRule(Or(Eq(Z, Z), Eq(Z, Z))),
+     "(or) (or (eq 0 0) (eq 0 0)) does not occur in (seq (eq 0 0))"),
+    # an absent principal is named first, even with the eigenvariable free
+    ([Eq(V(x), Z)], AllRule(All(y, Eq(V(y), Z)), x),
+     "(all) (all y (eq y 0)) does not occur in (seq (eq x 0))"),
 ]
 
 

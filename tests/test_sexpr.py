@@ -444,6 +444,31 @@ def test_equal_blocks_spaced_differently_read_as_one_object():
     assert v[3] is v[4]
 
 
+def test_blocks_end_at_a_line_break_and_split_only_at_reader_whitespace():
+    # a list spanning lines is no block, and is still one object with an
+    # equal list on one line
+    assert _TOKEN.fullmatch("(a b)") and _TOKEN.fullmatch("(a (b c))")
+    assert not _TOKEN.fullmatch("(a\n b)") and not _TOKEN.fullmatch("(a (b\n c))")
+    assert _TOKEN.findall("(n (s x)\n  (m (s x)))") == ["(", "n", "(s x)", "(m (s x))", ")"]
+    # a block splits at " ", "\t", "\r" only: "\x0b", "\x0c", "\x85" and
+    # "\xa0" are whitespace to str.split() but atom characters here
+    texts = ["((a\n b) (a b) (f (a b)\n) (f (a b)))",
+             "(n :id a (seq (eq 0 0))\n  (n :id b (seq (eq 0 0)) (axiom)))",
+             "((a\tb\rc) (a b c) (a\r\tb  c) (f (a\tb\rc)))",
+             "((a\x0bb c\x85d \xa0 e\x0c) (a\x0bb c\x85d \xa0 e\x0c) (\x0c) (\x85 \xa0))",
+             "(f (x\x0b y) (x\x0b\ty) (x\x0by))"]
+    for text in texts:
+        _same_as_reference(text)
+        _one_object_per_rendering(parse(text), text)
+    v = [parse(text) for text in texts]
+    assert v[0][0] is v[0][1] and v[0][2] is v[0][3]
+    assert v[1][4][3] is v[1][3]
+    assert v[2][0] == ["a", "b", "c"] and v[2][0] is v[2][1] is v[2][2] is v[2][3][1]
+    assert v[3][0] == ["a\x0bb", "c\x85d", "\xa0", "e\x0c"] and v[3][0] is v[3][1]
+    assert v[3][2] == ["\x0c"] and v[3][3] == ["\x85", "\xa0"]
+    assert v[4][1] == ["x\x0b", "y"] and v[4][1] is v[4][2] and v[4][3] == ["x\x0by"]
+
+
 # --- chain tokens ----------------------------------------------------------
 
 _CHAIN_OPENS = ["(s ", "(s  ", "(s\t", "(s\n", "(s \r\n ", "( s ", "(s)", "(s )"]

@@ -121,6 +121,27 @@ def test_parse_errors():
     assert parse_term("$3") == V(Var("$3"))
 
 
+@pytest.mark.parametrize("read,text,message", [
+    (parse_formula, "()", "empty formula"),
+    (parse_term, "()", "empty term"),
+    (parse_term, "(add 0)", "bad term (add 0)"),
+    (parse_term, "(t 0)", "bad term (t 0)"),
+    (parse_formula, "(eq (p (s 0)) 0)", "bad term (p (s 0))"),
+    (parse_term, "(s 0 0)", "bad term (s 0 0)"),
+])
+def test_parse_error_messages(read, text, message):
+    """Only (s t) is a successor: another two-item list is no term."""
+    with pytest.raises(ParseError) as exc:
+        read(text)
+    assert str(exc.value) == message
+
+
+def test_top_and_bot_read_as_their_equations():
+    assert parse_formula("top") is Eq(Zero(), Zero())
+    assert parse_formula("bot") is Neq(Zero(), Zero())
+    assert parse_formula("(and top bot)") is And(Eq(Zero(), Zero()), Neq(Zero(), Zero()))
+
+
 def test_negate_core():
     assert negate(Eq(V(x), V(y))) == Neq(V(x), V(y))
     assert negate(Neq(V(x), V(y))) == Eq(V(x), V(y))
@@ -128,6 +149,12 @@ def test_negate_core():
         Neq(V(x), Zero()), Neq(V(y), Zero())
     )
     assert negate(All(x, Eq(V(x), Zero()))) == Ex(x, Neq(V(x), Zero()))
+
+
+def test_negate_refuses_a_term():
+    for t in (V(x), Zero(), Add(V(x), Zero()), numeral(2)):
+        with pytest.raises(TypeError, match="not a formula"):
+            negate(t)
 
 
 def test_negate_sugar():

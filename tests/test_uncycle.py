@@ -463,3 +463,88 @@ def test_relabelling_node_ids_changes_no_verdict_violation_or_obligation():
                 proofs += 1
                 refused += want[-1][0] == "refused"
     assert proofs > 200 and 100 < refused < proofs
+
+
+def _renamed(phi, names):
+    """phi, or a term, with every variable x, bound or free, renamed to
+    names[x.name]."""
+    from cyclarith.syntax import _Binary, _Bounded, _Quant, _succs
+    if isinstance(phi, V):
+        return V(Var(names[phi.var.name]))
+    if isinstance(phi, Succ):
+        return _succs(_renamed(phi.base, names), phi.depth)
+    if isinstance(phi, _Binary):
+        return type(phi)(_renamed(phi.left, names), _renamed(phi.right, names))
+    if isinstance(phi, _Quant):
+        return type(phi)(Var(names[phi.var.name]), _renamed(phi.body, names))
+    if isinstance(phi, _Bounded):
+        return type(phi)(Var(names[phi.var.name]), _renamed(phi.bound, names),
+                         _renamed(phi.body, names))
+    return phi
+
+
+def _rename_proof(root, names):
+    """root with every variable renamed by names: in sequents, rule
+    arguments and annotations."""
+    import dataclasses
+    from conftest import rebuild
+    rename = {"f": lambda f: _renamed(f, names), "t": lambda t: _renamed(t, names),
+              "v": lambda v: Var(names[v.name]), "i": lambda i: i,
+              "s": lambda s: Sequent(_renamed(f, names) for f in s)}
+
+    def node(n):
+        rule = type(n.rule)(*[rename[k](a) for k, a in zip(n.rule.kinds, n.rule.__dict__.values())])
+        return dataclasses.replace(n, sequent=rename["s"](n.sequent), rule=rule,
+                                   vars=None if n.vars is None
+                                   else frozenset(Var(names[v.name]) for v in n.vars))
+    return rebuild(root, node)
+
+
+def _variables(root, assume):
+    """The names of every variable of root and assume, bound ones too."""
+    out = {v for f in assume for v in f.av}
+    for n in walk(root):
+        out |= {v for f in n.sequent for v in f.av} | (n.vars or set())
+        for k, a in zip(n.rule.kinds, n.rule.__dict__.values()):
+            if k in "ft":
+                out |= a.av
+            elif k == "v":
+                out.add(a)
+            elif k == "s":
+                out |= {v for f in a for v in f.av}
+    return {v.name for v in out}
+
+
+def _statuses(root, mode):
+    """_judgement without the obligations' formulas."""
+    out = _judgement(root, mode)
+    return out[:2] + [(cert, [(kind, status, about) for kind, _, status, about in obs])
+                      if cert != "refused" else (cert, obs) for cert, obs in out[2:]]
+
+
+def test_renaming_variables_changes_no_verdict_violation_or_obligation():
+    """A bijective renaming of every variable of a cyclic proof, bound ones
+    included, applied alike to its assumptions, changes no verdict, violation
+    tag or obligation status: a permutation of the proof's own names, which
+    swaps names a substitution could capture, and a map onto fresh names."""
+    rng = random.Random(23)
+    renamings = swapped = 0
+    for seed in (1, 2, 3):
+        for entry in build_corpus(seed):
+            if entry.kind != "cyclic":
+                continue
+            proof = parse_proof(entry.text)
+            mode = Mode(System(entry.system), entry.level, frozenset(entry.assume))
+            want = _statuses(proof, mode)
+            used = sorted(_variables(proof, entry.assume))
+            shuffled = used[:]
+            rng.shuffle(shuffled)
+            for target in (shuffled, used[1:] + used[:1], [f"w{i}" for i in range(len(used))]):
+                names = dict(zip(used, target))
+                renamed_mode = Mode(mode.system, mode.level,
+                                    frozenset(_renamed(f, names) for f in entry.assume))
+                got = _statuses(_rename_proof(proof, names), renamed_mode)
+                assert got == want, (entry.name, names)
+                renamings += 1
+                swapped += any(names[a] != a for a in used) and set(target) == set(used)
+    assert renamings == 135 and swapped > 50

@@ -13,7 +13,14 @@ either a gap in the tests or an equivalent mutant, one that cannot change
 any result.  A control run of the unmutated code, as `ast.unparse` writes it
 back, goes first.
 
-    python3 tools/mutate.py src/cyclarith/checker.py [MODULE ...]
+    python3 tools/mutate.py src/cyclarith/checker.py [TARGET ...]
+    python3 tools/mutate.py calculus.premises_of calculus.Sequent.remove_one
+
+A target is a module, given by its path or its name (`checker`), whose
+judgement functions `JUDGEMENTS` lists; or one function of a module in
+`src/cyclarith`, `module.function` or `module.Class.method`, listed there or
+not.  The closing summary gives killed and surviving mutants per function
+and per module.
 
 Only `ast` and the standard library are used.  Test files run in the order
 below, the ones that judge proofs first, so that a mutant is usually killed
@@ -42,7 +49,8 @@ JUDGEMENTS = {
     "checker": ["validate", "_check_local", "_check_leaf", "_crosses_case_right",
                 "_path_down"],
     "annotation": ["propagate", "Mode.in_restriction"],
-    "calculus": ["premises_of", "check_step", "is_axiom", "_node_id", "_node_from_sexpr"],
+    "calculus": ["premises_of", "check_step", "is_axiom", "_node_id", "_node_from_sexpr",
+                 "Sequent.remove_one", "Sequent.minus"],
     "syntax": ["negate", "substitute", "is_in", "ident_var"],
 }
 FIRST = ("test_checker.py", "test_calculus.py", "test_annotation.py", "test_acceptance.py",
@@ -53,14 +61,15 @@ FLIP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
 
 
 def _functions(tree: ast.Module, names):
-    """The function definitions of tree that names lists."""
+    """(name, definition) of each function of tree that names lists, a
+    method named "Class.method"."""
     out = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name in names:
-            out.append(node)
+            out.append((node.name, node))
         elif isinstance(node, ast.ClassDef):
-            out += [f for f in node.body if isinstance(f, ast.FunctionDef)
-                    and f"{node.name}.{f.name}" in names]
+            out += [(f"{node.name}.{f.name}", f) for f in node.body
+                    if isinstance(f, ast.FunctionDef) and f"{node.name}.{f.name}" in names]
     return out
 
 
@@ -108,16 +117,41 @@ def _replace(parent, node, new):
     raise ValueError("node not under parent")
 
 
-def mutants(path: Path):
-    """(function, line:column, label, source) for each mutant of path."""
-    source = path.read_text()
-    tree = ast.parse(source)
-    for func in _functions(tree, JUDGEMENTS[path.stem]):
+def mutants(path: Path, names):
+    """(function, line:column, label, source) for each mutant of the
+    functions names lists in path."""
+    tree = ast.parse(path.read_text())
+    for name, func in _functions(tree, names):
         for node, change, label in list(_sites(func)):
             undo = change()
             mutated = ast.unparse(tree)
             undo()
-            yield func.name, f"{node.lineno}:{node.col_offset + 1}", label, mutated
+            yield name, f"{node.lineno}:{node.col_offset + 1}", label, mutated
+
+
+def targets(args) -> dict:
+    """Module path -> the function names to mutate in it, from the targets
+    of the command line (see the module docstring)."""
+    out: dict = {}
+    for arg in args:
+        if arg.endswith(".py"):
+            path, names = Path(arg).resolve(), None
+        else:
+            module, _, name = arg.partition(".")
+            path, names = ROOT / "src" / "cyclarith" / f"{module}.py", [name] if name else None
+        if not path.is_file():
+            raise SystemExit(f"no module {arg}")
+        if names is None:
+            names = JUDGEMENTS.get(path.stem)
+            if names is None:
+                raise SystemExit(f"{path.stem} has no judgement functions; name one")
+        found = [n for n, _ in _functions(ast.parse(path.read_text()), names)]
+        missing = [n for n in names if n not in found]
+        if missing:
+            raise SystemExit(f"{path.stem} has no function {missing[0]}")
+        out.setdefault(path, [])
+        out[path] += [n for n in names if n not in out[path]]
+    return out
 
 
 def _copy() -> Path:
@@ -155,10 +189,10 @@ def run(work: Path):
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("modules", nargs="+", type=Path)
-    args = p.parse_args(argv)
-    paths = [path.resolve() for path in args.modules]
-    todo = [(path, m) for path in paths for m in mutants(path)]
+    p.add_argument("targets", nargs="+", metavar="TARGET")
+    chosen = targets(p.parse_args(argv).targets)
+    paths = list(chosen)
+    todo = [(path, m) for path in paths for m in mutants(path, chosen[path])]
     print(f"{len(todo)} mutants", flush=True)
     copies = [_copy() for _ in os.sched_getaffinity(0)]     # one mutant per CPU at once
     free: queue.SimpleQueue = queue.SimpleQueue()     # the copies no mutant is using
@@ -178,7 +212,7 @@ def main(argv=None) -> int:
             free.put(work)
         print(f"{path.name}:{line} {func}: {label}: {outcome} {detail} "
               f"({time.monotonic() - start:.0f} s)", flush=True)
-        return path.name, outcome
+        return path.name, func, outcome
 
     try:
         # the control: each module as ast.unparse writes it back, unmutated
@@ -197,9 +231,11 @@ def main(argv=None) -> int:
         for work in copies:
             shutil.rmtree(work, ignore_errors=True)
     for path in paths:
-        outcomes = [outcome for name, outcome in results if name == path.name]
-        print(f"{path.name}: {outcomes.count('killed')} killed, "
-              f"{outcomes.count('survived')} survived of {len(outcomes)}")
+        for func in chosen[path] + [None]:
+            outcomes = [outcome for name, f, outcome in results
+                        if name == path.name and func in (None, f)]
+            print(f"{path.stem}{'.' + func if func else ''}: {outcomes.count('killed')} "
+                  f"killed, {outcomes.count('survived')} survived of {len(outcomes)}")
     return 0
 
 
