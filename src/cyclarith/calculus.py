@@ -19,12 +19,11 @@ file repeats, such as a sequent a premise copies from its conclusion, as
 one token and reads its text once, and a numeral four or more deep as one
 token and one value, decoded once per read (see sexpr), it shares equal
 sublists, and proof_from_sexpr converts with one memo for the
-document (see syntax), in which sequents, rules and annotation lists are
-kept under their own kinds, "sequent", "rule" and "vars", beside formulas
-and terms.  A formula that a premise repeats from its conclusion is then
-converted once, and found by one lookup in the sequent's own loop; a
-back-link leaf's sequent, the same text as its target's, is the target's
-Sequent object; and a rule or `(vars ...)` list met before is its first
+document (see syntax), in which sequents and annotation lists are kept
+under their own kinds, "sequent" and "vars", beside formulas and terms.
+A formula that a premise repeats from its conclusion is then converted
+once; a back-link leaf's sequent, the same text as its target's, is the
+target's Sequent object; and a `(vars ...)` list met before is its first
 conversion.  The memo dies with the call.  premises_of builds each premise
 sequent once: a rule that replaces its principal removes it and adds the
 new formulas in one Sequent.  Heads, `:id`, node ids and rule names are
@@ -164,9 +163,7 @@ def sequent_from_sexpr(value, memo: dict = None) -> Sequent:
     if seq is None:
         if not isinstance(value, list) or not value or value[0] != "seq":
             raise ParseError(f"bad sequent {sexpr.excerpt(value)}")
-        formulas = memo.setdefault("formula", {})
-        seq = seen[id(value)] = Sequent([formulas.get(id(v)) or formula_from_sexpr(v, memo)
-                                         for v in value[1:]])
+        seq = seen[id(value)] = Sequent([formula_from_sexpr(v, memo) for v in value[1:]])
     return seq
 
 
@@ -494,12 +491,6 @@ RENDER_ARG = {"f": _by_sx, "t": _by_sx, "s": _by_sx, "v": attrgetter("name"), "i
 
 def rule_from_sexpr(value, memo: dict = None) -> Rule:
     """The rule or leaf of value; its arguments are read left to right."""
-    if memo is None:
-        memo = {}
-    seen = memo.setdefault("rule", {})
-    r = seen.get(id(value))
-    if r is not None:
-        return r
     cls = args = None
     if isinstance(value, list) and value and isinstance(value[0], str):
         if value[0] != "rule":
@@ -509,10 +500,9 @@ def rule_from_sexpr(value, memo: dict = None) -> Rule:
     if cls is None or len(args) != len(cls.kinds):
         raise ParseError(f"bad rule {sexpr.excerpt(value)}")
     try:
-        r = seen[id(value)] = cls(*[READ_ARG[k](a, memo) for k, a in zip(cls.kinds, args)])
+        return cls(*[READ_ARG[k](a, memo) for k, a in zip(cls.kinds, args)])
     except ValueError:  # from _node_id
         raise ParseError(f"bad rule {sexpr.excerpt(value)}") from None
-    return r
 
 
 def rule_to_sexpr_str(r: Rule) -> str:

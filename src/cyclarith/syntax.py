@@ -36,11 +36,11 @@ and `(all "x" ...)` raise ParseError, the one error of every reader
 
 A document (a proof or a graph) is converted with one memo: a dict that
 holds, for each kind of value ("formula", "term", and calculus's
-"sequent", "rule" and "vars"), a table from the identity of a list to what
-it converted to.  Every read shares equal sublists (see sexpr), so a
-formula, term, sequent, rule or annotation list that the document repeats
-is found by identity and converted once, and a hit returns before any
-set-up of the conversion.  A list is looked up under the kind it is read
+"sequent" and "vars"), a table from the identity of a list to what it
+converted to.  Every read shares equal sublists (see sexpr), so a formula,
+term, sequent or annotation list that the document repeats is found by
+identity and converted once, and a hit returns before any set-up of the
+conversion.  A list is looked up under the kind it is read
 as, so one met as a term and again as a formula is converted, and checked,
 as each; only successful conversions are stored, so the first error is the
 one an unmemoised read raises.  The memo is made by the call that converts

@@ -156,7 +156,7 @@ def targets(args) -> dict:
 
 def _copy() -> Path:
     work = Path(tempfile.mkdtemp(prefix="mutate-"))
-    for sub in ("src", "tests"):
+    for sub in ("src", "tests", "tools"):     # test_pairs reads tools/pairs.py
         shutil.copytree(ROOT / sub, work / sub,
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
     for name in ("pyproject.toml", "README.md"):     # tests read both

@@ -1,28 +1,32 @@
 """Paired benchmark runs of two checkouts: a parent and a change.
 
-    python3 tools/pairs.py PARENT CHANGE [--pairs 10] [--seconds S]
-                           [--workload NAME ...] [--seed 101] [--json FILE]
+    python3 tools/pairs.py PARENT CHANGE [--pairs 10] [--workload NAME ...]
+                           [--seed 101]
 
 Each pair runs the benchmark command that `BENCHMARK.json` declares, once in
 each checkout, with one seed per pair (`--seed`, `--seed` + 1, ...), on
 every workload in turn; the parent goes first in even pairs and the change
 in odd ones, so a drift of the host over a pair does not favour either
-side.  A run lasts the benchmark's own `run_seconds` unless `--seconds`
-says otherwise, and its end-to-end metrics are read from the last line of
-its output.  Nothing under `bench/` is changed: each checkout's benchmark
-runs as it stands, and only its output is read.
+side.  A run lasts the benchmark's own `run_seconds`, the same on both
+sides, and its end-to-end metrics are read from the last line of its
+output.  Nothing under `bench/` is changed: each checkout's benchmark runs
+as it stands, and only its output is read.
 
 For each workload and end-to-end metric the table gives both medians, the
 parent's quartiles and interquartile range (IQR), the pairs the change won
 (better by the metric's own direction; a tie is no win), and two verdicts:
 
-- claim: the change won at least 9 pairs in 10 and its median beats the
-  parent's by more than the parent's IQR;
-- bound: the change's median is not worse than the parent's by more than
-  the metric's `bound` in `BENCHMARK.json`, as a fraction of the parent's.
+- claim: `met` when the change won at least 9 pairs in 10 and its median
+  beats the parent's by more than the parent's IQR, else `no`; `n/a` with
+  fewer than 10 pairs, which cannot carry a claim;
+- bound: `unresolved` when the parent's IQR is wider than the metric's
+  `bound` in `BENCHMARK.json` (a fraction of the parent's median), unless
+  every run of the change beats every run of the parent; otherwise `ok`
+  when the change's median is not worse than the parent's by more than
+  the bound, else `WORSE`.
 
 A run that is not `correct` or has failed operations is listed after the
-table.  `--json` writes every run's metrics, to read the numbers again.
+table.
 """
 
 from __future__ import annotations
@@ -60,10 +64,17 @@ def verdicts(parent: list, change: list, better: str, bound: float) -> dict:
     q1, med_p, q3 = quartiles(parent)
     med_c = statistics.median(change)
     gap = sign * (med_c - med_p)
+    if len(parent) < 10:
+        claim = "n/a"
+    else:
+        claim = "met" if wins >= math.ceil(0.9 * len(parent)) and gap > q3 - q1 else "no"
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
+    if q3 - q1 > bound * abs(med_p) and not every_run_better:
+        verdict = "unresolved"
+    else:
+        verdict = "ok" if -gap <= bound * abs(med_p) else "WORSE"
     return {"parent": med_p, "change": med_c, "q1": q1, "q3": q3, "iqr": q3 - q1,
-            "wins": wins, "pairs": len(parent),
-            "claim": wins >= math.ceil(0.9 * len(parent)) and gap > q3 - q1,
-            "bound": -gap <= bound * abs(med_p)}
+            "wins": wins, "pairs": len(parent), "claim": claim, "bound": verdict}
 
 
 def main(argv=None) -> int:
@@ -71,15 +82,13 @@ def main(argv=None) -> int:
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, help="run length (default: run_seconds)")
     p.add_argument("--workload", action="append", help="default: every workload")
     p.add_argument("--seed", type=int, default=101, help="seed of the first pair")
-    p.add_argument("--json", type=Path, help="write every run's metrics here")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     names = args.workload or [w["name"] for w in spec["workloads"]]
     runs: dict = {w: {"parent": [], "change": []} for w in names}
     for i in range(args.pairs):
@@ -93,8 +102,6 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs} seed {seed} {w}: " + ", ".join(
                 f"{side} ops_per_s {runs[w][side][-1]['metrics'].get('ops_per_s', {}).get('value')}"
                 for side in ("parent", "change")), file=sys.stderr, flush=True)
-    if args.json:
-        args.json.write_text(json.dumps(runs, indent=1) + "\n")
     print(f"{args.pairs} pairs at {seconds:g} s, seeds {args.seed}..{args.seed + args.pairs - 1}")
     print(f"{'workload':<15} {'metric':<12} {'parent':>10} {'change':>10} {'q1':>10} "
           f"{'q3':>10} {'IQR':>9} {'wins':>6}  claim  bound")
@@ -111,8 +118,7 @@ def main(argv=None) -> int:
             v = verdicts(parent, change, metric["better"], metric["bound"])
             print(f"{w:<15} {name:<12} {v['parent']:>10.4g} {v['change']:>10.4g} "
                   f"{v['q1']:>10.4g} {v['q3']:>10.4g} {v['iqr']:>9.3g} "
-                  f"{v['wins']:>3}/{v['pairs']:<2}  {'met' if v['claim'] else 'no':<5}  "
-                  f"{'ok' if v['bound'] else 'WORSE'}")
+                  f"{v['wins']:>3}/{v['pairs']:<2}  {v['claim']:<5}  {v['bound']}")
         for side in ("parent", "change"):
             bad += [(w, side, r["seed"], r.get("failed"), r.get("error", ""))
                     for r in runs[w][side] if not r.get("correct") or r.get("failed")]
