@@ -3,11 +3,10 @@
 Sequents are finite multisets of formulas read disjunctively.  A sequent
 keeps its formulas sorted by their canonical rendering, so equal multisets
 have the same tuple of (hash-consed, see syntax) formula nodes: equality,
-hashing and membership compare nodes by identity, and the rendering, built
-on first use, is canonical.  Each rule
-application carries exactly the arguments needed to recompute its premises,
-so checking is deterministic: premises_of either returns the unique premise
-list or raises ArgMismatch.
+hashing and membership compare nodes by identity, and the rendering is
+canonical.  Each rule application carries exactly the arguments needed to
+recompute its premises, so checking is deterministic: premises_of either
+returns the unique premise list or raises ArgMismatch.
 
 Proof trees are rule-labeled nodes with opaque string ids.  Leaves are
 axioms, assumptions, open stubs, or back-references.  This module decides
@@ -17,18 +16,16 @@ checker.validate, which checks plain finite trees and cyclic proofs alike.
 parse_proof reads a file once: the reader takes a shallow list that the
 file repeats, such as a sequent a premise copies from its conclusion, as
 one token and reads its text once, and a numeral four or more deep as one
-token and one value, decoded once per read (see sexpr), it shares equal
-sublists, and proof_from_sexpr converts with one memo for the
-document (see syntax), in which sequents and annotation lists are kept
-under their own kinds, "sequent" and "vars", beside formulas and terms.
-A formula that a premise repeats from its conclusion is then converted
-once; a back-link leaf's sequent, the same text as its target's, is the
-target's Sequent object; and a `(vars ...)` list met before is its first
-conversion.  The memo dies with the call.  premises_of builds each premise
-sequent once: a rule that replaces its principal removes it and adds the
-new formulas in one Sequent.  Heads, `:id`, node ids and rule names are
-atoms, and quoted text equals no atom (see sexpr), so `(node :id "a" ...)`
-or `("axiom")` is refused; every refusal is a ParseError.
+token and one value, decoded once per read (see sexpr), and
+proof_from_sexpr converts with one memo of formulas and terms for the
+document (see syntax).  A formula that a premise repeats from its
+conclusion is then converted once, and each node's Sequent is built from
+the memoised formulas.  The memo dies with the call.  premises_of builds
+each premise sequent once: a rule that replaces its principal removes it
+and adds the new formulas in one Sequent.  Heads, `:id`, node ids and rule
+names are atoms, and quoted text equals no atom (see sexpr), so
+`(node :id "a" ...)` or `("axiom")` is refused; every refusal is a
+ParseError.
 
 File format:
     (node :id L <sequent> <rule> <child>*)
@@ -79,15 +76,14 @@ class Sequent:
     """Finite multiset of formulas, stored sorted by rendering.
 
     Equality and hashing go by the tuple of (interned) formula nodes; the
-    rendering `sx` is built on first use.
+    rendering `sx` is built from the formulas' cached renderings on each use.
     """
 
-    __slots__ = ("formulas", "fv", "_sx")
+    __slots__ = ("formulas", "fv")
 
     def __init__(self, formulas: Iterable[Formula] = ()):
         fs = tuple(sorted(formulas, key=_by_sx))
         object.__setattr__(self, "formulas", fs)
-        object.__setattr__(self, "_sx", None)
         object.__setattr__(self, "fv", frozenset().union(*[f.fv for f in fs]))
 
     def __setattr__(self, name, value):
@@ -95,11 +91,7 @@ class Sequent:
 
     @property
     def sx(self) -> str:
-        s = self._sx
-        if s is None:
-            s = "(seq" + "".join([" " + f.sx for f in self.formulas]) + ")"
-            object.__setattr__(self, "_sx", s)
-        return s
+        return "(seq" + "".join([" " + f.sx for f in self.formulas]) + ")"
 
     def __iter__(self) -> Iterator[Formula]:
         return iter(self.formulas)
@@ -156,15 +148,11 @@ def parse_sequent(text: str) -> Sequent:
 
 
 def sequent_from_sexpr(value, memo: dict = None) -> Sequent:
+    if not isinstance(value, list) or not value or value[0] != "seq":
+        raise ParseError(f"bad sequent {sexpr.excerpt(value)}")
     if memo is None:
         memo = {}
-    seen = memo.setdefault("sequent", {})
-    seq = seen.get(id(value))
-    if seq is None:
-        if not isinstance(value, list) or not value or value[0] != "seq":
-            raise ParseError(f"bad sequent {sexpr.excerpt(value)}")
-        seq = seen[id(value)] = Sequent([formula_from_sexpr(v, memo) for v in value[1:]])
-    return seq
+    return Sequent([formula_from_sexpr(v, memo) for v in value[1:]])
 
 
 # --- rules and leaves ---------------------------------------------------------
@@ -530,14 +518,8 @@ def node_sequent_from_sexpr(
     if len(value) != 3 or not isinstance(value[2], list) or not value[2] \
             or value[2][0] != "vars":
         raise ParseError(f"bad annotated sequent {sexpr.excerpt(value)}")
-    if memo is None:
-        memo = {}
-    seq = sequent_from_sexpr(value[1], memo)
-    seen = memo.setdefault("vars", {})
-    vs = seen.get(id(value[2]))
-    if vs is None:
-        vs = seen[id(value[2])] = frozenset(ident_var(a) for a in value[2][1:])
-    return seq, vs
+    return (sequent_from_sexpr(value[1], memo),
+            frozenset(ident_var(a) for a in value[2][1:]))
 
 
 def proof_from_sexpr(value) -> ProofNode:

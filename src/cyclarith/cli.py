@@ -186,7 +186,7 @@ def cmd_eval(args) -> int:
             if not piece:
                 continue
             name, _, value = piece.partition("=")
-            if not value.lstrip("-").isdigit() or int(value) < 0:
+            if not (value.isascii() and value.isdigit()):     # [0-9]+
                 raise CliError(f"bad assignment {piece!r}, want name=nat")
             env[ident_var(name.strip())] = int(value)
     print(str(eval_formula(phi, env, args.cutoff)))

@@ -27,12 +27,10 @@ run on the assignment.  Compilation
   a bounded quantifier has its body's range, since its bound is at least 0.
   A node whose range is one value compiles to a constant: on the grid,
   `all x (ex y ...)` is UNKNOWN everywhere and is never scanned;
-- reads the body of a quantifier whose variable is not free in it once: an
-  unbounded `all` is FALSE if the body is and UNKNOWN otherwise (dually for
-  `ex`), and a bounded one is its body;
-- memoises every other quantifier node (Michie 1968).  Its value is a pure
-  function of the cutoff and of the values of its free variables, so it is
-  cached under the key `tuple(env.get(v, 0) for v in sorted(phi.fv))`.
+- memoises every quantifier node that does not fold (Michie 1968).  Its
+  value is a pure function of the cutoff and of the values of its free
+  variables, so it is cached under the key
+  `tuple(env.get(v, 0) for v in sorted(phi.fv))`.
 
 Compiled closures, memos included, live in a compile table: a dict from
 (formula, cutoff) to the closure and its range.  A caller that evaluates
@@ -151,19 +149,11 @@ def _compile(phi: Formula, cutoff: int, table: Table) -> Entry:
     elif kind in (All, Ex, AllLe, ExLe):
         body, values = _compile(phi.body, cutoff, table)
         stop = FALSE if kind in (All, AllLe) else TRUE
-        vacuous = phi.var not in phi.body.fv
         if kind in (All, Ex):
             # every scan meets w = 0, so it sees at least one body value
-            step = _UNBOUNDED[kind]
             values = _RANGE_OF[kind][values]
-            if vacuous:
-                code = lambda e: step[body(e)]
-            else:
-                code = _memo(_scan(phi.var.name, lambda e: cutoff, body, stop,
-                                   UNKNOWN), phi)
-        elif vacuous:
-            # the bound is at least 0, and every w gives the body's one value
-            code = body
+            code = _memo(_scan(phi.var.name, lambda e: cutoff, body, stop,
+                               UNKNOWN), phi)
         else:
             start = TRUE if kind is AllLe else FALSE
             code = _memo(_scan(phi.var.name, _term_code(phi.bound), body, stop,

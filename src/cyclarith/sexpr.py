@@ -14,28 +14,28 @@ a `ParseError` that carries the offset `pos`; the readers built on this
 one raise `ParseError` too, so one except clause catches every unreadable
 input.
 
-The reader makes equal lists one object: each list, when it closes, is
-looked up in a table of the lists read so far, keyed by the tuple of its
-items, and a list read before is used in its place.  Items that are lists
-hash by identity, so the key costs one tuple per list, and as the lists
-below were shared first, equal keys mean equal lists.  The converters of
-documents memoise on identity (see syntax).  A value read must never be
-mutated: every place it occurs would change with it.  The table dies with
-the read.
+The reader shares lists: each list read through `(` and `)` tokens, when
+it closes, is looked up in a table of the lists read so far, keyed by the
+tuple of its items, and a list read before is used in its place.  Items
+that are lists hash by identity, so the key costs one tuple per list.  The
+converters of documents memoise on identity (see syntax).  A value read
+must never be mutated: every place it occurs would change with it.  The
+table dies with the read.
 
 The reader also takes a whole list nested at most `BLOCK_DEPTH` deep that
 holds no `"`, no `;` and no line break as one block token.  Inside a block
 every other character is whitespace or part of an atom, so the block's own
 tokens are the ones single tokens would give.  A per-read memo maps each
 block's text to its list: a block seen before costs one dict lookup, and a
-new one is read from its inner text, its own blocks through the same memo,
-and then looked up in the table of shared lists, so equal lists spaced
-differently are still one object.  Proof files repeat each node's sequent
-in its premises, so most of their lists are blocks met before.  A proof
-file writes one node per line, so a block attempt at a node, which holds
-its children, stops at the end of the node's line instead of scanning the
-lines of its children, which their own attempts scan again.  The
-possessive quantifiers of the block pattern keep a failed attempt on a
+new one is read from its inner text, its own blocks through the same memo.
+Blocks skip the table of shared lists, so equal lists spelled differently,
+or read once as a block and once through `(` tokens, are equal lists but
+not one object.  Proof files repeat each node's sequent in its premises,
+with the same spelling, so most of their lists are blocks met before.  A
+proof file writes one node per line, so a block attempt at a node, which
+holds its children, stops at the end of the node's line instead of
+scanning the lines of its children, which their own attempts scan again.
+The possessive quantifiers of the block pattern keep a failed attempt on a
 deeper list from backtracking; that needs Python 3.11.
 
 Numerals are successor chains, `(s (s ... 0))`, often thousands deep.  The
@@ -49,16 +49,17 @@ per-read dict decodes each distinct chain or close-run token once, into
 the lists it leaves open, the value it puts in the innermost of them and
 the lists it closes after that.  The levels a chain token closes around its
 atom are one value, a `Chain` of the atom and the depth, not a list per
-successor: a Chain equals, and renders as, the nested lists it stands for,
-and one read makes one Chain per distinct chain, so the table of shared
-lists still identifies equal lists.  A whole numeral is thus one token and
-one value however deep it is.  A partial chain, one around a list or
-followed by more items, pushes the lists it leaves open as single `(`
-tokens would.  A block's inner text is split without chain tokens, since a
-chain token can close fewer lists than it opens, so a chain inside a block
-is read as its nested lists.  The closes of one token can pass the end of
-a value, so a read that fails is done again without chain tokens, and the
-error of that read, message and offset, is the one raised.
+successor: a Chain renders as the nested lists it stands for, and one read
+makes one Chain per distinct chain, so a Chain equals only itself and the
+table of shared lists keys it by identity.  A whole numeral is thus one
+token and one value however deep it is.  A partial chain, one around a
+list or followed by more items, pushes the lists it leaves open as single
+`(` tokens would.  A block's inner text has no chain tokens, since a chain
+token can close fewer lists than it opens, so a chain inside a block is
+read as its nested lists.  The closes of one token can pass the end of a
+value; the error then names the first close too many, as single `)` tokens
+would: "unmatched ')'" where no value is complete, and "trailing input
+after s-expression" after the value `parse` reads.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ BLOCK_DEPTH = 8
 _BLOCK = r'\([^()";\n]*+\)'
 for _ in range(BLOCK_DEPTH - 1):
     _BLOCK = rf'\([^()";\n]*+(?:{_BLOCK}[^()";\n]*+)*+\)'
-_BLOCK_TOKEN = re.compile(_BLOCK + "|" + _SINGLE, re.S)     # the chain-free read
+_BLOCK_TOKEN = re.compile(_BLOCK + "|" + _ATOM)     # the tokens of a block's inner text
 
 # A successor chain: a run of at least CHAIN_RUN "(s" opens, each followed
 # by whitespace, an optional atom and the closes after it; and a run of at
@@ -131,47 +132,30 @@ _CLOSE = r'[ \t\r\n]*+\)'
 _CHAIN = (rf'{_OPEN * CHAIN_RUN}(?:{_OPEN})*+(?:{_ATOM})?+(?:{_CLOSE})*+'
           rf'|\){_CLOSE * (CHAIN_RUN - 1)}(?:{_CLOSE})*+')
 _CHAIN_START = re.compile(_OPEN * CHAIN_RUN)    # a chain, not a block like (s x)
-_TOKEN = re.compile(_CHAIN + "|" + _BLOCK_TOKEN.pattern, re.S)
+_TOKEN = re.compile(_CHAIN + "|" + _BLOCK + "|" + _SINGLE, re.S)
 
 
 class _Blocks(dict):
-    """Block text -> its list, for one read.  A block met for the
-    first time is read from its inner text, its own blocks through this
-    memo, and then goes through `shared`, the read's table of lists."""
-
-    def __init__(self, shared: dict):
-        super().__init__()
-        self.shared = shared
+    """Block text -> its list, for one read.  A block met for the first
+    time is read from its inner text, its own blocks through this memo."""
 
     def __missing__(self, text: str) -> _Shared:
-        items = _Shared([self[t] if t[0] == "(" else t
-                         for t in _BLOCK_TOKEN.findall(text, 1, len(text) - 1)])
-        items = self[text] = self.shared.setdefault(tuple(items), items)
+        tokens = _BLOCK_TOKEN.findall(text, 1, len(text) - 1)
+        items = self[text] = _Shared([self[t] if t[0] == "(" else t for t in tokens])
         return items
 
 
 class Chain:
     """A whole successor chain as one value: `depth` >= 1 successors over
-    the atom `base`.  It stands for the nested lists (s (s ... base)): it
-    equals them and renders as their text.  One read makes one Chain per
-    distinct chain."""
+    the atom `base`.  It stands for the nested lists (s (s ... base)) and
+    renders as their text.  One read makes one Chain per distinct chain, so
+    a Chain equals only itself."""
 
     __slots__ = ("base", "depth")
 
     def __init__(self, base: str, depth: int):
         self.base = base
         self.depth = depth
-
-    def __eq__(self, other):
-        k = self.depth
-        while k and isinstance(other, list) and len(other) == 2 and other[0] == "s":
-            other, k = other[1], k - 1
-        if other.__class__ is Chain:
-            return other.depth == k and other.base == self.base
-        return not k and isinstance(other, str) and other == self.base
-
-    def __hash__(self):
-        return hash((self.base, self.depth))
 
     def __repr__(self):
         return f"Chain({self.base!r}, {self.depth})"
@@ -181,8 +165,8 @@ _CHAIN_ATOM = re.compile(rf'[ \t\r\n]*+({_ATOM})?+')
 
 
 class _Runs(dict):
-    """Chain or close-run token text -> (opens, value, closes), for one
-    read: the lists the token leaves open, the value it puts in the
+    """Text of a `)`, close-run or chain token -> (opens, value, closes),
+    for one read: the lists the token leaves open, the value it puts in the
     innermost of them (the Chain of the levels it closes around its atom,
     the bare atom if it closes none, None without an atom) and the lists
     it closes after that; None for a block that starts like a chain, such
@@ -210,37 +194,28 @@ class _Runs(dict):
         return got
 
 
-def _error(message: str, text: str, token: re.Pattern, tokens: list,
-           rest) -> SexprError:
+def _error(message: str, text: str, tokens: list, rest, closes: int = 0) -> SexprError:
     """The error at the token just taken from `rest`, an iterator over
-    `tokens`, which `token` split text into; the offset is found by scanning
-    again, on the error path only."""
+    `tokens`, the tokens of text; with `closes`, at the closes-th `)` from
+    the token's end.  The offset is found by scanning again, on the error
+    path only."""
     k = len(tokens) - length_hint(rest) - 1
-    for i, m in enumerate(token.finditer(text)):
+    for i, m in enumerate(_TOKEN.finditer(text)):
         if i == k:
-            return SexprError(message, m.start())
+            if not closes:
+                return SexprError(message, m.start())
+            return SexprError(message, m.start()
+                              + [j for j, c in enumerate(m[0]) if c == ")"][-closes])
     return SexprError(message, len(text))
 
 
-def _read(text: str, once: bool):
-    """The values of text (see `_scan`); on an error, the read without chain
-    tokens says which, and where."""
-    try:
-        return _scan(text, once, True)
-    except SexprError:
-        return _scan(text, once, False)
-
-
-def _scan(text: str, once: bool, chains: bool):
-    """The values of text, equal lists one object, in one pass over its
-    tokens with an explicit stack; with once, the single value and nothing
-    but comments after it; with chains, successor chains and runs of closes
-    taken as one token each (see the module docstring)."""
-    token = _TOKEN if chains else _BLOCK_TOKEN
-    tokens = token.findall(text)
+def _scan(text: str, once: bool):
+    """The values of text, in one pass over its tokens with an explicit
+    stack; with once, the single value and nothing but comments after it."""
+    tokens = _TOKEN.findall(text)
     rest = iter(tokens)
-    shared: dict = {}      # tuple of a list's items -> the list
-    blocks = _Blocks(shared)
+    shared: dict = {}      # tuple of a (...) list's items -> the list
+    blocks = _Blocks()
     runs = _Runs()
     values: list = []
     stack: list = []       # the lists enclosing `items`
@@ -250,20 +225,14 @@ def _scan(text: str, once: bool, chains: bool):
             stack.append(items)
             items = _Shared()
             continue
-        if tok == ")":
-            if not stack:
-                raise _error("unmatched ')'", text, token, tokens, rest)
-            done = items
-            items = stack.pop()
-            items.append(shared.setdefault(tuple(done), done))
-        elif tok[0] in '(;")':
+        if tok[0] in '(;")':
             if tok[0] == ";":
                 continue
-            if tok[0] == "(" and not (chains and tok[1] == "s"):
+            if tok[0] == "(" and tok[1] != "s":
                 items.append(blocks[tok])   # a block
             elif tok[0] == '"':
                 if len(tok) == 1:
-                    raise _error("unterminated string", text, token, tokens, rest)
+                    raise _error("unterminated string", text, tokens, rest)
                 body = tok[1:-1]
                 if "\\" in body:
                     body = _ESCAPE.sub(r"\1", body)
@@ -271,16 +240,17 @@ def _scan(text: str, once: bool, chains: bool):
             elif (run := runs[tok]) is None:    # a block that starts like a chain
                 items.append(blocks[tok])
             else:
-                # a run of closes, or a chain (see _Runs)
+                # a close, a run of closes, or a chain (see _Runs)
                 opens, value, closes = run
                 for _ in range(opens):
                     stack.append(items)
                     items = _Shared(("s",))
                 if value is not None:
                     items.append(value)
-                for _ in range(closes):
-                    if not stack:
-                        raise _error("unmatched ')'", text, token, tokens, rest)
+                for i in range(closes):
+                    if not stack:   # a close with no list open
+                        raise _error("trailing input after s-expression" if values and once
+                                     else "unmatched ')'", text, tokens, rest, closes - i)
                     done = items
                     items = stack.pop()
                     items.append(shared.setdefault(tuple(done), done))
@@ -289,7 +259,7 @@ def _scan(text: str, once: bool, chains: bool):
         if once and not stack:
             for tok in rest:
                 if tok[0] != ";":
-                    raise _error("trailing input after s-expression", text, token, tokens, rest)
+                    raise _error("trailing input after s-expression", text, tokens, rest)
             return values[0]
     if stack:
         raise SexprError("unclosed '('", len(text))
@@ -299,11 +269,11 @@ def _scan(text: str, once: bool, chains: bool):
 
 
 def parse(text: str):
-    return _read(text, True)
+    return _scan(text, True)
 
 
 def parse_many(text: str):
-    return _read(text, False)
+    return _scan(text, False)
 
 
 def render(value) -> str:

@@ -35,16 +35,15 @@ and `(all "x" ...)` raise ParseError, the one error of every reader
 (defined in sexpr, re-exported here).
 
 A document (a proof or a graph) is converted with one memo: a dict that
-holds, for each kind of value ("formula", "term", and calculus's
-"sequent" and "vars"), a table from the identity of a list to what it
-converted to.  Every read shares equal sublists (see sexpr), so a formula,
-term, sequent or annotation list that the document repeats is found by
-identity and converted once, and a hit returns before any set-up of the
-conversion.  A list is looked up under the kind it is read
-as, so one met as a term and again as a formula is converted, and checked,
-as each; only successful conversions are stored, so the first error is the
-one an unmemoised read raises.  The memo is made by the call that converts
-the document and dies with it.
+holds, for each kind of value ("formula" and "term"), a table from the
+identity of a list to what it converted to.  A read gives a list that the
+document repeats with the same spelling as one object (see sexpr), so a
+formula or term the document repeats is found by identity and converted
+once, and a hit returns before any set-up of the conversion.  A list is
+looked up under the kind it is read as, so one met as a term and again as
+a formula is converted, and checked, as each; only successful conversions
+are stored, so the first error is the one an unmemoised read raises.  The
+memo is made by the call that converts the document and dies with it.
 
 `negate` and `substitute` run once per formula of a step's premises, so
 they dispatch on the node's class with identity tests and set lookups, not

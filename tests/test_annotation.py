@@ -91,6 +91,17 @@ def test_propagate_and_rejects_a_principal_that_is_no_conjunction():
         annotate_tree(root, frozenset([x]), SN0)
 
 
+def test_propagate_all_rejects_a_principal_it_cannot_instantiate():
+    # likewise an (all) rule whose principal is no universal, or whose
+    # body would capture the eigenvariable
+    aseq = AnnotatedSequent(Sequent([ATOM]), frozenset([x]))
+    with pytest.raises(ArgMismatch, match="no attribute 'body'"):
+        propagate(aseq, AllRule(ATOM, y), SN0)
+    phi = All(x, Ex(y, Eq(V(x), V(y))))
+    with pytest.raises(ArgMismatch, match="^substituting y for x captures y$"):
+        propagate(AnnotatedSequent(Sequent([phi]), frozenset([x])), AllRule(phi, y), SN0)
+
+
 def test_propagate_cut_splits_on_class():
     aseq = AnnotatedSequent(Sequent([ATOM]), frozenset([x]))
     out = propagate(aseq, CutRule(PI1), SN0)

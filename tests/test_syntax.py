@@ -128,9 +128,11 @@ def test_parse_errors():
     (parse_term, "(t 0)", "bad term (t 0)"),
     (parse_formula, "(eq (p (s 0)) 0)", "bad term (p (s 0))"),
     (parse_term, "(s 0 0)", "bad term (s 0 0)"),
+    (parse_formula, "(all<= x (s x) (eq x 0))", "bound term of all<= mentions x"),
 ])
 def test_parse_error_messages(read, text, message):
-    """Only (s t) is a successor: another two-item list is no term."""
+    """Each fault is named.  Only (s t) is a successor: another two-item
+    list is no term."""
     with pytest.raises(ParseError) as exc:
         read(text)
     assert str(exc.value) == message

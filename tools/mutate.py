@@ -2,8 +2,9 @@
 
 Each mutant changes one condition of one judgement function: an `if` test
 made False (the guard deleted) or True, an operand dropped from `and` or
-`or`, a `not` dropped, or a comparison turned into its neighbour (`==` and
-`!=`, `<` and `<=`, `in` and `not in`, `is` and `is not`).  For each
+`or`, a `not` dropped, a comparison turned into its neighbour (`==` and
+`!=`, `<` and `<=`, `in` and `not in`, `is` and `is not`), or an exception
+class dropped from an `except` clause, which then lets it through.  For each
 mutant the tier-1 suite runs with `-x` against a copy of `src/`, `tests/`
 and the files the tests read in a temporary directory, so the working tree
 is never changed.  As many mutants run at once as the process has CPUs,
@@ -96,6 +97,11 @@ def _sites(func: ast.FunctionDef):
                     ops = node.ops[:i] + [FLIP[type(op)]()] + node.ops[i + 1:]
                     yield node, _setter(node, "ops", ops), \
                         f"{type(op).__name__} -> {FLIP[type(op)].__name__}"
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for i, kind in enumerate(caught):
+                kept = ast.Tuple(caught[:i] + caught[i + 1:], ast.Load())
+                yield node, _setter(node, "type", kept), f"except drops {ast.unparse(kind)}"
 
 
 def _setter(node, field, value):
