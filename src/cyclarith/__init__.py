@@ -34,8 +34,8 @@ from .calculus import (Add0Rule, AddSRule, AllRule, AndRule, AssumeLeaf,
                        WeakRule, check_step, is_axiom,
                        parse_proof, parse_sequent, premises_of, render_proof,
                        walk)
-from .annotation import (AnnotatedSequent, Mode, System, annotate_tree, erase,
-                         is_annotated, is_plain, parse_aseq, propagate)
+from .annotation import (Mode, System, annotate_tree, erase, is_annotated,
+                         is_plain, parse_aseq, propagate)
 from .checker import (ValidationReport, Violation, check_tree, parse_report,
                       render_report, validate)
 from .transform import (RavelError, RegularProofGraph, expand_graph, graph_of,

@@ -1,11 +1,12 @@
-"""Annotated sequents and deterministic annotation propagation.
+"""Checking modes and deterministic annotation propagation.
 
-An annotation is the set of case variables a branch is still protecting.
-Propagation through a rule is a function of the conclusion's annotation, the
-rule arguments, and the checking mode; the only rule that ever enlarges an
-annotation is (case) on its right premise, and several rules reset it to the
-empty set when their principal formula falls outside the mode's restriction
-class.
+An annotated sequent is a (Sequent, frozenset) pair, which calculus reads
+and writes.  An annotation is the set of case variables a branch is still
+protecting.  Propagation through a rule is a function of the conclusion's
+annotation, the rule arguments, and the checking mode; the only rule that
+ever enlarges an annotation is (case) on its right premise, and several
+rules reset it to the empty set when their principal formula falls outside
+the mode's restriction class.
 
 Modes: `sn` and `spi` restrict against Pi_{n+1}; `ssigma` against Sigma_n.
 They differ in the (case) right-premise test -- `sn` asks that the case
@@ -18,14 +19,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from . import sexpr
 from .calculus import (AllRule, AndRule, ArgMismatch, CaseRule, CutRule,
                        ProofNode, Rule, Sequent, fold_tree,
-                       node_sequent_from_sexpr, node_sequent_to_sexpr_str, walk)
-from .syntax import (And, CaptureError, Formula, PI, ParseError, SIGMA, V, is_in,
-                     negate, substitute)
+                       node_sequent_from_sexpr, walk)
+from .syntax import (All, And, CaptureError, Formula, PI, ParseError, SIGMA, V,
+                     is_in, negate, substitute)
 
 
 class System(enum.Enum):
@@ -57,30 +58,17 @@ class Mode:
 EMPTY: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class AnnotatedSequent:
-    sequent: Sequent
-    vars: frozenset
-
-    @property
-    def sx(self) -> str:
-        return node_sequent_to_sexpr_str(self.sequent, self.vars)
-
-    def __repr__(self):
-        return self.sx
-
-
-def parse_aseq(text: str) -> AnnotatedSequent:
+def parse_aseq(text: str) -> Tuple[Sequent, frozenset]:
+    """An `(aseq (seq f ...) (vars x ...))` text as its (sequent, vars) pair."""
     value = sexpr.parse(text)
     if not isinstance(value, list) or not value or value[0] != "aseq":
         raise ParseError(f"bad annotated sequent {sexpr.excerpt(value)}")
-    return AnnotatedSequent(*node_sequent_from_sexpr(value))
+    return node_sequent_from_sexpr(value)
 
 
-def propagate(conclusion: AnnotatedSequent, r: Rule, mode: Mode) -> List[frozenset]:
-    """One annotation per premise of r, uniquely determined."""
-    seq = conclusion.sequent
-    vs = conclusion.vars
+def propagate(seq: Sequent, vs: frozenset, r: Rule, mode: Mode) -> List[frozenset]:
+    """One annotation per premise of r, uniquely determined by the
+    conclusion seq annotated with vs."""
     if isinstance(r, AndRule):
         if not isinstance(r.principal, And):
             raise ArgMismatch(f"(and) principal is not a conjunction: {r.principal.sx}")
@@ -92,9 +80,11 @@ def propagate(conclusion: AnnotatedSequent, r: Rule, mode: Mode) -> List[frozens
     if isinstance(r, AllRule):
         if mode.system is System.SSIGMA:
             return [EMPTY]
+        if not isinstance(r.principal, All):
+            raise ArgMismatch(f"(all) principal is not universal: {r.principal.sx}")
         try:
             inst = substitute(r.principal.body, r.principal.var, V(r.var))
-        except (CaptureError, AttributeError) as exc:
+        except CaptureError as exc:
             raise ArgMismatch(str(exc)) from None
         keep = r.var not in vs and mode.in_restriction(inst)
         return [vs if keep else EMPTY]
@@ -117,7 +107,7 @@ def annotate_tree(root: ProofNode, root_vars, mode: Mode) -> ProofNode:
     """
     def visit(item):
         node, vs = item
-        anns = propagate(AnnotatedSequent(node.sequent, vs), node.rule, mode)
+        anns = propagate(node.sequent, vs, node.rule, mode)
         anns += [EMPTY] * (len(node.children) - len(anns))
         return item, list(zip(node.children, anns))
 

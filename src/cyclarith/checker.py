@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .annotation import AnnotatedSequent, Mode, System, propagate
+from .annotation import Mode, System, propagate
 from .calculus import (ArgMismatch, AssumeLeaf, AxiomLeaf, BackLeaf, CaseRule,
                        LEAF_KINDS, OpenLeaf, ProofNode, check_step, is_axiom,
                        node_map, walk)
@@ -149,7 +149,7 @@ def _check_local(root: ProofNode, mode: Mode, plain: bool, bad) -> int:
         if plain:
             continue
         try:
-            anns = propagate(AnnotatedSequent(node.sequent, node.vars), r, mode)
+            anns = propagate(node.sequent, node.vars, r, mode)
         except ArgMismatch as exc:
             bad(node.id, "Step", str(exc))
             continue

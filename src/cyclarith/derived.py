@@ -29,9 +29,8 @@ class FreshVars:
     """Deterministic fresh-name supply over the reserved `$k` namespace."""
 
     def __init__(self, avoid: Iterable[str] = ()):
-        self._used = set(avoid)
         start = 0
-        for name in self._used:
+        for name in avoid:
             m = _RESERVED_RE.match(name)
             if m:
                 start = max(start, int(m.group(1)) + 1)
@@ -40,7 +39,6 @@ class FreshVars:
     def take(self) -> Var:
         name = f"{RESERVED_PREFIX}{self._next}"
         self._next += 1
-        self._used.add(name)
         return Var(name)
 
 

@@ -229,14 +229,13 @@ def _scan(text: str, once: bool):
             if tok[0] == ";":
                 continue
             if tok[0] == "(" and tok[1] != "s":
-                items.append(blocks[tok])   # a block
+                # a block; runs[tok] maps it to None too, but that way a
+                # corpus-cyclic bench pass ran 1.3% slower (2 vCPUs, Python 3.11)
+                items.append(blocks[tok])
             elif tok[0] == '"':
                 if len(tok) == 1:
                     raise _error("unterminated string", text, tokens, rest)
-                body = tok[1:-1]
-                if "\\" in body:
-                    body = _ESCAPE.sub(r"\1", body)
-                items.append(QuotedString(body))
+                items.append(QuotedString(_ESCAPE.sub(r"\1", tok[1:-1])))
             elif (run := runs[tok]) is None:    # a block that starts like a chain
                 items.append(blocks[tok])
             else:

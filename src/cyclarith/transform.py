@@ -211,5 +211,4 @@ GRAPH = Record("""
 
 
 render_graph = GRAPH.render
-graph_from_sexpr = GRAPH.read
 parse_graph = GRAPH.parse

@@ -15,7 +15,7 @@ argument to ordinary induction on z: a base and step for zeta, one
 equivalence of Phi-parts per edge inside M, one theta-to-sequent
 obligation per M-node, and a discharge obligation at the root.
 
-Proofs whose root lies on no cycle yield the NoRootCycle marker instead;
+Proofs whose root lies on no cycle yield None instead;
 extract_all recurses below such roots and emits one certificate per
 maximal root-cycle component, outermost first.
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .annotation import Mode, System
 from .calculus import AllRule, BackLeaf, CaseRule, ProofNode, Sequent, walk
@@ -49,23 +49,6 @@ from .semantics import (DEFAULT_CUTOFF, DEFAULT_VALUE_BOUND, TV,
                         all_assignments, eval_formula, sequent_truth)
 from .syntax import (And, All, AllLe, Add, BOT, Eq, Formula, Or, Succ, TOP, V,
                      Var, ZERO, iff, impl, negate, substitute)
-
-
-class NoRootCycle:
-    """Marker: the proof's root lies on no directed cycle."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NoRootCycle"
-
-
-NO_ROOT_CYCLE = NoRootCycle()
 
 
 class ExtractionError(Exception):
@@ -139,7 +122,8 @@ def _digraph(root: ProofNode) -> Tuple[Dict[str, ProofNode],
 
 
 def _root_cycle(nodes, pred, root_id: str):
-    """Ids of root_id's subtree with a directed path to it, or NoRootCycle.
+    """Ids of root_id's subtree with a directed path to it, or None when
+    root_id lies on no cycle.
 
     Back-links of a valid proof target ancestors, so the search leaves the
     subtree only through the tree edge into root_id, which it skips by
@@ -147,7 +131,7 @@ def _root_cycle(nodes, pred, root_id: str):
     """
     queue = [p for p in pred[root_id] if isinstance(nodes[p].rule, BackLeaf)]
     if not queue:
-        return NO_ROOT_CYCLE
+        return None
     seen = {root_id, *queue}
     while queue:
         for p in pred[queue.pop()]:
@@ -221,16 +205,16 @@ def compute_ranks(succ: Mapping[str, List[str]], m_nodes,
 
 # --- extraction -------------------------------------------------------------------
 
-def extract_certificate(root: ProofNode, mode: Mode):
-    """Certificate for the root cycle, or NoRootCycle.
+def extract_certificate(root: ProofNode, mode: Mode) -> Optional[InductionCertificate]:
+    """Certificate for the root cycle, or None when the root lies on no cycle.
 
     Raises ExtractionError on a proof that validate judges invalid, and on
     the refusals the module docstring lists.
     """
     nodes, succ, pred = _validated(root, mode)
     m_set = _root_cycle(nodes, pred, root.id)
-    if isinstance(m_set, NoRootCycle):
-        return m_set
+    if m_set is None:
+        return None
     return _certificate(nodes, succ, root, m_set, mode)
 
 
@@ -353,7 +337,7 @@ def extract_all(root: ProofNode,
         if isinstance(node.rule, BackLeaf):
             continue
         m_set = _root_cycle(nodes, pred, node.id)
-        if isinstance(m_set, NoRootCycle):
+        if m_set is None:
             todo += reversed(node.children)
             continue
         cert = _certificate(nodes, succ, node, m_set, mode)

@@ -8,7 +8,6 @@ from cyclarith import (
     AllRule,
     And,
     AndRule,
-    AnnotatedSequent,
     AxiomLeaf,
     CaseRule,
     CutRule,
@@ -60,32 +59,32 @@ def test_mode_fields():
 
 
 def test_propagate_copies_by_default():
-    aseq = AnnotatedSequent(Sequent([ATOM, SIG1]), frozenset([x]))
+    aseq = (Sequent([ATOM, SIG1]), frozenset([x]))
     for rule in [WeakRule(Sequent([SIG1])), OrRule(Or(ATOM, ATOM)), RefRule(V(x))]:
         if isinstance(rule, OrRule):
-            aseq_r = AnnotatedSequent(Sequent([Or(ATOM, ATOM)]), frozenset([x]))
-            assert propagate(aseq_r, rule, SN0) == [frozenset([x])]
+            aseq_r = (Sequent([Or(ATOM, ATOM)]), frozenset([x]))
+            assert propagate(*aseq_r, rule, SN0) == [frozenset([x])]
         else:
-            assert propagate(aseq, rule, SN0) == [frozenset([x])]
+            assert propagate(*aseq, rule, SN0) == [frozenset([x])]
 
 
 def test_propagate_and_splits_on_class():
     # premise keeps the annotation only when its displayed conjunct stays
     # inside the restricted class
     phi = And(PI1, SIG1)
-    aseq = AnnotatedSequent(Sequent([phi, ATOM]), frozenset([x]))
-    assert propagate(aseq, AndRule(phi), SN0) == [frozenset([x]), frozenset()]
+    aseq = (Sequent([phi, ATOM]), frozenset([x]))
+    assert propagate(*aseq, AndRule(phi), SN0) == [frozenset([x]), frozenset()]
     flipped = And(SIG1, PI1)
-    aseq2 = AnnotatedSequent(Sequent([flipped, ATOM]), frozenset([x]))
-    assert propagate(aseq2, AndRule(flipped), SN0) == [frozenset(), frozenset([x])]
+    aseq2 = (Sequent([flipped, ATOM]), frozenset([x]))
+    assert propagate(*aseq2, AndRule(flipped), SN0) == [frozenset(), frozenset([x])]
 
 
 def test_propagate_and_rejects_a_principal_that_is_no_conjunction():
     # annotate propagates before any step check, so a mistyped (and) rule
     # must be an ArgMismatch (exit 1 from the CLI), not an AttributeError
-    aseq = AnnotatedSequent(Sequent([PI1, ATOM]), frozenset([x]))
+    aseq = (Sequent([PI1, ATOM]), frozenset([x]))
     with pytest.raises(ArgMismatch, match="not a conjunction"):
-        propagate(aseq, AndRule(PI1), SN0)
+        propagate(*aseq, AndRule(PI1), SN0)
     root = ProofNode("n", Sequent([PI1]), AndRule(PI1), ())
     with pytest.raises(ArgMismatch):
         annotate_tree(root, frozenset([x]), SN0)
@@ -94,19 +93,25 @@ def test_propagate_and_rejects_a_principal_that_is_no_conjunction():
 def test_propagate_all_rejects_a_principal_it_cannot_instantiate():
     # likewise an (all) rule whose principal is no universal, or whose
     # body would capture the eigenvariable
-    aseq = AnnotatedSequent(Sequent([ATOM]), frozenset([x]))
-    with pytest.raises(ArgMismatch, match="no attribute 'body'"):
-        propagate(aseq, AllRule(ATOM, y), SN0)
+    aseq = (Sequent([ATOM]), frozenset([x]))
+    with pytest.raises(ArgMismatch,
+                       match=r"^\(all\) principal is not universal: \(eq \(add x 0\) x\)$"):
+        propagate(*aseq, AllRule(ATOM, y), SN0)
+    # an existential has a body and a variable too
+    with pytest.raises(ArgMismatch, match=r"^\(all\) principal is not universal: \(ex y "):
+        propagate(Sequent([SIG1]), frozenset([x]), AllRule(SIG1, z), SN0)
+    # ssigma clears the annotation on every (all) before looking at it
+    assert propagate(*aseq, AllRule(ATOM, y), SSIG0) == [frozenset()]
     phi = All(x, Ex(y, Eq(V(x), V(y))))
     with pytest.raises(ArgMismatch, match="^substituting y for x captures y$"):
-        propagate(AnnotatedSequent(Sequent([phi]), frozenset([x])), AllRule(phi, y), SN0)
+        propagate(Sequent([phi]), frozenset([x]), AllRule(phi, y), SN0)
 
 
 def test_propagate_cut_splits_on_class():
-    aseq = AnnotatedSequent(Sequent([ATOM]), frozenset([x]))
-    out = propagate(aseq, CutRule(PI1), SN0)
+    aseq = (Sequent([ATOM]), frozenset([x]))
+    out = propagate(*aseq, CutRule(PI1), SN0)
     assert out[0] == frozenset([x])  # cut formula in class
-    out2 = propagate(aseq, CutRule(SIG1), SN0)
+    out2 = propagate(*aseq, CutRule(SIG1), SN0)
     assert out2[0] == frozenset()  # cut formula outside class
     # the negation side is Pi_1 for a Sigma_1 cut formula
     assert out2[1] == frozenset([x])
@@ -114,46 +119,46 @@ def test_propagate_cut_splits_on_class():
 
 def test_propagate_all():
     phi = All(y, Eq(V(x), V(y)))
-    aseq = AnnotatedSequent(Sequent([phi]), frozenset([x]))
-    assert propagate(aseq, AllRule(phi, z), SN0) == [frozenset([x])]
+    aseq = (Sequent([phi]), frozenset([x]))
+    assert propagate(*aseq, AllRule(phi, z), SN0) == [frozenset([x])]
     # eigenvariable inside the annotation blocks keeping it
-    aseq2 = AnnotatedSequent(Sequent([phi]), frozenset([z]))
-    assert propagate(aseq2, AllRule(phi, z), SN0) == [frozenset()]
+    aseq2 = (Sequent([phi]), frozenset([z]))
+    assert propagate(*aseq2, AllRule(phi, z), SN0) == [frozenset()]
     # the Sigma-style system always clears on (all)
-    assert propagate(aseq, AllRule(phi, z), SSIG0) == [frozenset()]
+    assert propagate(*aseq, AllRule(phi, z), SSIG0) == [frozenset()]
 
 
 def test_propagate_ex_copies():
     phi = Ex(y, Eq(V(x), V(y)))
-    aseq = AnnotatedSequent(Sequent([phi]), frozenset([x]))
-    assert propagate(aseq, ExRule(phi, numeral(1)), SN0) == [frozenset([x])]
+    aseq = (Sequent([phi]), frozenset([x]))
+    assert propagate(*aseq, ExRule(phi, numeral(1)), SN0) == [frozenset([x])]
 
 
 def test_propagate_case_sn():
     # left premise always cleared; right extends when the case variable
     # occurs only in formulas of the restricted class
-    aseq = AnnotatedSequent(Sequent([ATOM]), frozenset())
-    assert propagate(aseq, CaseRule(x), SN0) == [frozenset(), frozenset([x])]
-    mixed = AnnotatedSequent(Sequent([ATOM, SIG1]), frozenset())
-    assert propagate(mixed, CaseRule(x), SN0) == [frozenset(), frozenset()]
+    aseq = (Sequent([ATOM]), frozenset())
+    assert propagate(*aseq, CaseRule(x), SN0) == [frozenset(), frozenset([x])]
+    mixed = (Sequent([ATOM, SIG1]), frozenset())
+    assert propagate(*mixed, CaseRule(x), SN0) == [frozenset(), frozenset()]
     # x free only in class formulas: the Sigma occurrence of x blocks SN
-    only_r = AnnotatedSequent(Sequent([ATOM, PI1]), frozenset())
-    assert propagate(only_r, CaseRule(x), SN0) == [frozenset(), frozenset([x])]
+    only_r = (Sequent([ATOM, PI1]), frozenset())
+    assert propagate(*only_r, CaseRule(x), SN0) == [frozenset(), frozenset([x])]
 
 
 def test_propagate_case_spi_needs_all_in_class():
-    mixed = AnnotatedSequent(Sequent([ATOM, SIG1]), frozenset())
-    assert propagate(mixed, CaseRule(x), SPI0) == [frozenset(), frozenset()]
-    only_r = AnnotatedSequent(Sequent([ATOM, PI1]), frozenset())
-    assert propagate(only_r, CaseRule(x), SPI0) == [frozenset(), frozenset([x])]
+    mixed = (Sequent([ATOM, SIG1]), frozenset())
+    assert propagate(*mixed, CaseRule(x), SPI0) == [frozenset(), frozenset()]
+    only_r = (Sequent([ATOM, PI1]), frozenset())
+    assert propagate(*only_r, CaseRule(x), SPI0) == [frozenset(), frozenset([x])]
 
 
 def test_propagate_case_ssigma():
-    s = AnnotatedSequent(Sequent([SIG1]), frozenset())
-    assert propagate(s, CaseRule(x), Mode(System.SSIGMA, 1)) == [frozenset(), frozenset([x])]
+    s = (Sequent([SIG1]), frozenset())
+    assert propagate(*s, CaseRule(x), Mode(System.SSIGMA, 1)) == [frozenset(), frozenset([x])]
     # Pi_1 formula is outside Sigma_1, blocks the extension
-    s2 = AnnotatedSequent(Sequent([PI1]), frozenset())
-    assert propagate(s2, CaseRule(x), Mode(System.SSIGMA, 1)) == [frozenset(), frozenset()]
+    s2 = (Sequent([PI1]), frozenset())
+    assert propagate(*s2, CaseRule(x), Mode(System.SSIGMA, 1)) == [frozenset(), frozenset()]
 
 
 def test_is_annotated_and_erase(cyclic_corpus):
@@ -180,11 +185,9 @@ def test_annotate_deterministic(cyclic_corpus):
 
 
 def test_parse_aseq():
-    aa = parse_aseq("(aseq (seq (eq x 0)) (vars x y))")
-    assert aa.sequent == Sequent([Eq(V(x), Zero())])
-    assert aa.vars == frozenset([x, y])
-    bare = parse_aseq("(aseq (seq) (vars))")
-    assert bare.vars == frozenset()
+    assert parse_aseq("(aseq (seq (eq x 0)) (vars x y))") == \
+        (Sequent([Eq(V(x), Zero())]), frozenset([x, y]))
+    assert parse_aseq("(aseq (seq) (vars))") == (Sequent([]), frozenset())
 
 
 @pytest.mark.parametrize("system", [System.SN, System.SPI])
@@ -192,9 +195,9 @@ def test_all_keeps_the_annotation_only_for_an_instance_in_the_class(system):
     # all y ex w (w = y + x): its instance at z is Sigma_1, outside Pi_1
     w = Var("w")
     phi = All(y, Ex(w, Eq(V(w), Add(V(y), V(x)))))
-    conclusion = AnnotatedSequent(Sequent([phi]), frozenset({x}))
-    assert propagate(conclusion, AllRule(phi, z), Mode(system, 0)) == [frozenset()]
-    assert propagate(conclusion, AllRule(phi, z), Mode(system, 1)) == [frozenset({x})]
+    conclusion = (Sequent([phi]), frozenset({x}))
+    assert propagate(*conclusion, AllRule(phi, z), Mode(system, 0)) == [frozenset()]
+    assert propagate(*conclusion, AllRule(phi, z), Mode(system, 1)) == [frozenset({x})]
 
 
 def _violations(report):

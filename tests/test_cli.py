@@ -112,6 +112,15 @@ def test_annotate_rejects_annotated(capsys, corpus_dir):
     assert rc == 2
 
 
+def test_annotate_reports_an_all_principal_that_is_no_universal(capsys, tmp_path):
+    prf = tmp_path / "all.prf"
+    prf.write_text("(node :id n0 (seq (eq x 0) (all y (eq y y))) (rule all (eq x 0) z)\n"
+                   "  (node :id n1 (seq (eq x 0)) (axiom)))\n")
+    rc, out, err = _run(capsys, ["annotate", str(prf), "x"])
+    assert (rc, out) == (1, "")
+    assert err == "annotation failed: (all) principal is not universal: (eq x 0)\n"
+
+
 def test_unravel_then_check(capsys, tmp_path, corpus_dir):
     out_file = tmp_path / "unr.prf"
     rc = main(["unravel", str(corpus_dir / "ind_schema_pi1.cyc"),

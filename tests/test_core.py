@@ -106,8 +106,7 @@ def test_uncycle_takes_no_annotation_judgement_from_the_core():
     path = Path(cyclarith.__file__).parent / "uncycle.py"
     names = [name for _, name in _core_names(path.read_text())]
     assert "validate" in names
-    assert [name for name in names if name in ("propagate", "AnnotatedSequent")
-            or name.startswith("_")] == []
+    assert [name for name in names if name == "propagate" or name.startswith("_")] == []
 
 
 def _self_reaching(source: str):
@@ -178,7 +177,7 @@ def test_core_dataclass_annotations_resolve():
         module = importlib.import_module(f"cyclarith.{name}")
         classes += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
                     if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__]
-    assert cyclarith.AnnotatedSequent in classes and cyclarith.Mode in classes
+    assert cyclarith.ProofNode in classes and cyclarith.Mode in classes
     for cls in classes:
         typing.get_type_hints(cls)
 

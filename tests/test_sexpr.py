@@ -340,20 +340,34 @@ def _one_object_per_rendering(value, text, lists=True):
 
 
 def test_equal_lists_read_as_one_object():
+    # by construction, texts whose lists are all read in one form: with a
+    # line break after every "(", no block or chain token can start, so
+    # every list is read through "(" tokens; a random value rendered on one
+    # line is a single block, which spells equal lists alike
     rng = random.Random(7)
-    texts = ["".join(rng.choice(_ALPHABET) for _ in range(rng.randrange(16)))
-             for _ in range(20000)]
-    texts += [render(_random_sexpr(rng, 5)) for _ in range(300)]
-    shared_lists = 0
-    for text in texts:
-        try:
-            value = parse(text)
-        except SexprError:
-            continue
-        _one_object_per_rendering(value, text)
-        lists = _lists(value)
-        shared_lists += len(lists) - len({id(v) for v in lists})
-    assert shared_lists > 100
+    token_texts = ["".join(rng.choice(_ALPHABET) for _ in range(rng.randrange(16)))
+                   .replace("(", "(\n") for _ in range(20000)]
+    token_texts += [render(_random_sexpr(rng, 5)).replace("(", "(\n") for _ in range(300)]
+    block_texts = [render(_random_sexpr(rng, 5)) for _ in range(300)]
+    for texts in (token_texts, block_texts):
+        shared_lists = 0
+        for text in texts:
+            try:
+                value = parse(text)
+            except SexprError:
+                continue
+            tokens = _TOKEN.findall(text)
+            if texts is token_texts:
+                assert all(t == "(" for t in tokens if t[0] == "("), text
+            else:
+                assert len(tokens) == 1, text
+            _one_object_per_rendering(value, text)
+            lists = _lists(value)
+            shared_lists += len(lists) - len({id(v) for v in lists})
+        assert shared_lists > 100
+    # equal lists read as two different blocks are two objects
+    v = parse("((a b)\n(a  b))")
+    assert v[0] == v[1] and v[0] is not v[1]
 
 
 def test_shared_read_keeps_quoted_strings_and_atoms_apart():

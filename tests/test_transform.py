@@ -37,7 +37,7 @@ from cyclarith.calculus import node_map, parse_proof
 from cyclarith.cli import build_corpus
 from cyclarith.sexpr import SexprError
 from cyclarith.syntax import ParseError
-from cyclarith.transform import graph_from_sexpr
+from cyclarith.transform import GRAPH
 
 import reference_sexpr
 from conftest import backlinks, graph_with, mutate_document, rebuild, retarget, schema
@@ -216,7 +216,7 @@ def _graph_outcome(read, text):
 def _reference_graph(text):
     """parse_graph over the recursive reference reader, whose lists are
     never shared."""
-    return graph_from_sexpr(reference_sexpr.parse(text))
+    return GRAPH.read(reference_sexpr.parse(text))
 
 
 def test_shared_graph_reading_matches_unshared_reference_on_corpus_and_mutants():

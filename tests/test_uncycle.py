@@ -44,8 +44,7 @@ from cyclarith import (
 )
 from cyclarith.builders import build_corpus, relabel_proof
 from cyclarith.calculus import RULE_ARITY, node_map
-from cyclarith.uncycle import (BOT, EDGE_TAGS, KINDS, NO_ROOT_CYCLE, NoRootCycle, TOP, _digraph,
-                               compute_ranks)
+from cyclarith.uncycle import BOT, EDGE_TAGS, KINDS, TOP, _digraph, compute_ranks
 
 from conftest import backlinks, retarget
 
@@ -182,7 +181,7 @@ def test_extract_multiple_loops():
     for _, c in certs:
         assert check_certificate_bounded(c, 3, 8).ok
     # the whole proof has no cycle through its conjunction root
-    assert extract_certificate(tl, tlm) is NO_ROOT_CYCLE
+    assert extract_certificate(tl, tlm) is None
 
 
 def test_eigenvariables_enter_theta():
@@ -196,7 +195,7 @@ def test_eigenvariables_enter_theta():
 def test_plain_tree_has_no_certificates():
     t = tautology(Sequent(), Or(Neq(Zero(), Zero()), Eq(Zero(), Zero())))
     ann = annotate_tree(t, frozenset(), SN0)
-    assert extract_certificate(ann, SN0) is NO_ROOT_CYCLE
+    assert extract_certificate(ann, SN0) is None
     assert extract_all(ann, SN0) == []
 
 
