@@ -12,21 +12,20 @@ Modes: `sn` and `spi` restrict against Pi_{n+1}; `ssigma` against Sigma_n.
 They differ in the (case) right-premise test -- `sn` asks that the case
 variable occur freely only in restriction-class formulas, `spi`/`ssigma`
 ask that the whole conclusion lie in the class -- and `ssigma` additionally
-resets annotations across every (all) inference.
+resets annotations across every (all) inference.  Annotating, erasing and
+testing a whole tree are proof-tree transformations, in `transform`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
-from . import sexpr
-from .calculus import (AllRule, AndRule, ArgMismatch, CaseRule, CutRule,
-                       ProofNode, Rule, Sequent, fold_tree,
-                       node_sequent_from_sexpr, walk)
-from .syntax import (All, And, CaptureError, Formula, PI, ParseError, SIGMA, V,
-                     is_in, negate, substitute)
+from .calculus import (AllRule, AndRule, ArgMismatch, CaseRule, CutRule, Rule,
+                       Sequent)
+from .syntax import (All, And, CaptureError, Formula, PI, SIGMA, V, is_in, negate,
+                     substitute)
 
 
 class System(enum.Enum):
@@ -56,14 +55,6 @@ class Mode:
 
 
 EMPTY: frozenset = frozenset()
-
-
-def parse_aseq(text: str) -> Tuple[Sequent, frozenset]:
-    """An `(aseq (seq f ...) (vars x ...))` text as its (sequent, vars) pair."""
-    value = sexpr.parse(text)
-    if not isinstance(value, list) or not value or value[0] != "aseq":
-        raise ParseError(f"bad annotated sequent {sexpr.excerpt(value)}")
-    return node_sequent_from_sexpr(value)
 
 
 def propagate(seq: Sequent, vs: frozenset, r: Rule, mode: Mode) -> List[frozenset]:
@@ -96,42 +87,3 @@ def propagate(seq: Sequent, vs: frozenset, r: Rule, mode: Mode) -> List[frozense
         return [EMPTY, vs | {r.var} if ok else EMPTY]
     return [vs] * r.premises
 
-
-def annotate_tree(root: ProofNode, root_vars, mode: Mode) -> ProofNode:
-    """Annotated copy: root carries root_vars, the rest by propagation.
-
-    Works on cyclic trees too; back-reference leaves are annotated by their
-    tree position (whether that matches their target is the checker's job).
-    A child the rule gives no premise for, such as a leaf's, is kept with
-    the empty annotation, so that the checker sees and reports it.
-    """
-    def visit(item):
-        node, vs = item
-        anns = propagate(node.sequent, vs, node.rule, mode)
-        anns += [EMPTY] * (len(node.children) - len(anns))
-        return item, list(zip(node.children, anns))
-
-    def build(item, kids) -> ProofNode:
-        node, vs = item
-        return ProofNode(node.id, node.sequent, node.rule, kids, vs)
-
-    return fold_tree((root, frozenset(root_vars)), visit, build)
-
-
-def erase(root: ProofNode) -> ProofNode:
-    """Annotation-free copy; ids, sequents, and rules unchanged."""
-    return fold_tree(root, lambda node: (node, node.children),
-                     lambda node, kids: ProofNode(node.id, node.sequent, node.rule, kids, None))
-
-
-def is_annotated(root: ProofNode) -> bool:
-    return all(n.vars is not None for n in walk(root))
-
-
-def is_plain(root: ProofNode) -> bool:
-    """No node carries an annotation: the proof is judged as a plain tree.
-
-    A partly annotated proof is neither plain nor annotated; the validator
-    reports its unannotated nodes.
-    """
-    return all(n.vars is None for n in walk(root))

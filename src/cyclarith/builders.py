@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .annotation import Mode, System, annotate_tree, erase, is_annotated
+from .annotation import Mode, System
 from .calculus import (Add0Rule, AddSRule, AllRule, AndRule, AssumeLeaf,
                        AxiomLeaf, BackLeaf, CaseRule, CutRule, ExRule,
                        Mult0Rule, MultSRule, OpenLeaf, OrRule, PredRule,
@@ -37,6 +37,7 @@ from .semantics import eval_term
 from .syntax import (Add, All, AllLe, And, Eq, Ex, ExLe, Formula, Le, Mul,
                      NLe, Neq, Or, PI, Succ, Term, V, Var, ZERO, Zero,
                      _succs, impl, is_in, negate, numeral, substitute)
+from .transform import annotate_tree, erase, is_annotated
 
 
 class PreError(Exception):

@@ -61,8 +61,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from . import sexpr
 from .syntax import (ZERO, Add, All, And, CaptureError, Eq, Ex, Formula, Mul,
                      Neq, Or, ParseError, Succ, Term, V, Var, Zero,
-                     formula_from_sexpr, ident_var, negate, subst_term,
-                     substitute, term_from_sexpr)
+                     formula_from_sexpr, ident_var, negate, substitute,
+                     term_from_sexpr)
 
 
 class ArgMismatch(Exception):
@@ -212,8 +212,8 @@ class RepRule(Rule):
     name, kinds, premises = "rep", "ttvtt", 1
 
     def instance(self, t: Term) -> Formula:
-        return Neq(subst_term(self.u0, self.var, t),
-                   subst_term(self.u1, self.var, t))
+        return Neq(substitute(self.u0, self.var, t),
+                   substitute(self.u1, self.var, t))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ validate is the package's only validity judgement: plain finite trees
 _check_leaf is the only place a leaf is decided. uncycle's extraction calls
 it once and refuses, with its report, every proof it rejects; it adds only
 the refusals validate does not decide (see that module's docstring).
+Reports are rendered and read by records, outside the core.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .annotation import Mode, System, propagate
 from .calculus import (ArgMismatch, AssumeLeaf, AxiomLeaf, BackLeaf, CaseRule,
                        LEAF_KINDS, OpenLeaf, ProofNode, check_step, is_axiom,
                        node_map, walk)
-from .records import Record, fields_of
 
 
 @dataclass(frozen=True)
@@ -207,31 +207,3 @@ def _crosses_case_right(nodes, pth: List[str]) -> bool:
 def _vset(vs) -> str:
     return "{" + " ".join(sorted(v.name for v in vs)) + "}"
 
-
-# --- reports ---------------------------------------------------------------------
-
-REPORT = Record("""
-    (report (verdict verdict)
-            (violation* (node i) (tag i) (message q))
-            (stats (nodes n) (backlinks n) (cycles n*)))""",
-    sets={"verdict": ("valid", "invalid")},
-    types={"report": fields_of(ValidationReport, "verdict violations stats"),
-           "violation": fields_of(Violation, "node_id tag message"),
-           "stats": fields_of(ProofStats, "nodes backlinks cycle_lengths")},
-    invariants=[("a report is valid exactly when it has no violation",
-                 lambda r: r.valid == (not r.violations))])
-
-
-def render_report(report: ValidationReport, fmt: str = "text") -> str:
-    if fmt == "sexpr":
-        return REPORT.render(report)
-    lines = [f"verdict: {report.verdict}"]
-    for v in report.violations:
-        lines.append(f"  {v.tag} at {v.node_id}: {v.message}")
-    s = report.stats
-    cyc = ", ".join(str(k) for k in s.cycle_lengths) or "-"
-    lines.append(f"nodes: {s.nodes}  backlinks: {s.backlinks}  cycle lengths: {cyc}")
-    return "\n".join(lines)
-
-
-parse_report = REPORT.parse

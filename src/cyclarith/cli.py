@@ -12,12 +12,14 @@ One binary, eight subcommands:
   examples      write the builder corpus to a directory
 
 Exit codes are a stable contract: 0 success/valid, 1 semantic failure
-(invalid proof, false obligation, refused goal), 2 usage/parse/IO errors.
+(invalid proof, false obligation, refused goal), 2 usage/parse/IO errors,
+among them a stdout closed before the output is written (`| head`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import stat
@@ -26,14 +28,16 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import sexpr
-from .annotation import Mode, System, annotate_tree, is_annotated, is_plain
+from .annotation import Mode, System
 from .builders import CorpusEntry, PreError, build_corpus, prove_ground_atom
 from .calculus import ArgMismatch, parse_proof, render_proof
-from .checker import render_report, validate
+from .checker import validate
+from .records import render_report
 from .semantics import DEFAULT_CUTOFF, DEFAULT_VALUE_BOUND, eval_formula, eval_term
 from .syntax import (CaptureError, Eq, Neq, ParseError, formula_from_sexpr,
                      ident_var, negate, parse_formula)
-from .transform import RavelError, parse_graph, ravel, unravel
+from .transform import (RavelError, annotate_tree, is_annotated, is_plain,
+                        parse_graph, ravel, unravel)
 from .uncycle import (ExtractionError, check_certificate_bounded, extract_all,
                       render_certificates)
 
@@ -81,7 +85,7 @@ def _write(path: str | Path, text: str) -> None:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
-        print(text)
+        print(text, flush=True)     # a closed stdout fails here, not at exit
     else:
         _write(out, text + "\n")
 
@@ -189,7 +193,7 @@ def cmd_eval(args) -> int:
             if not (value.isascii() and value.isdigit()):     # [0-9]+
                 raise CliError(f"bad assignment {piece!r}, want name=nat")
             env[ident_var(name.strip())] = int(value)
-    print(str(eval_formula(phi, env, args.cutoff)))
+    _emit(str(eval_formula(phi, env, args.cutoff)), None)
     return EXIT_OK
 
 
@@ -229,7 +233,7 @@ def cmd_examples(args) -> int:
 
     manifest = [line for e in entries for line in write(e)]
     _write(outdir / "MANIFEST", "".join(line + "\n" for line in manifest))
-    print(f"wrote {len(manifest)} files to {outdir}")
+    _emit(f"wrote {len(manifest)} files to {outdir}", None)
     return EXIT_OK
 
 
@@ -330,6 +334,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_FAIL
     except RecursionError:
         print("error: input nested too deep", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # what stdout still buffers goes to os.devnull: the flush at exit is quiet
+        with open(os.devnull, "wb") as null, contextlib.suppress(AttributeError, OSError):
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        print("error: cannot write stdout", file=sys.stderr)
         return EXIT_USAGE
     finally:
         sys.setrecursionlimit(limit)  # the caller's, on every exit

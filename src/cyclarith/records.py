@@ -2,7 +2,8 @@
 regular proof graph are each declared once, as a template shaped like the
 record (README, File formats), which drives both rendering and reading.  A
 record reads and writes the records nested in it through its slots, so it
-recurses only as deep as its template.
+recurses only as deep as its template.  The report is declared here, with
+its text form; the certificate and the graph next to their types.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Callable, NamedTuple
 from . import sexpr
 from .calculus import (READ_ARG, RENDER_ARG, node_sequent_from_sexpr,
                        node_sequent_to_sexpr_str, rule_from_sexpr, rule_to_sexpr_str)
+from .checker import ProofStats, ValidationReport, Violation
 from .syntax import ParseError
 
 ONE, OPTIONAL, MANY = "", "?", "*"
@@ -151,3 +153,32 @@ class Record:
             for v in value if slot.count == MANY else (value,) if value else ():
                 out.append(slot.write(iter(v if slot.width > 1 else (v,))))
         return "(" + sep.join(out) + ")"
+
+
+# --- reports ---------------------------------------------------------------------
+
+REPORT = Record("""
+    (report (verdict verdict)
+            (violation* (node i) (tag i) (message q))
+            (stats (nodes n) (backlinks n) (cycles n*)))""",
+    sets={"verdict": ("valid", "invalid")},
+    types={"report": fields_of(ValidationReport, "verdict violations stats"),
+           "violation": fields_of(Violation, "node_id tag message"),
+           "stats": fields_of(ProofStats, "nodes backlinks cycle_lengths")},
+    invariants=[("a report is valid exactly when it has no violation",
+                 lambda r: r.valid == (not r.violations))])
+
+
+def render_report(report: ValidationReport, fmt: str = "text") -> str:
+    if fmt == "sexpr":
+        return REPORT.render(report)
+    lines = [f"verdict: {report.verdict}"]
+    for v in report.violations:
+        lines.append(f"  {v.tag} at {v.node_id}: {v.message}")
+    s = report.stats
+    cyc = ", ".join(str(k) for k in s.cycle_lengths) or "-"
+    lines.append(f"nodes: {s.nodes}  backlinks: {s.backlinks}  cycle lengths: {cyc}")
+    return "\n".join(lines)
+
+
+parse_report = REPORT.parse

@@ -56,7 +56,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict
 
 from . import sexpr
 from .sexpr import Chain, ParseError
@@ -423,10 +423,6 @@ def _succs(t: Term, k: int) -> Term:
     return node
 
 
-def free_vars(phi: Union[Term, Formula]) -> frozenset:
-    return phi.fv
-
-
 def _known_dual(phi) -> Formula | None:
     """The memoised dual of phi, if it has one that is alive."""
     try:
@@ -547,9 +543,6 @@ def substitute(phi: Formula, x: Var, s: Term) -> Formula:
             else:
                 todo += ((f,), f.right, f.left)
     return out[0]
-
-
-subst_term = substitute     # the same walk, named for terms
 
 
 # --- arithmetical hierarchy -------------------------------------------------
@@ -704,11 +697,3 @@ def parse_term(text: str) -> Term:
 
 def parse_formula(text: str) -> Formula:
     return formula_from_sexpr(sexpr.parse(text))
-
-
-def render_term(t: Term) -> str:
-    return t.sx
-
-
-def render_formula(phi: Formula) -> str:
-    return phi.sx

@@ -1,4 +1,5 @@
-"""Regular proof graphs, unravelling, and ravelling.
+"""Proof-tree transformations: annotating and erasing a tree, regular proof
+graphs, unravelling, and ravelling.
 
 A regular proof graph is the rolled-up presentation of a proof tree with
 finitely many distinct subtrees: nodes carry annotated sequents and rules,
@@ -19,11 +20,61 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .annotation import Mode, is_plain
+from . import sexpr
+from .annotation import EMPTY, Mode, propagate
 from .calculus import (BackLeaf, LEAF_KINDS, OpenLeaf, ProofNode, Rule, Sequent,
-                       fold_tree, node_map)
+                       fold_tree, node_map, node_sequent_from_sexpr, walk)
 from .checker import Violation, validate
 from .records import Record
+from .syntax import ParseError
+
+
+def parse_aseq(text: str) -> Tuple[Sequent, frozenset]:
+    """An `(aseq (seq f ...) (vars x ...))` text as its (sequent, vars) pair."""
+    value = sexpr.parse(text)
+    if not isinstance(value, list) or not value or value[0] != "aseq":
+        raise ParseError(f"bad annotated sequent {sexpr.excerpt(value)}")
+    return node_sequent_from_sexpr(value)
+
+
+def annotate_tree(root: ProofNode, root_vars, mode: Mode) -> ProofNode:
+    """Annotated copy: root carries root_vars, the rest by propagation.
+
+    Works on cyclic trees too; back-reference leaves are annotated by their
+    tree position (whether that matches their target is the checker's job).
+    A child the rule gives no premise for, such as a leaf's, is kept with
+    the empty annotation, so that the checker sees and reports it.
+    """
+    def visit(item):
+        node, vs = item
+        anns = propagate(node.sequent, vs, node.rule, mode)
+        anns += [EMPTY] * (len(node.children) - len(anns))
+        return item, list(zip(node.children, anns))
+
+    def build(item, kids) -> ProofNode:
+        node, vs = item
+        return ProofNode(node.id, node.sequent, node.rule, kids, vs)
+
+    return fold_tree((root, frozenset(root_vars)), visit, build)
+
+
+def erase(root: ProofNode) -> ProofNode:
+    """Annotation-free copy; ids, sequents, and rules unchanged."""
+    return fold_tree(root, lambda node: (node, node.children),
+                     lambda node, kids: ProofNode(node.id, node.sequent, node.rule, kids, None))
+
+
+def is_annotated(root: ProofNode) -> bool:
+    return all(n.vars is not None for n in walk(root))
+
+
+def is_plain(root: ProofNode) -> bool:
+    """No node carries an annotation: the proof is judged as a plain tree.
+
+    A partly annotated proof is neither plain nor annotated; the validator
+    reports its unannotated nodes.
+    """
+    return all(n.vars is None for n in walk(root))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ equivalence of Phi-parts per edge inside M, one theta-to-sequent
 obligation per M-node, and a discharge obligation at the root.
 
 Proofs whose root lies on no cycle yield None instead;
-extract_all recurses below such roots and emits one certificate per
-maximal root-cycle component, outermost first.
+extract_all searches below such roots, with an explicit stack, and emits
+one certificate per maximal root-cycle component, outermost first.
 
 Extraction takes a proof's root and judges its validity only through
 checker.validate, once per call: an invalid proof raises ExtractionError

@@ -36,7 +36,6 @@ from cyclarith import (
     eval_term,
     extract_all,
     forall_cycle_proof,
-    free_vars,
     graph_of,
     induction_rule_via_assumptions,
     induction_schema_proof,
@@ -48,7 +47,6 @@ from cyclarith import (
     premises_of,
     prove_ground_atom,
     ravel,
-    render_formula,
     render_proof,
     sequent_truth,
     two_loops_proof,
@@ -252,7 +250,7 @@ def test_criterion_8_certificates_and_theta_mutation():
                 problems.append((name, sid, "theta class"))
             if not is_in(cert.zeta, PI, n + 1):
                 problems.append((name, sid, "zeta class"))
-            if cert.fresh_z in free_vars(cert.theta):
+            if cert.fresh_z in cert.theta.fv:
                 problems.append((name, sid, "fresh z not fresh"))
             if set(cert.ranks) != set(cert.m_nodes):
                 problems.append((name, sid, "rank domain"))
@@ -285,7 +283,7 @@ def test_criterion_8_certificates_and_theta_mutation():
             if equivalent and same:
                 audited += 1
             else:
-                problems.append(("theta-mutation", render_formula(mutated), "missed"))
+                problems.append(("theta-mutation", mutated.sx, "missed"))
     ok = not problems and detected >= 45
     _line(8, ok,
           f"certificates sound on example corpus; theta mutants {detected}/50 detected, {audited} audited equivalent")

@@ -1,9 +1,12 @@
 import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cyclarith
 from cyclarith import (
     erase,
     graph_of,
@@ -310,6 +313,57 @@ def test_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, corpus_di
     rc, _, err = _run(capsys, _check_argv(corpus_dir, "-o", str(out)))
     assert rc == 2
     assert err.startswith(f"error: cannot write {out}: ")
+
+
+class _WriteFails:
+    """A stdout whose reader has gone (`| head`), found by a write."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class _FlushFails:
+    """The same, found by the flush of a buffered write."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+_CLOSED_STDOUT_RUNS = [(["unravel", "two_loops.cyc", "--depth", "200"], 0),
+                       (["check", "ind_schema_pi1.cyc", "--system", "ssigma",
+                         "--format", "sexpr"], 1)]
+
+
+@pytest.mark.parametrize("stdout", [_WriteFails, _FlushFails])
+@pytest.mark.parametrize("argv, code", _CLOSED_STDOUT_RUNS)
+def test_closed_stdout_is_a_usage_error(capsys, monkeypatch, corpus_dir, argv, code, stdout):
+    argv = [argv[0], str(corpus_dir / argv[1]), *argv[2:]]
+    assert _run(capsys, argv)[0] == code
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout())
+        rc = main(argv)
+    assert (rc, capsys.readouterr().err) == (2, "error: cannot write stdout\n")
+
+
+@pytest.mark.parametrize("argv, code", _CLOSED_STDOUT_RUNS)
+def test_closed_stdout_pipe_exits_quietly(corpus_dir, argv, code):
+    # a real pipe, closed before the CLI writes; buffered, so that the
+    # small report is only written by a flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cyclarith.__file__).parent.parent)
+    argv = [argv[0], str(corpus_dir / argv[1]), *argv[2:]]
+    proc = subprocess.Popen([sys.executable, "-m", "cyclarith.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (2, b"error: cannot write stdout\n")
 
 
 def test_main_gives_back_the_callers_recursion_limit(capsys, corpus_dir):

@@ -47,8 +47,8 @@ from cyclarith import (
 )
 from cyclarith import sexpr
 from cyclarith.builders import build_corpus
-from cyclarith.checker import REPORT, ProofStats
-from cyclarith.records import Record, fields_of
+from cyclarith.checker import ProofStats
+from cyclarith.records import REPORT, Record, fields_of
 from cyclarith.syntax import TOP
 from cyclarith.transform import GNode, GRAPH
 from cyclarith.uncycle import CERTIFICATE, EDGE_TAGS, KINDS, STATUSES

@@ -7,8 +7,8 @@ import pytest
 
 from cyclarith import (Add, ParseError, numeral, parse_formula, parse_proof,
                        parse_sequent, parse_term, prove_ground_atom, render_proof)
-from cyclarith.annotation import parse_aseq
-from cyclarith.checker import parse_report
+from cyclarith.records import parse_report
+from cyclarith.transform import parse_aseq
 from cyclarith.cli import build_corpus
 from cyclarith.sexpr import (_CHAIN_START, _TOKEN, BLOCK_DEPTH, CHAIN_RUN, Chain,
                              QuotedString, SexprError, parse, parse_many, render)
@@ -345,17 +345,12 @@ def test_equal_lists_read_as_one_object():
     # every list is read through "(" tokens; a random value rendered on one
     # line is a single block, which spells equal lists alike
     rng = random.Random(7)
-    token_texts = ["".join(rng.choice(_ALPHABET) for _ in range(rng.randrange(16)))
-                   .replace("(", "(\n") for _ in range(20000)]
-    token_texts += [render(_random_sexpr(rng, 5)).replace("(", "(\n") for _ in range(300)]
+    token_texts = [render(_random_sexpr(rng, 5)).replace("(", "(\n") for _ in range(20300)]
     block_texts = [render(_random_sexpr(rng, 5)) for _ in range(300)]
     for texts in (token_texts, block_texts):
         shared_lists = 0
         for text in texts:
-            try:
-                value = parse(text)
-            except SexprError:
-                continue
+            value = parse(text)
             tokens = _TOKEN.findall(text)
             if texts is token_texts:
                 assert all(t == "(" for t in tokens if t[0] == "("), text

@@ -32,7 +32,6 @@ from cyclarith import (
     Zero,
     classify,
     desugar,
-    free_vars,
     iff,
     impl,
     is_in,
@@ -40,8 +39,6 @@ from cyclarith import (
     numeral,
     parse_formula,
     parse_term,
-    render_formula,
-    render_term,
     substitute,
 )
 from cyclarith import TV, ZERO, eval_formula, syntax
@@ -59,12 +56,12 @@ x, y, z = Var("x"), Var("y"), Var("z")
 
 
 def test_term_rendering():
-    assert render_term(Zero()) == "0"
-    assert render_term(V(x)) == "x"
-    assert render_term(Succ(Zero())) == "(s 0)"
-    assert render_term(Add(V(x), Mul(V(y), Zero()))) == "(add x (mul y 0))"
+    assert Zero().sx == "0"
+    assert V(x).sx == "x"
+    assert Succ(Zero()).sx == "(s 0)"
+    assert Add(V(x), Mul(V(y), Zero())).sx == "(add x (mul y 0))"
     assert numeral(0) == Zero()
-    assert render_term(numeral(3)) == "(s (s (s 0)))"
+    assert numeral(3).sx == "(s (s (s 0)))"
 
 
 def test_structural_equality():
@@ -78,17 +75,17 @@ def test_structural_equality():
 
 def test_free_vars():
     phi = All(x, Eq(V(x), V(y)))
-    assert free_vars(phi) == frozenset([y])
+    assert phi.fv == frozenset([y])
     assert phi.av == frozenset([x, y])
-    assert free_vars(Ex(y, phi)) == frozenset()
-    assert free_vars(Add(V(x), V(z))) == frozenset([x, z])
+    assert Ex(y, phi).fv == frozenset()
+    assert Add(V(x), V(z)).fv == frozenset([x, z])
 
 
 def test_formula_rendering_and_sugar():
-    assert render_formula(Le(V(x), numeral(1))) == "(le x (s 0))"
-    assert render_formula(NLe(V(x), V(y))) == "(nle x y)"
-    assert render_formula(AllLe(x, V(y), Eq(V(x), Zero()))) == "(all<= x y (eq x 0))"
-    assert render_formula(ExLe(x, V(y), Neq(V(x), Zero()))) == "(ex<= x y (neq x 0))"
+    assert Le(V(x), numeral(1)).sx == "(le x (s 0))"
+    assert NLe(V(x), V(y)).sx == "(nle x y)"
+    assert AllLe(x, V(y), Eq(V(x), Zero())).sx == "(all<= x y (eq x 0))"
+    assert ExLe(x, V(y), Neq(V(x), Zero())).sx == "(ex<= x y (neq x 0))"
 
 
 def test_parse_round_trip_fixed():
@@ -98,16 +95,16 @@ def test_parse_round_trip_fixed():
         "(all<= x (s 0) (le x y))",
         "(and (eq 0 0) (neq (s 0) 0))",
     ]:
-        assert render_formula(parse_formula(src)) == src
+        assert parse_formula(src).sx == src
 
 
 def test_parse_round_trip_random():
     rng = random.Random(99)
     for _ in range(200):
         t = random_term(rng, 3)
-        assert parse_term(render_term(t)) == t
+        assert parse_term(t.sx) == t
         phi = random_formula(rng, 3)
-        assert parse_formula(render_formula(phi)) == phi
+        assert parse_formula(phi.sx) == phi
 
 
 def test_parse_errors():
@@ -181,7 +178,7 @@ def test_impl_iff():
 def test_substitute_basic():
     phi = Eq(Add(V(x), V(y)), V(x))
     out = substitute(phi, x, numeral(2))
-    assert render_formula(out) == "(eq (add (s (s 0)) y) (s (s 0)))"
+    assert out.sx == "(eq (add (s (s 0)) y) (s (s 0)))"
     # binder shadows: no substitution under a binder for the same name
     shadowed = All(x, Eq(V(x), V(y)))
     assert substitute(shadowed, x, Zero()) == shadowed
@@ -199,19 +196,19 @@ def test_substitute_capture():
 def test_substitute_sugar_bound():
     phi = AllLe(y, V(x), Eq(V(y), V(x)))
     out = substitute(phi, x, numeral(1))
-    assert render_formula(out) == "(all<= y (s 0) (eq y (s 0)))"
+    assert out.sx == "(all<= y (s 0) (eq y (s 0)))"
 
 
 def test_desugar_atoms():
-    assert render_formula(desugar(Le(V(x), V(y)))) == "(ex $0 (eq (add $0 x) y))"
-    assert render_formula(desugar(NLe(V(x), V(y)))) == "(all $0 (neq (add $0 x) y))"
+    assert desugar(Le(V(x), V(y))).sx == "(ex $0 (eq (add $0 x) y))"
+    assert desugar(NLe(V(x), V(y))).sx == "(all $0 (neq (add $0 x) y))"
 
 
 def test_desugar_bounded_quantifiers():
     alle = AllLe(x, V(y), Eq(V(x), Zero()))
-    assert render_formula(desugar(alle)) == "(all x (or (all $0 (neq (add $0 x) y)) (eq x 0)))"
+    assert desugar(alle).sx == "(all x (or (all $0 (neq (add $0 x) y)) (eq x 0)))"
     exle = ExLe(x, V(y), Eq(V(x), Zero()))
-    assert render_formula(desugar(exle)) == "(ex x (and (ex $0 (eq (add $0 x) y)) (eq x 0)))"
+    assert desugar(exle).sx == "(ex x (and (ex $0 (eq (add $0 x) y)) (eq x 0)))"
 
 
 def test_desugar_idempotent_on_core():
@@ -349,13 +346,13 @@ def _same_node_or_capture(run, reference):
 
 
 def _levels_and_substitution_agree(phi, t, x, s):
-    """is_in, classify, substitute and subst_term give the recursive
-    reference's answers; False when the substitution into phi captures."""
+    """is_in, classify and substitute, on a formula and on a term, give the
+    recursive reference's answers; False when the substitution into phi captures."""
     for kind in (DELTA0, SIGMA, PI):
         for n in range(6):
             assert is_in(phi, kind, n) == reference_syntax.is_in(phi, kind, n)
     assert classify(phi) == reference_syntax.classify(phi)
-    assert syntax.subst_term(t, x, s) is reference_syntax.subst_term(t, x, s)
+    assert substitute(t, x, s) is reference_syntax.subst_term(t, x, s)
     return _same_node_or_capture(lambda: substitute(phi, x, s),
                                  lambda: reference_syntax.substitute(phi, x, s))
 
@@ -550,10 +547,10 @@ def test_every_way_to_build_a_chain_gives_the_same_node(base, j, k):
                 down = a
     assert down is syntax._succs(base, j)
     # a variable inside a chain, replaced by a chain or by anything else
-    assert syntax.subst_term(syntax._succs(V(_HOLE), j), _HOLE,
-                             syntax._succs(base, k)) is want
-    inner = syntax.subst_term(syntax._succs(Add(V(_HOLE), ZERO), k), _HOLE,
-                              syntax._succs(base, j))
+    assert substitute(syntax._succs(V(_HOLE), j), _HOLE,
+                      syntax._succs(base, k)) is want
+    inner = substitute(syntax._succs(Add(V(_HOLE), ZERO), k), _HOLE,
+                       syntax._succs(base, j))
     assert inner is syntax._succs(Add(syntax._succs(base, j), ZERO), k)
     _chains_are_canonical(inner)
 

@@ -33,7 +33,6 @@ from cyclarith import (
     parse_certificate,
     parse_proof,
     render_certificate,
-    render_formula,
     render_proof,
     soundness_sample,
     step_from_assumption,
@@ -71,8 +70,8 @@ def test_schema_cert_structure(schema_cert):
     assert c.c_nodes == ("n0",)
     assert c.b_vars == ()
     assert c.case_vars == (x,)
-    assert render_formula(c.theta) == "(all y (eq (add x y) (add y x)))"
-    assert render_formula(c.zeta) == "(all<= x z (or (neq x z) (all y (eq (add x y) (add y x)))))"
+    assert c.theta.sx == "(all y (eq (add x y) (add y x)))"
+    assert c.zeta.sx == "(all<= x z (or (neq x z) (all y (eq (add x y) (add y x)))))"
     assert not c.phi_root_trivial
 
 
@@ -95,7 +94,7 @@ def test_schema_cert_obligations(schema_cert):
     assert all(o.status == "unchecked" for o in schema_cert.obligations)
     # desugared forms carry no bounded-quantifier sugar
     for o in schema_cert.obligations:
-        assert "<=" not in render_formula(o.desugared)
+        assert "<=" not in o.desugared.sx
 
 
 def test_schema_cert_edge_tags(schema_cert):
@@ -125,10 +124,10 @@ def test_schema_cert_bounded_check(schema_cert):
 
 def test_rule_cert_values(rule_cert):
     c = rule_cert
-    assert render_formula(c.theta) == "(eq (add 0 x) x)"
-    assert render_formula(c.zeta) == "(all<= x z (or (neq x z) (eq (add 0 x) x)))"
+    assert c.theta.sx == "(eq (add 0 x) x)"
+    assert c.zeta.sx == "(all<= x z (or (neq x z) (eq (add 0 x) x)))"
     assert c.phi_root_trivial
-    assert render_formula(c.phi_root) == render_formula(TOP)
+    assert c.phi_root.sx == TOP.sx
     assert c.c_nodes == ("r0",)
     assert c.ranks == {"r0": 0, "r3": 1, "r2": 2, "r1": 3}
 
@@ -157,10 +156,10 @@ def test_round_trip_after_check(rule_cert):
 def test_certificate_with_theta_resets(rule_cert):
     chk = check_certificate_bounded(rule_cert, 3, 8)
     swapped = certificate_with_theta(chk.certificate, Eq(V(x), V(x)))
-    assert render_formula(swapped.theta) == "(eq x x)"
+    assert swapped.theta.sx == "(eq x x)"
     assert all(o.status == "unchecked" for o in swapped.obligations)
     # theta is re-threaded through zeta as well
-    assert "(eq x x)" in render_formula(swapped.zeta)
+    assert "(eq x x)" in swapped.zeta.sx
 
 
 def test_theta_mutation_detected(rule_cert):
@@ -176,7 +175,7 @@ def test_extract_multiple_loops():
     tl, tlm = two_loops_proof()
     certs = extract_all(tl, tlm)
     assert [sid for sid, _ in certs] == ["p.r0", "q.r0"]
-    thetas = [render_formula(c.theta) for _, c in certs]
+    thetas = [c.theta.sx for _, c in certs]
     assert thetas == ["(eq (add 0 x) x)", "(eq (add x 0) x)"]
     for _, c in certs:
         assert check_certificate_bounded(c, 3, 8).ok
@@ -188,7 +187,7 @@ def test_eigenvariables_enter_theta():
     fc, fcm = forall_cycle_proof()
     c = extract_certificate(fc, fcm)
     assert c.b_vars == (Var("$0"),)
-    assert render_formula(c.theta) == "(all $0 (all y (eq (add x y) (add y x))))"
+    assert c.theta.sx == "(all $0 (all y (eq (add x y) (add y x))))"
     assert check_certificate_bounded(c, 3, 8).ok
 
 
