@@ -14,8 +14,7 @@ sub-proof and each axiom leaf on the way, so a successful return is correct
 by construction; the cyclic builders additionally annotate and validate,
 and return the annotated root.  _grow runs on calculus.fold_tree and
 tautology builds its spec with one, so no builder recurses once per level of
-its input.  The one recursion left is the term generator of _rand_pi1, which
-is fixed at depth 1.
+its input.
 """
 
 from __future__ import annotations
@@ -505,18 +504,24 @@ def _rand_pi1(rng: random.Random, x: Var) -> Formula:
     prefix = rng.choice([(), (y,), (y, z)])
     pool_vars = [V(x)] + [V(v) for v in prefix]
 
-    def term(depth: int):
-        roll = rng.random()
-        if depth == 0 or roll < 0.35:
-            return rng.choice(pool_vars) if rng.random() < 0.7 else numeral(rng.randrange(3))
+    def leaf():
+        return rng.choice(pool_vars) if rng.random() < 0.7 else numeral(rng.randrange(3))
+
+    def arg():
+        rng.random()  # a depth-0 term's unused roll, drawn so each seed keeps its corpus
+        return leaf()
+
+    def term():  # of depth at most 1
+        if rng.random() < 0.35:
+            return leaf()
         kind = rng.choice([Add, Mul, Succ])
         if kind is Succ:
-            return Succ(term(depth - 1))
-        return kind(term(depth - 1), term(depth - 1))
+            return Succ(arg())
+        return kind(arg(), arg())
 
     def atom():
         kind = rng.choice([Eq, Neq])
-        return kind(term(1), term(1))
+        return kind(term(), term())
 
     matrix: Formula = atom()
     for _ in range(rng.randrange(3)):

@@ -14,6 +14,14 @@ One binary, eight subcommands:
 Exit codes are a stable contract: 0 success/valid, 1 semantic failure
 (invalid proof, false obligation, refused goal), 2 usage/parse/IO errors,
 among them a stdout closed before the output is written (`| head`).
+
+A command pays only for its own work.  argv that starts with a command name
+goes straight to that command's parser; only argv that names none meets the
+top-level parser, so usage, help and error messages are argparse's own.
+main pauses the cyclic garbage collector while a command runs and gives the
+caller's state back on every exit: a command creates no reference cycles
+(tests/test_cli.py checks every subcommand), so the collector's passes would
+find nothing.
 """
 
 from __future__ import annotations
@@ -21,11 +29,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import os
 import stat
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import sexpr
 from .annotation import Mode, System
@@ -54,7 +63,8 @@ class CliError(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -73,12 +83,17 @@ def _write(path: str | Path, text: str) -> None:
     atomic: a crash part-way may leave old bytes after new ones. Only a
     regular file is cut; a FIFO, tty or /dev/null has no length.
     """
+    data = text.encode("utf-8")
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            left = memoryview(data)
+            while left:
+                left = left[os.write(fd, left):]
             if stat.S_ISREG(os.fstat(fd).st_mode):
-                f.truncate()
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -252,8 +267,9 @@ def _add_out_flag(p: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """Built once per process; parse_args copies the --assume default."""
+def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own, by name; built once
+    per process, and parse_args copies the --assume default."""
     top = argparse.ArgumentParser(prog="cyclarith",
                                   description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -314,14 +330,31 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.set_defaults(fn=cmd_examples)
 
-    return top
+    return top, sub.choices
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed as the top-level parser would, but a known command's
+    tail goes straight to that command's parser: the top-level parser would
+    scan all of argv before handing it on.  Only argv that names no command
+    (none, an unknown one, a leading option) meets the top-level parser."""
+    top, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return top.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:       # reported by the top-level parser, as it would have been
+        top.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    limit = sys.getrecursionlimit()
+    limit, collecting = sys.getrecursionlimit(), gc.isenabled()
     sys.setrecursionlimit(20000)
+    gc.disable()    # a command leaves no reference cycles (see tests/test_cli.py)
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -343,6 +376,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     finally:
         sys.setrecursionlimit(limit)  # the caller's, on every exit
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import subprocess
@@ -367,21 +368,151 @@ def test_closed_stdout_pipe_exits_quietly(corpus_dir, argv, code):
 
 
 def test_main_gives_back_the_callers_recursion_limit(capsys, corpus_dir):
+    # and the caller's collector state, on or off: main pauses the collector
     cyc = str(corpus_dir / "ind_schema_pi1.cyc")
-    limit = sys.getrecursionlimit()
+    limit, was_collecting = sys.getrecursionlimit(), gc.isenabled()
     sys.setrecursionlimit(1234)
     try:
-        for argv, code in [(["check", cyc], 0),
-                           (["check", cyc, "--system", "ssigma"], 1),
-                           (["check", "/nonexistent/file.prf"], 2),   # CliError
-                           (["eval", "(eq 0"], 2)]:                   # ParseError
-            assert _run(capsys, argv)[0] == code, argv
-            assert sys.getrecursionlimit() == 1234, argv
-        with pytest.raises(SystemExit):
-            main(["check"])                                           # bad argv
-        assert sys.getrecursionlimit() == 1234
+        for collecting in (True, False):
+            (gc.enable if collecting else gc.disable)()
+            for argv, code in [(["check", cyc], 0),
+                               (["check", cyc, "--system", "ssigma"], 1),
+                               (["check", "/nonexistent/file.prf"], 2),   # CliError
+                               (["eval", "(eq 0"], 2)]:                   # ParseError
+                assert _run(capsys, argv)[0] == code, argv
+                assert (sys.getrecursionlimit(), gc.isenabled()) == (1234, collecting), argv
+            with pytest.raises(SystemExit):
+                main(["check"])                                           # bad argv
+            assert (sys.getrecursionlimit(), gc.isenabled()) == (1234, collecting)
     finally:
         sys.setrecursionlimit(limit)
+        (gc.enable if was_collecting else gc.disable)()
+
+
+def test_no_command_leaves_cyclic_garbage(capsys, tmp_path, corpus_dir):
+    # main pauses the cyclic collector, which is safe only while a command
+    # leaves nothing for it to collect
+    cyc = str(corpus_dir / "ind_schema_pi1.cyc")
+    graph, bad = tmp_path / "g.graph", tmp_path / "bad.cyc"
+    graph.write_text(render_graph(graph_of(parse_proof((corpus_dir / "ind_schema_pi1.cyc")
+                                                       .read_text()))) + "\n")
+    bad.write_text("(node :id n0 (seq (eq x x)) (axiom)))\n")
+    runs = [(["examples", str(tmp_path / "ex"), "--seed", "1"], 0),
+            (["check", cyc], 0),
+            (["check", cyc, "--format", "sexpr"], 0),
+            (["check", cyc, "--system", "ssigma"], 1),
+            (["check", cyc, "--system", "ssigma", "--format", "sexpr"], 1),
+            (["annotate", str(corpus_dir / "taut_00.prf")], 0),
+            (["unravel", cyc, "--depth", "4"], 0),
+            (["ravel", str(graph)], 0),
+            (["uncycle", cyc, "--bound", "2", "--cutoff", "8"], 0),
+            (["uncycle", cyc, "--no-check"], 0),
+            (["eval", "(all x (eq (add x 0) x))"], 0),
+            (["eval", "(le x (add x y))", "--assign", "x=2,y=3"], 0),
+            (["prove-ground", "(eq (add (s 0) (s 0)) (s (s 0)))"], 0),
+            (["prove-ground", "(eq (s 0) 0)"], 1),
+            (["check", str(tmp_path / "missing.prf")], 2),            # CliError
+            (["check", str(bad)], 2)]                                 # ParseError
+    was_collecting = gc.isenabled()
+    gc.disable()
+    try:
+        main(["check", cyc])    # argparse's help formatters form cycles once, in _parsers
+        gc.collect()
+        for argv, code in runs:
+            assert _run(capsys, argv)[0] == code, argv
+            assert gc.collect() == 0, argv
+    finally:
+        if was_collecting:
+            gc.enable()
+
+
+_SURFACE = [
+    ([], 2, "cyclarith: error: the following arguments are required: command"),
+    (["bogus"], 2, "cyclarith: error: argument command: invalid choice: 'bogus' (choose from "
+                   "'check', 'annotate', 'unravel', 'ravel', 'uncycle', 'eval', 'prove-ground', "
+                   "'examples')"),
+    (["-h"], 0, ""),
+    (["check"], 2, "cyclarith check: error: the following arguments are required: path"),
+    (["check", "-h"], 0, ""),
+    (["check", "P", "--lev", "1"], 1, ""),       # an abbreviation of --level
+    (["check", "P", "--out=F"], 0, ""),
+    (["check", "P", "--format", "xml"], 2, "cyclarith check: error: argument --format: "
+                                           "invalid choice: 'xml' (choose from 'text', 'sexpr')"),
+    (["eval", "(eq 0 0)", "--cutoff", "x"], 2,
+     "cyclarith eval: error: argument --cutoff: invalid int value: 'x'"),
+    (["check", "P", "extra"], 2, "cyclarith: error: unrecognized arguments: extra"),
+]
+
+
+def _surface(capsys, call, argv):
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+@pytest.mark.parametrize("argv, code, last", _SURFACE,
+                         ids=[" ".join(argv) or "none" for argv, _, _ in _SURFACE])
+def test_dispatch_keeps_the_surface_of_the_top_level_parser(capsys, monkeypatch, tmp_path,
+                                                           corpus_dir, argv, code, last):
+    # a known command's argv goes straight to its own parser; the exit code,
+    # stdout and stderr are what parsing all of argv at the top level gives
+    from cyclarith.cli import _parsers
+
+    monkeypatch.setenv("COLUMNS", "80")
+    proof, rep = str(corpus_dir / "ind_schema_pi1.cyc"), tmp_path / "rep"
+    argv = [{"P": proof, "--out=F": f"--out={rep}"}.get(a, a) for a in argv]
+
+    def via_top(argv):
+        args = _parsers()[0].parse_args(argv)
+        return args.fn(args)
+
+    got = _surface(capsys, main, argv)
+    assert got == _surface(capsys, via_top, argv)
+    assert got[0] == code
+    if code == 2:
+        assert (got[1], got[2].splitlines()[-1]) == ("", last)
+    if "-h" in argv:
+        assert got[1].startswith(f"usage: {' '.join(['cyclarith', *argv[:-1]])} [-h]")
+    if any(a.startswith("--out=") for a in argv):
+        assert got[1:] == ("", "") and rep.read_text().startswith("verdict: valid")
+
+
+def test_crlf_proof_reads_like_its_lf_form(capsys, tmp_path, corpus_dir):
+    # universal newlines: offsets count each line end as one character
+    lf, crlf = corpus_dir / "ind_schema_pi1.cyc", tmp_path / "crlf.cyc"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert _run(capsys, ["check", str(crlf)]) == _run(capsys, ["check", str(lf)])
+    bad = tmp_path / "bad.prf"
+    bad.write_bytes(b"(node :id a\r\n  (seq (eq x 0)) (axiom))\r\n(x)\r\n")
+    assert _run(capsys, ["check", str(bad)]) == (
+        2, "", "parse error: trailing input after s-expression (at offset 38)\n")
+
+
+def test_write_loops_on_short_writes(monkeypatch, tmp_path):
+    from cyclarith.cli import _write
+
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * 5000)
+    text = "(verdict valid) \u03b8 \u2200 " * 100     # 2- and 3-byte characters cut apart
+    real, sizes = os.write, []
+
+    def short(fd, data):
+        sizes.append(len(data))
+        return real(fd, bytes(data[:7]))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", short)
+        _write(out, text)
+    assert out.read_bytes() == text.encode("utf-8")
+    assert len(sizes) == -(-len(text.encode("utf-8")) // 7)
+
+
+def test_check_of_the_empty_path_cannot_read_it(capsys):
+    assert _run(capsys, ["check", ""]) == (
+        2, "", "error: cannot read : No such file or directory\n")
 
 
 def test_corpus_files_all_check(capsys, corpus_dir):
@@ -476,9 +607,9 @@ def test_negative_flags_are_usage_errors(capsys, corpus_dir, argv):
 
 
 def test_parser_is_built_once_and_keeps_no_assumptions(capsys, corpus_dir):
-    from cyclarith.cli import _parser
+    from cyclarith.cli import _parse, _parsers
 
-    assert _parser() is _parser()
+    assert _parsers() is _parsers()
     proof = str(corpus_dir / "ind_rule_assume.cyc")
     flags = ["--system", "spi", "--level", "0"]
     rc, out, _ = _run(capsys, ["check", proof, *flags,
@@ -487,7 +618,8 @@ def test_parser_is_built_once_and_keeps_no_assumptions(capsys, corpus_dir):
     # the second call must not inherit the first one's --assume
     rc, out, _ = _run(capsys, ["check", proof, *flags])
     assert rc == 1 and "AssumeLeaf at " in out
-    assert _parser().parse_args(["check", proof]).assume == []
+    assert _parse(["check", proof]).assume == []
+    assert _parsers()[0].parse_args(["check", proof]).assume == []
 
 
 def _strip_annotation(text, node_id):
