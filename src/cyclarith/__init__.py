@@ -33,12 +33,12 @@ from .calculus import (Add0Rule, AddSRule, AllRule, AndRule, AssumeLeaf,
                        parse_proof, parse_sequent, premises_of, render_proof,
                        walk)
 from .annotation import Mode, System, propagate
-from .checker import ValidationReport, Violation, check_tree, validate
+from .checker import ValidationReport, Violation, validate
 from .records import parse_report, render_report
 from .transform import (RavelError, RegularProofGraph, annotate_tree, erase,
-                        expand_graph, graph_of, is_annotated, is_plain,
-                        parse_aseq, parse_graph, prefix_equal, ravel,
-                        render_graph, unravel)
+                        expand_graph, graph_of, is_annotated, parse_aseq,
+                        parse_graph, prefix_equal, ravel, render_graph,
+                        unravel)
 from .uncycle import (ExtractionError, InductionCertificate, Obligation,
                       certificate_with_theta, check_certificate_bounded,
                       extract_all, extract_certificate, parse_certificate,

@@ -36,7 +36,7 @@ from .semantics import eval_term
 from .syntax import (Add, All, AllLe, And, Eq, Ex, ExLe, Formula, Le, Mul,
                      NLe, Neq, Or, PI, Succ, Term, V, Var, ZERO, Zero,
                      _succs, impl, is_in, negate, numeral, substitute)
-from .transform import annotate_tree, erase, is_annotated
+from .transform import annotate_tree, erase
 
 
 class PreError(Exception):
@@ -350,8 +350,7 @@ def induction_rule_proof(base: ProofNode, step: ProofNode,
          ("r2", WeakRule(Sequent([phisx])), ("r3", BackLeaf("r0"))),
          relabel_proof(erase(step), "s."))))
     for label, sub in (("base", base), ("step", step)):
-        checked = sub if is_annotated(sub) else annotate_tree(sub, frozenset(), mode)
-        report = validate(checked, mode)
+        report = validate(sub, mode)
         if not report.valid:
             raise PreError(f"{label} proof invalid: "
                            + "; ".join(v.tag for v in report.violations))

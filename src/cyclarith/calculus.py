@@ -11,7 +11,7 @@ returns the unique premise list or raises ArgMismatch.
 Proof trees are rule-labeled nodes with opaque string ids.  Leaves are
 axioms, assumptions, open stubs, or back-references.  This module decides
 single steps (check_step) only; whole trees, leaves included, are judged by
-checker.validate, which checks plain finite trees and cyclic proofs alike.
+checker.validate, which tells plain finite trees from cyclic proofs itself.
 
 parse_proof reads a file once: the reader takes a shallow list that the
 file repeats, such as a sequent a premise copies from its conclusion, as

@@ -10,20 +10,24 @@ an invalid proof lists everything wrong with it, not just the first problem.
 The tree is the whole proof: validate takes its root and indexes ids,
 parents and back-links itself.
 
-validate is the package's only validity judgement: plain finite trees
-(plain=True), ravelled graphs and cyclic proofs all go through it, and
-_check_leaf is the only place a leaf is decided. uncycle's extraction calls
-it once and refuses, with its report, every proof it rejects; it adds only
-the refusals validate does not decide (see that module's docstring).
+validate is the package's only validity judgement, and it reads off the
+proof whether it is plain: a proof with no annotated node is judged as a
+finite tree, any other as a cyclic proof, each bare node reported Unannotated.
+This is sound: the plain judgement refuses every back leaf, so a plain proof
+it accepts is a finite derivation, carried by local soundness alone, and
+erasing a cyclic proof's annotations cannot make it pass. _check_leaf is the
+only place a leaf is decided. uncycle's extraction calls validate once and
+refuses, with its report, every proof it rejects; it adds only the refusals
+validate does not decide (see that module's docstring).
 Reports are rendered and read by records, outside the core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .annotation import Mode, System, propagate
+from .annotation import Mode, propagate
 from .calculus import (ArgMismatch, AssumeLeaf, AxiomLeaf, BackLeaf, CaseRule,
                        LEAF_KINDS, OpenLeaf, ProofNode, check_step, is_axiom,
                        node_map, walk)
@@ -54,14 +58,15 @@ class ValidationReport:
         return self.verdict == "valid"
 
 
-def validate(root: ProofNode, mode: Mode, plain: bool = False) -> ValidationReport:
-    """Judge a proof; with plain=True, as a plain finite tree.
+def validate(root: ProofNode, mode: Mode) -> ValidationReport:
+    """Judge a proof: as a finite tree when it is plain, else as a cyclic one.
 
-    A plain tree is judged on its steps and leaves only: annotations are
-    ignored, back leaves are rejected like open ones and every violation is
-    tagged Tree.  Otherwise node ids must be unique (ParseError names a
-    duplicate).  A step message names its rule once, in either mode.
+    A plain proof is judged on its steps and leaves only: back leaves are
+    rejected like open ones and every violation is tagged Tree.  A cyclic
+    proof's node ids must be unique (ParseError names a duplicate).  A step
+    message names its rule once, in either judgement.
     """
+    plain = all(n.vars is None for n in walk(root))
     violations: List[Violation] = []
 
     def bad(node_id: str, tag: str, message: str) -> None:
@@ -118,12 +123,6 @@ def validate(root: ProofNode, mode: Mode, plain: bool = False) -> ValidationRepo
 
     stats = ProofStats(len(nodes), len(backlinks), tuple(cycle_lengths))
     return _report(violations, stats)
-
-
-def check_tree(root: ProofNode, assumptions: Iterable = ()) -> List[Violation]:
-    """Empty list when every step checks and every leaf is closed."""
-    mode = Mode(System.SN, 0, frozenset(assumptions))
-    return list(validate(root, mode, plain=True).violations)
 
 
 def _report(violations: List[Violation], stats: ProofStats) -> ValidationReport:

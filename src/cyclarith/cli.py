@@ -45,8 +45,8 @@ from .records import render_report
 from .semantics import DEFAULT_CUTOFF, DEFAULT_VALUE_BOUND, eval_formula, eval_term
 from .syntax import (CaptureError, Eq, Neq, ParseError, formula_from_sexpr,
                      ident_var, negate, parse_formula)
-from .transform import (RavelError, annotate_tree, is_annotated, is_plain,
-                        parse_graph, ravel, unravel)
+from .transform import (RavelError, annotate_tree, is_annotated, parse_graph, ravel,
+                        unravel)
 from .uncycle import (ExtractionError, check_certificate_bounded, extract_all,
                       render_certificates)
 
@@ -109,7 +109,10 @@ def _assumptions(paths: Sequence[str]) -> frozenset:
     got = set()
     for path in paths:
         for value in sexpr.parse_many(_read(path)):
-            got.add(formula_from_sexpr(value))
+            phi = formula_from_sexpr(value)
+            if phi.fv:
+                raise CliError(f"{path}: assumption is not a sentence: {phi.sx}")
+            got.add(phi)
     return frozenset(got)
 
 
@@ -131,7 +134,7 @@ def _mode(args) -> Mode:
 def cmd_check(args) -> int:
     mode = _mode(args)
     root = parse_proof(_read(args.path))
-    report = validate(root, mode, plain=is_plain(root))
+    report = validate(root, mode)
     _emit(render_report(report, args.format), args.out)
     return EXIT_OK if report.valid else EXIT_FAIL
 

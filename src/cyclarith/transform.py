@@ -68,15 +68,6 @@ def is_annotated(root: ProofNode) -> bool:
     return all(n.vars is not None for n in walk(root))
 
 
-def is_plain(root: ProofNode) -> bool:
-    """No node carries an annotation: the proof is judged as a plain tree.
-
-    A partly annotated proof is neither plain nor annotated; the validator
-    reports its unannotated nodes.
-    """
-    return all(n.vars is None for n in walk(root))
-
-
 @dataclass(frozen=True)
 class GNode:
     id: str
@@ -153,8 +144,8 @@ def ravel(g: RegularProofGraph, mode: Mode) -> ProofNode:
     """Unroll g into a cyclic proof, back-linking at the first on-path
     repeat, and return its root.
 
-    The result is judged by checker.validate (as a plain tree when no node
-    of g carries an annotation), and RavelError reports its first violation.
+    The result is judged by checker.validate, and RavelError reports its
+    first violation.
     """
     emitted = set()
     counters: Dict[str, int] = {}
@@ -189,7 +180,7 @@ def ravel(g: RegularProofGraph, mode: Mode) -> ProofNode:
         return ProofNode(tid, gn.sequent, rule, kids, gn.vars)
 
     root = fold_tree(g.root, visit, build)
-    report = validate(root, mode, plain=is_plain(root))
+    report = validate(root, mode)
     if not report.valid:
         raise RavelError(report.violations[0])
     return root

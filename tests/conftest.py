@@ -57,6 +57,7 @@ from cyclarith import (
     sequent_truth,
     tautology,
     two_loops_proof,
+    validate,
     walk,
 )
 from cyclarith.calculus import fold_tree
@@ -324,6 +325,11 @@ def proof_corpus():
 def cyclic_corpus(proof_corpus):
     """The annotated entries of the corpus: its cyclic proofs."""
     return [(n, p, m) for n, p, m in proof_corpus if is_annotated(p)]
+
+
+def check_tree(root, assumptions=()):
+    """validate's violations of root in level-0 sn with these assumptions."""
+    return list(validate(root, Mode(System.SN, 0, frozenset(assumptions))).violations)
 
 
 # Proof mutation helpers: single-point changes of a proof tree.

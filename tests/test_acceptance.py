@@ -30,7 +30,6 @@ from cyclarith import (
     certificate_with_theta,
     check_certificate_bounded,
     check_step,
-    check_tree,
     erase,
     eval_formula,
     eval_term,
@@ -55,7 +54,7 @@ from cyclarith import (
     walk,
 )
 
-from conftest import (RULE_NAMES, backlinks, grid_counterexample, make_rule_instance,
+from conftest import (RULE_NAMES, backlinks, check_tree, grid_counterexample, make_rule_instance,
                       random_formula, random_pi1, rebuild, retarget)
 
 x, y = Var("x"), Var("y")

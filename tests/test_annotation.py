@@ -28,7 +28,6 @@ from cyclarith import (
     WeakRule,
     Zero,
     annotate_tree,
-    check_tree,
     erase,
     is_annotated,
     numeral,
@@ -38,6 +37,8 @@ from cyclarith import (
     validate,
 )
 from cyclarith.calculus import ArgMismatch
+
+from conftest import check_tree
 
 x, y, z = Var("x"), Var("y"), Var("z")
 

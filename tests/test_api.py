@@ -15,10 +15,10 @@ EXPORTS = """
     RepRule Rule SIGMA Sequent StepError Succ System TV Term V ValidationReport
     Var Violation WeakRule ZERO Zero
     all_assignments annotate_tree certificate_with_theta check_certificate_bounded
-    check_step check_tree classify desugar erase eval_formula eval_term
+    check_step classify desugar erase eval_formula eval_term
     expand_graph extract_all extract_certificate forall_cycle_proof graph_of iff
     impl induction_rule_proof induction_rule_via_assumptions
-    induction_schema_proof is_annotated is_axiom is_in is_plain negate numeral
+    induction_schema_proof is_annotated is_axiom is_in negate numeral
     omega_truncation parse_aseq parse_certificate parse_formula parse_graph
     parse_proof parse_report parse_sequent parse_term prefix_equal premises_of
     propagate prove_ground_atom ravel render_certificate render_graph

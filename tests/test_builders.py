@@ -28,7 +28,6 @@ from cyclarith import (
     V,
     Var,
     Zero,
-    check_tree,
     eval_formula,
     forall_cycle_proof,
     induction_rule_proof,
@@ -49,7 +48,7 @@ from cyclarith.builders import _grow, _plug, _redex, build_corpus
 from cyclarith.calculus import node_map
 from cyclarith.semantics import TV
 
-from conftest import random_pi1, random_quantifier_free
+from conftest import check_tree, random_pi1, random_quantifier_free
 
 x, y = Var("x"), Var("y")
 SN0 = Mode(System.SN, 0)
@@ -185,6 +184,17 @@ def test_rule_proof_rejects_bad_subproofs():
         induction_rule_proof(wrong_base, step, phi, x, 0)
 
 
+def test_rule_proof_judges_a_plain_subproof_as_a_plain_tree():
+    # the step proof's assumption leaf is undeclared: refused by the plain judgement
+    phi = Eq(Add(Zero(), V(x)), V(x))
+    base = prove_ground_atom(Add(Zero(), Zero()), Zero())
+    step, hyp = step_from_assumption(phi, x)
+    with pytest.raises(PreError, match=r"^step proof invalid: Tree$"):
+        induction_rule_proof(base, step, phi, x, 0)
+    assert validate(induction_rule_proof(base, step, phi, x, 0, [hyp]),
+                    Mode(System.SPI, 0, frozenset([hyp]))).valid
+
+
 def test_step_from_assumption():
     phi = Eq(Add(Zero(), V(x)), V(x))
     step, hyp = step_from_assumption(phi, x)
@@ -308,7 +318,7 @@ def test_deep_ground_proof_builds_and_validates_under_the_default_limit():
         goal = Eq(Add(numeral(1200), numeral(1200)), numeral(2400))
         proof = prove_ground_atom(goal.left, goal.right)
         assert proof.sequent == Sequent([goal])
-        assert validate(proof, Mode(System.SN, 0), plain=True).valid
+        assert validate(proof, Mode(System.SN, 0)).valid
     finally:
         sys.setrecursionlimit(limit)
 
@@ -359,7 +369,7 @@ def test_ground_atom_of_a_deep_add_nest_needs_no_recursion():
     try:
         proof = prove_ground_atom(t, numeral(1))
         assert proof.sequent == Sequent([Eq(t, numeral(1))])
-        assert validate(proof, Mode(System.SN, 0), plain=True).valid
+        assert validate(proof, Mode(System.SN, 0)).valid
     finally:
         sys.setrecursionlimit(limit)
 

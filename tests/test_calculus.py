@@ -39,7 +39,6 @@ from cyclarith import (
     WeakRule,
     Zero,
     check_step,
-    check_tree,
     is_axiom,
     numeral,
     parse_graph,
@@ -62,7 +61,7 @@ from cyclarith.sexpr import SexprError
 from cyclarith.syntax import ParseError
 
 import reference_sexpr
-from conftest import (RULE_NAMES, grid_counterexample, make_rule_instance, mutate_document,
+from conftest import (RULE_NAMES, check_tree, grid_counterexample, make_rule_instance, mutate_document,
                       random_term)
 
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -303,10 +302,8 @@ def test_check_tree_assumptions():
 
 
 def test_check_tree_corpus(proof_corpus):
-    from cyclarith import is_plain
-
     for name, proof, _mode in proof_corpus:
-        if is_plain(proof):
+        if not is_annotated(proof):
             assert check_tree(proof) == [], name
 
 
@@ -347,7 +344,7 @@ def test_deep_proof_parses_annotates_erases_and_checks_without_recursion():
     try:
         root = parse_proof(text)
         assert sum(1 for _ in walk(root)) == 1002
-        assert validate(root, sn0, plain=True).valid
+        assert validate(root, sn0).valid
         annotated = annotate_tree(root, frozenset({x}), sn0)
         assert is_annotated(annotated)
         assert validate(annotated, sn0).valid

@@ -36,7 +36,6 @@ from cyclarith import (
     WeakRule,
     Zero,
     annotate_tree,
-    check_tree,
     erase,
     forall_cycle_proof,
     numeral,
@@ -46,7 +45,7 @@ from cyclarith import (
     validate,
 )
 
-from conftest import rebuild, retarget, schema
+from conftest import check_tree, rebuild, retarget, schema
 
 x, y = Var("x"), Var("y")
 SN0 = Mode(System.SN, 0)
@@ -145,10 +144,12 @@ def test_empty_annotation_under_sigma_system():
 
 
 def test_unannotated_tree_rejected():
-    p = schema()
-    rep = validate(erase(p), SN0)
+    # with every annotation erased the proof is plain: its back leaf is refused
+    rep = validate(erase(schema()), SN0)
     assert not rep.valid
-    assert "Unannotated" in {v.tag for v in rep.violations}
+    assert {v.tag for v in rep.violations} == {"Tree"}
+    assert [v.node_id for v in rep.violations
+            if v.message == "back leaves are not allowed in a plain proof"] == ["n4"]
 
 
 def test_no_progress_without_case():
@@ -201,7 +202,7 @@ def test_plain_tree_check_shares_the_leaf_judgement():
     # the same fake axiom leaf, judged in an annotated proof and a plain tree
     s = Sequent([Eq(V(x), Zero())])
     annotated = validate(ProofNode("n0", s, AxiomLeaf(), (), frozenset()), SN0)
-    plain = validate(ProofNode("n0", s, AxiomLeaf()), SN0, plain=True)
+    plain = validate(ProofNode("n0", s, AxiomLeaf()), SN0)
     assert [(v.tag, v.message) for v in annotated.violations] == \
         [("AxiomLeaf", f"not an axiom: {s.sx}")]
     assert [(v.tag, v.message) for v in plain.violations] == \
@@ -332,9 +333,10 @@ _GUARDS = [  # (conclusion, rule, the step message naming the rule once)
 
 @pytest.mark.parametrize("conclusion,rule,message", _GUARDS)
 def test_each_step_guard_names_its_rule_once(conclusion, rule, message):
-    kids = tuple(_open(f"n{i + 1}", Eq(Z, Z), ()) for i in range(rule.premises))
+    kids = tuple(ProofNode(f"n{i + 1}", Sequent([Eq(Z, Z)]), OpenLeaf())
+                 for i in range(rule.premises))
     root = ProofNode("n0", Sequent(conclusion), rule, kids)
-    assert validate(root, SN0, plain=True).violations[0] == Violation("n0", "Tree", message)
+    assert validate(root, SN0).violations[0] == Violation("n0", "Tree", message)
 
 
 def test_step_messages_name_the_rule_once_for_premise_mismatches():

@@ -21,7 +21,7 @@ from cyclarith import (
 )
 from cyclarith.builders import build_corpus
 from cyclarith.cli import main
-from conftest import graph_with, mutate_document
+from conftest import check_tree, graph_with, mutate_document
 
 
 @pytest.fixture(scope="module")
@@ -229,8 +229,6 @@ def test_prove_ground(capsys, tmp_path):
     out_file = tmp_path / "g.prf"
     rc = main(["prove-ground", "(eq (add (s 0) (s 0)) (s (s 0)))", "-o", str(out_file)])
     assert rc == 0
-    from cyclarith import check_tree
-
     assert check_tree(parse_proof(out_file.read_text())) == []
 
 
@@ -685,6 +683,27 @@ def test_uncycle_of_an_invalid_proof_reports_what_check_reports(
     assert uncycle == (1, "", check[1])
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_uncycle_and_check_agree_on_every_example(capsys, tmp_path, seed):
+    # plain trees included: uncycle refuses a proof exactly when check does,
+    # with check's report
+    assert main(["examples", str(tmp_path), "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    for line in (tmp_path / "MANIFEST").read_text().splitlines():
+        name, kind, system, level = line.split()
+        if kind == "assumptions":
+            continue
+        flags = ["--system", system, "--level", level]
+        assume = tmp_path / (name.rsplit(".", 1)[0] + ".assume")
+        if assume.exists():
+            flags += ["--assume", str(assume)]
+        rc, out, _ = _run(capsys, ["check", str(tmp_path / name), *flags])
+        urc, _, err = _run(capsys, ["uncycle", str(tmp_path / name), *flags, "--no-check"])
+        assert (urc == 1) == (rc == 1), name
+        if urc == 1:
+            assert err == out, name
+
+
 def test_check_partly_annotated_proof_reports_the_unannotated_node(capsys, tmp_path, corpus_dir):
     bad = tmp_path / "partial.cyc"
     bad.write_text(_strip_annotation((corpus_dir / "ind_schema_pi1.cyc").read_text(), "n2"))
@@ -769,10 +788,11 @@ def test_eval_deep_numeral_equation(capsys, head, want):
 
 
 def test_check_refuses_an_open_assumed_formula(capsys, tmp_path):
-    # an --assume file may hold an open formula; the leaf check refuses it
+    # an --assume file holds sentences; one with a free variable is an input error
     proof, assume = tmp_path / "a.prf", tmp_path / "a.assume"
     proof.write_text("(node :id a (seq (eq x 0)) (assume (eq x 0)))\n")
-    assume.write_text("(eq x 0)\n")
-    rc, out, _ = _run(capsys, ["check", str(proof), "--assume", str(assume)])
-    assert rc == 1
-    assert "Tree at a: assumed formula must be a sentence" in out
+    assume.write_text("(eq 0 0)\n(eq x 0)\n")
+    rc, out, err = _run(capsys, ["check", str(proof), "--assume", str(assume)])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {assume}: assumption is not a sentence: (eq x 0)\n"
+

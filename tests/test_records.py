@@ -35,7 +35,6 @@ from cyclarith import (
     check_certificate_bounded,
     extract_all,
     graph_of,
-    is_plain,
     parse_certificate,
     parse_graph,
     parse_proof,
@@ -174,7 +173,7 @@ def corpus_records():
         for entry in build_corpus(seed):
             root = parse_proof(entry.text)
             mode = Mode(System(entry.system), entry.level, frozenset(entry.assume))
-            reports.append(validate(root, mode, plain=is_plain(root)))
+            reports.append(validate(root, mode))
             if entry.kind != "cyclic":
                 continue
             graphs.append(graph_of(root))
